@@ -1,4 +1,4 @@
-"""Pointwise information quantities and the digamma function.
+"""Pointwise information quantities, the information range and digamma.
 
 Every logarithm in the package is natural; information values are in nats.
 All functions here are pure and callable from any number of threads.
@@ -9,23 +9,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 from .errors import InputError
 from .tables import PosteriorCounts
 
 EULER_GAMMA = 0.5772156649015329
-
-# Coefficients of x**(-2k), k = 1..7, in the large-x expansion of psi(x).
-_PSI_SERIES = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-    -1.0 / 12.0,
-)
-_PSI_LIFT = 8.0
 
 
 def mi_upper_bound(r: int, s: int) -> float:
@@ -35,66 +24,11 @@ def mi_upper_bound(r: int, s: int) -> float:
     return min(math.log(r), math.log(s))
 
 
-def digamma(x: float) -> float:
-    """Digamma psi(x) for x > 0, accurate to about 1e-13 absolute.
-
-    Arguments below 8 are lifted with psi(x + 1) = psi(x) + 1/x, after
-    which the asymptotic series through x**-14 applies.
-    """
-    if not x > 0:
+def digamma(x):
+    """Digamma psi(x) for x > 0, scalar or array, from ``scipy.special``."""
+    if not np.all(np.asarray(x) > 0):
         raise InputError(f"digamma needs x > 0, got {x}")
-    acc = 0.0
-    while x < _PSI_LIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_PSI_SERIES):
-        tail = inv2 * (c + tail)
-    return acc + math.log(x) - 0.5 / x + tail
-
-
-def _digamma_general(x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    small = x < _PSI_LIFT
-    while small.any():
-        acc[small] -= 1.0 / x[small]
-        x[small] += 1.0
-        small = x < _PSI_LIFT
-    inv2 = 1.0 / (x * x)
-    tail = np.zeros_like(x)
-    for c in reversed(_PSI_SERIES):
-        tail = inv2 * (c + tail)
-    return acc + np.log(x) - 0.5 / x + tail
-
-
-# Integer arguments recur constantly in the tallying loops, so psi(1..N) is
-# tabled once (each entry from the series directly, no cumulative error).
-DIGAMMA_TABLE_SIZE = 1 << 16
-_psi_table: np.ndarray | None = None
-
-
-def _psi_int_table() -> np.ndarray:
-    global _psi_table
-    if _psi_table is None:
-        table = _digamma_general(np.arange(1.0, DIGAMMA_TABLE_SIZE + 1.0))
-        table.setflags(write=False)
-        _psi_table = table
-    return _psi_table
-
-
-def digamma_grid(x) -> np.ndarray:
-    """Vectorised digamma over an array of positive arguments.
-
-    Integral arguments up to DIGAMMA_TABLE_SIZE take a table lookup; the
-    rest go through the lift-and-series path of ``digamma``.
-    """
-    x = np.array(x, dtype=float)
-    if not np.all(x > 0):
-        raise InputError("digamma needs positive arguments")
-    if x.size and x.max() <= DIGAMMA_TABLE_SIZE and np.all(x == np.floor(x)):
-        return _psi_int_table()[x.astype(np.int64) - 1]
-    return _digamma_general(x)
+    return special.digamma(x)
 
 
 def _information_terms(grid, rows, cols, total) -> np.ndarray:

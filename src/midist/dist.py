@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import InfeasibleFitError, InputError
 
@@ -54,19 +54,8 @@ class DistApprox:
 
     def cdf(self, x):
         """P(I <= x); scalar in, scalar out (arrays pass through)."""
-        scalar = np.ndim(x) == 0
-        xa = np.asarray(x, dtype=float)
-        if self.family == "normal":
-            sigma = math.sqrt(self.params["variance"])
-            v = special.ndtr((xa - self.params["mean"]) / sigma)
-        elif self.family == "gamma":
-            v = special.gammainc(self.params["shape"], np.maximum(xa, 0.0) / self.params["scale"])
-        elif self.family == "beta":
-            t = np.clip(xa / self.params["scale"], 0.0, 1.0)
-            v = special.betainc(self.params["alpha"], self.params["beta"], t)
-        else:
-            v = (xa >= self.params["location"]).astype(float)
-        return float(v) if scalar else v
+        v = _cdf(self.family, self.params, np.asarray(x, dtype=float))
+        return float(v) if np.ndim(x) == 0 else v
 
     def cdf_left(self, x):
         """P(I < x); differs from cdf only where the law has an atom."""
@@ -81,7 +70,7 @@ class DistApprox:
         return 1.0 - self.cdf(epsilon)
 
     def quantile(self, q: float) -> float:
-        """Inverse CDF by bracketed root search, accurate to about 1e-9.
+        """Inverse CDF from the closed-form inverses of ``scipy.special``.
 
         q = 0 and q = 1 return the support ends (infinite for the
         unbounded families).
@@ -95,26 +84,12 @@ class DistApprox:
             return lo
         if q == 1.0:
             return hi
-        blo, bhi = self._finite_bracket(q)
-        return float(optimize.brentq(lambda t: self.cdf(t) - q, blo, bhi, xtol=1e-12, maxiter=300))
-
-    def _finite_bracket(self, q: float) -> tuple[float, float]:
+        p = self.params
         if self.family == "normal":
-            mu = self.params["mean"]
-            sigma = math.sqrt(self.params["variance"])
-            blo, bhi = mu - 15.0 * sigma, mu + 15.0 * sigma
-            while self.cdf(blo) > q:
-                blo = mu + 2.0 * (blo - mu)
-            while self.cdf(bhi) < q:
-                bhi = mu + 2.0 * (bhi - mu)
-            return blo, bhi
+            return float(p["mean"] + math.sqrt(p["variance"]) * special.ndtri(q))
         if self.family == "gamma":
-            mean = self.params["shape"] * self.params["scale"]
-            bhi = mean + 15.0 * math.sqrt(self.params["shape"]) * self.params["scale"]
-            while self.cdf(bhi) < q:
-                bhi *= 2.0
-            return 0.0, bhi
-        return 0.0, self.params["scale"]  # beta
+            return float(p["scale"] * special.gammaincinv(p["shape"], q))
+        return float(p["scale"] * special.betaincinv(p["alpha"], p["beta"], q))
 
     def moments(self) -> tuple[float, float]:
         """Analytic (mean, variance) of the fitted family."""
@@ -133,50 +108,64 @@ def _point_mass(location: float) -> DistApprox:
     return DistApprox("point_mass", {"location": float(location)}, (float(location), float(location)))
 
 
+def _match(family: str, mean, variance, i_max):
+    """Moment-matched parameters of one family; scalars or arrays alike."""
+    if family == "normal":
+        return {"mean": mean, "variance": variance}
+    if family == "gamma":
+        return {"shape": mean**2 / variance, "scale": variance / mean}
+    # beta on the rescaled variable I / i_max
+    mt = mean / i_max
+    vt = variance / i_max**2
+    alpha = mt * (mt * (1.0 - mt) / vt - 1.0)
+    return {"alpha": alpha, "beta": alpha * (1.0 - mt) / mt, "scale": i_max}
+
+
+def _cdf(family: str, params: dict, x):
+    """P(I <= x) under the family with the given parameters; arrays broadcast."""
+    if family == "normal":
+        return special.ndtr((x - params["mean"]) / np.sqrt(params["variance"]))
+    if family == "gamma":
+        return special.gammainc(params["shape"], np.maximum(x, 0.0) / params["scale"])
+    if family == "beta":
+        return special.betainc(params["alpha"], params["beta"], np.clip(x / params["scale"], 0.0, 1.0))
+    return (x >= params["location"]).astype(float)
+
+
+def _check_moments(family: str, mean, variance, i_max) -> None:
+    if family not in FIT_FAMILIES:
+        raise InputError(f"unknown family {family!r}; expected one of {FIT_FAMILIES}")
+    if not (np.isfinite(mean).all() and np.isfinite(variance).all() and math.isfinite(i_max)):
+        raise InputError("mean, variance and i_max must be finite")
+    if np.less(variance, 0).any() or i_max < 0:
+        raise InputError("variance and i_max must be non-negative")
+
+
 def fit(family: str, mean: float, variance: float, i_max: float) -> DistApprox:
     """Moment-match one family to (mean, variance) on the range [0, i_max].
 
     Zero variance (and a zero-length range) degenerate to a point mass.
     Infeasible pairs raise InfeasibleFitError naming the violated bound.
     """
-    if family not in FIT_FAMILIES:
-        raise InputError(f"unknown family {family!r}; expected one of {FIT_FAMILIES}")
-    if not (np.isfinite(mean) and np.isfinite(variance) and np.isfinite(i_max)):
-        raise InputError("mean, variance and i_max must be finite")
-    if variance < 0 or i_max < 0:
-        raise InputError("variance and i_max must be non-negative")
+    _check_moments(family, mean, variance, i_max)
     if i_max == 0.0:
         return _point_mass(0.0)
     if variance == 0.0:
         return _point_mass(mean)
-    if family == "normal":
-        return DistApprox("normal", {"mean": float(mean), "variance": float(variance)}, (-math.inf, math.inf))
-    if family == "gamma":
-        if mean <= 0:
-            raise InfeasibleFitError(f"gamma needs mean > 0, got {mean}")
-        return DistApprox(
-            "gamma",
-            {"shape": float(mean**2 / variance), "scale": float(variance / mean)},
-            (0.0, math.inf),
-        )
-    # beta on the rescaled variable I / i_max
-    if not 0.0 < mean < i_max:
-        raise InfeasibleFitError(f"beta needs 0 < mean < i_max = {i_max}, got mean {mean}")
-    bound = mean * (i_max - mean)
-    if variance >= bound:
-        raise InfeasibleFitError(
-            f"variance {variance} >= mean * (i_max - mean) = {bound}; "
-            "moment pair infeasible for beta"
-        )
-    mt = mean / i_max
-    vt = variance / i_max**2
-    alpha = mt * (mt * (1.0 - mt) / vt - 1.0)
-    beta = alpha * (1.0 - mt) / mt
-    return DistApprox(
-        "beta",
-        {"alpha": float(alpha), "beta": float(beta), "scale": float(i_max)},
-        (0.0, float(i_max)),
-    )
+    if family == "gamma" and mean <= 0:
+        raise InfeasibleFitError(f"gamma needs mean > 0, got {mean}")
+    if family == "beta":
+        if not 0.0 < mean < i_max:
+            raise InfeasibleFitError(f"beta needs 0 < mean < i_max = {i_max}, got mean {mean}")
+        bound = mean * (i_max - mean)
+        if variance >= bound:
+            raise InfeasibleFitError(
+                f"variance {variance} >= mean * (i_max - mean) = {bound}; "
+                "moment pair infeasible for beta"
+            )
+    params = {name: float(v) for name, v in _match(family, mean, variance, i_max).items()}
+    support = {"normal": (-math.inf, math.inf), "gamma": (0.0, math.inf), "beta": (0.0, float(i_max))}
+    return DistApprox(family, params, support[family])
 
 
 def fit_with_fallback(family: str, mean: float, variance: float, i_max: float):
@@ -195,3 +184,34 @@ def fit_with_fallback(family: str, mean: float, variance: float, i_max: float):
             stacklevel=2,
         )
         return fit("gamma", mean, variance, i_max), "gamma"
+
+
+def prob_exceeds_batch(family: str, mean, variance, i_max: float, epsilon: float):
+    """P(I > epsilon) under ``fit_with_fallback(family, mean[k], variance[k], i_max)`` for every k.
+
+    Returns the probabilities and the mask of beta pairs that fell back to
+    gamma.  The batch warns once, with the count, when any pair falls back.
+    """
+    mean = np.asarray(mean, dtype=float)
+    variance = np.asarray(variance, dtype=float)
+    _check_moments(family, mean, variance, i_max)
+    point = (variance == 0.0) | (i_max == 0.0)
+    fallback = np.zeros(mean.shape, dtype=bool)
+    if family == "beta":
+        fallback = ~point & ~((0.0 < mean) & (mean < i_max) & (variance < mean * (i_max - mean)))
+        if fallback.any():
+            warnings.warn(
+                f"{int(fallback.sum())} beta moment pair(s) infeasible; falling back to the gamma family",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    prob = np.empty(mean.shape)
+    location = mean if i_max > 0.0 else np.zeros(mean.shape)
+    prob[point] = 1.0 - _cdf("point_mass", {"location": location[point]}, epsilon)
+    for fam, mask in ((family, ~point & ~fallback), ("gamma", fallback)):
+        if not mask.any():
+            continue
+        if fam == "gamma" and mean[mask].min() <= 0:
+            raise InfeasibleFitError(f"gamma needs mean > 0, got {mean[mask].min()}")
+        prob[mask] = 1.0 - _cdf(fam, _match(fam, mean[mask], variance[mask], i_max), epsilon)
+    return prob, fallback

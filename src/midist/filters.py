@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import mi_upper_bound
-from .dist import FIT_FAMILIES, fit_with_fallback
+from .dist import FIT_FAMILIES, prob_exceeds_batch
 from .errors import ConfigurationError, InputError
 from .missing import moments_with_missing
-from .moments import mi_moments
-from .tables import ContingencyTable, PriorSpec, apply_prior
+from .moments import moments_batch
+from .tables import ContingencyTable, PriorSpec, add_prior
 
 FILTERS = ("f", "ff", "bf")
 _FLAG_NAMES = {"f": "keep_f", "ff": "keep_ff", "bf": "keep_bf"}
@@ -76,49 +76,78 @@ class FilterDecision:
     used_missing: bool = False
 
 
-def decide(table: ContingencyTable, cfg: FilterConfig, attribute=None) -> FilterDecision:
-    """Evaluate every keep rule for one attribute-against-class table.
+_ROW_FIELDS = ("j", "mean", "variance", "prob_exceeds_eps", "keep_f", "keep_ff", "keep_bf", "used_missing")
 
-    Single-valued attributes (information range of zero) are degenerate
-    and discarded by all three rules.  Tables carrying partial margins are
-    routed through the incomplete-sample moments automatically.
+
+@dataclass(frozen=True, eq=False)
+class BatchDecision:
+    """The FilterDecision fields of a stack of same-shape tables, as length-B arrays."""
+
+    j: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+    prob_exceeds_eps: np.ndarray
+    keep_f: np.ndarray
+    keep_ff: np.ndarray
+    keep_bf: np.ndarray
+    fit_fallback: np.ndarray
+    used_missing: np.ndarray
+    degenerate: bool = False
+
+
+def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=None) -> BatchDecision:
+    """Evaluate every keep rule for a (B, r, s) stack of attribute-against-class tables.
+
+    Complete tables are decided in one vectorised pass.  Tables with mass
+    on a partial margin (``missing_class`` of shape (B, r) or
+    ``missing_feature`` of shape (B, s)) take the incomplete-sample moments
+    one table at a time, then join the same tail evaluation.  Single-valued
+    attributes (information range of zero) are degenerate and discarded
+    by all three rules.
     """
-    upper = mi_upper_bound(table.r, table.s)
+    counts = np.asarray(counts)
+    if counts.ndim != 3 or counts.dtype.kind not in "iu" or (counts.size and counts.min() < 0):
+        raise InputError("counts must be a (B, r, s) stack of non-negative integer tables")
+    size, r, s = counts.shape
+    upper = mi_upper_bound(r, s)
     if upper == 0.0:
-        return FilterDecision(
-            attribute=attribute,
-            j=0.0,
-            mean=0.0,
-            variance=0.0,
-            prob_exceeds_eps=0.0,
-            keep_f=False,
-            keep_ff=False,
-            keep_bf=False,
-            degenerate=True,
-        )
-    if table.has_missing():
-        mm = moments_with_missing(table, cfg.prior)
-        j, mean, variance = mm.mean, mm.mean, mm.variance
-        used_missing = True
-    else:
-        pc = apply_prior(table, cfg.prior)
-        mom = mi_moments(pc)
+        zeros, no = np.zeros(size), np.zeros(size, dtype=bool)
+        return BatchDecision(zeros, zeros, zeros, zeros, no, no, no, no, no, degenerate=True)
+    missing_class = np.zeros((size, r)) if missing_class is None else np.asarray(missing_class)
+    missing_feature = np.zeros((size, s)) if missing_feature is None else np.asarray(missing_feature)
+    partial = (missing_class.sum(axis=1) > 0) | (missing_feature.sum(axis=1) > 0)
+    j, mean, variance = np.empty(size), np.empty(size), np.empty(size)
+    complete = ~partial
+    if complete.any():
+        mom = moments_batch(add_prior(counts[complete], cfg.prior))
         # j_term is the plug-in value itself; clamp mirrors empirical_mi
-        j, mean, variance = max(0.0, mom.j_term), mom.mean, mom.variance
-        used_missing = False
-    approx, fallback = fit_with_fallback(cfg.family, mean, variance, upper)
-    prob = approx.prob_exceeds(cfg.epsilon)
-    return FilterDecision(
-        attribute=attribute,
+        j[complete], mean[complete], variance[complete] = np.maximum(mom.j_term, 0.0), mom.mean, mom.variance
+    for i in np.flatnonzero(partial):
+        mm = moments_with_missing(ContingencyTable(counts[i], missing_class[i], missing_feature[i]), cfg.prior)
+        j[i], mean[i], variance[i] = mm.mean, mm.mean, mm.variance
+    prob, fallback = prob_exceeds_batch(cfg.family, mean, variance, upper, cfg.epsilon)
+    return BatchDecision(
         j=j,
         mean=mean,
         variance=variance,
         prob_exceeds_eps=prob,
-        keep_f=bool(j > cfg.epsilon),
-        keep_ff=bool(prob > cfg.p_level),
-        keep_bf=bool(prob > 1.0 - cfg.p_level),
+        keep_f=j > cfg.epsilon,
+        keep_ff=prob > cfg.p_level,
+        keep_bf=prob > 1.0 - cfg.p_level,
         fit_fallback=fallback,
-        used_missing=used_missing,
+        used_missing=partial,
+    )
+
+
+def decide(table: ContingencyTable, cfg: FilterConfig, attribute=None) -> FilterDecision:
+    """Evaluate every keep rule for one table: ``decide_batch`` on a stack of one."""
+    batch = decide_batch(table.counts[None], cfg, table.missing_class[None], table.missing_feature[None])
+    values = {name: getattr(batch, name)[0].item() for name in _ROW_FIELDS}
+    return FilterDecision(
+        attribute=attribute,
+        degenerate=batch.degenerate,
+        fit_fallback="gamma" if batch.fit_fallback[0] else None,
+        **values,
     )
 
 
@@ -138,5 +167,12 @@ def select_features(tables: dict, cfg: FilterConfig, which: str) -> list:
         raise InputError(
             f"attributes disagree on the class cardinality: {sorted(cardinalities)}"
         )
-    flag = _FLAG_NAMES[which]
-    return [aid for aid, t in items if getattr(decide(t, cfg, aid), flag)]
+    kept = set()
+    for shape in dict.fromkeys(t.counts.shape for _, t in items):
+        group = [(aid, t) for aid, t in items if t.counts.shape == shape]
+        counts, missing_class, missing_feature = (
+            np.stack([getattr(t, name) for _, t in group]) for name in ("counts", "missing_class", "missing_feature")
+        )
+        batch = decide_batch(counts, cfg, missing_class, missing_feature)
+        kept.update(aid for (aid, _), keep in zip(group, getattr(batch, _FLAG_NAMES[which])) if keep)
+    return [aid for aid, _ in items if aid in kept]

@@ -20,15 +20,14 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import special
 
 from .errors import InputError
-from .filters import FILTERS, FilterConfig, decide
+from .filters import _FLAG_NAMES, FILTERS, FilterConfig, decide_batch
 from .nb import NaiveBayesModel
 from .tables import ContingencyTable
 
 DEFAULT_MISSING_TOKEN = "?"
-_FLAG_NAMES = {"f": "keep_f", "ff": "keep_ff", "bf": "keep_bf"}
 
 
 @dataclass
@@ -164,25 +163,44 @@ def prepare(dataset: Dataset, mode: str = "drop_missing", seed: int = 0) -> Data
     )
 
 
+class _Tallies:
+    """Every attribute's counts against the class, stacked per vocabulary size.
+
+    ``joint[v]`` is the (attributes, v, s) stack of the attributes listed in
+    ``groups[v]``; ``partial[a]`` counts, per class, the instances missing
+    attribute a.  Both are updated in place.
+    """
+
+    def __init__(self, vocab_sizes: Sequence[int], class_count: int):
+        self.groups: dict[int, list[int]] = {}
+        slots = []
+        for a, v in enumerate(vocab_sizes):
+            slots.append((v, len(self.groups.setdefault(v, []))))
+            self.groups[v].append(a)
+        self.joint = {v: np.zeros((len(attrs), v, class_count), dtype=np.int64) for v, attrs in self.groups.items()}
+        self.views = [self.joint[v][k] for v, k in slots]  # each attribute's (v, s) slice of its stack
+        self.partial = np.zeros((len(vocab_sizes), class_count), dtype=np.int64)
+
+    def add(self, values, cls: int) -> None:
+        for a, v in enumerate(values):
+            if v is None:
+                self.partial[a, cls] += 1
+            else:
+                self.views[a][v, cls] += 1
+
+
 def attribute_tables(dataset: Dataset) -> dict[str, ContingencyTable]:
     """Full-dataset contingency tables, one per attribute against the class.
 
     Rows without a class label are skipped; a missing attribute value in a
     labelled row counts into that attribute's partial margin.
     """
-    s = dataset.class_count
-    joint = [np.zeros((v, s), dtype=np.int64) for v in dataset.vocab_sizes]
-    partial = [np.zeros(s, dtype=np.int64) for _ in dataset.attributes]
+    tallies = _Tallies(dataset.vocab_sizes, dataset.class_count)
     for values, cls in dataset.instances:
-        if cls is None:
-            continue
-        for a, v in enumerate(values):
-            if v is None:
-                partial[a][cls] += 1
-            else:
-                joint[a][v, cls] += 1
+        if cls is not None:
+            tallies.add(values, cls)
     return {
-        name: ContingencyTable(joint[a], missing_feature=partial[a])
+        name: ContingencyTable(tallies.views[a], missing_feature=tallies.partial[a])
         for a, name in enumerate(dataset.attributes)
     }
 
@@ -236,7 +254,7 @@ def _paired_t_curve(correct_a: Sequence[int], correct_b: Sequence[int]):
     t[0] = 0.0
     critical = np.full(length, np.inf)
     if length > 1:
-        critical[1:] = scipy_stats.t.ppf(0.975, k[1:] - 1)
+        critical[1:] = special.stdtrit(k[1:] - 1, 0.975)
     significant = np.abs(t) > critical
     return [float(v) for v in t], [bool(v) for v in significant]
 
@@ -258,7 +276,7 @@ def paired_t_test(correct_a: Sequence[float], correct_b: Sequence[float], k: int
             return 0.0, False
         return math.copysign(math.inf, mean), True
     t = mean * math.sqrt(k) / float(d.std(ddof=1))
-    critical = float(scipy_stats.t.ppf(0.975, k - 1))
+    critical = float(special.stdtrit(k - 1, 0.975))
     return t, bool(abs(t) > critical)
 
 
@@ -270,9 +288,10 @@ def run_incremental(
 ) -> RunReport:
     """Classify-then-update pass over a prepared dataset.
 
-    Per instance: build per-attribute tables from everything seen so far,
-    let each filter pick its subset, predict with that subset, score, and
-    only then absorb the instance into the classifier and the tallies.
+    Per instance: decide every attribute from the tallies of everything
+    seen so far, one batch per vocabulary size, let each filter pick its
+    subset, predict with that subset, score, and only then absorb the
+    instance into the classifier and the tallies.
     """
     filters = list(filters)
     if not filters or len(set(filters)) != len(filters):
@@ -287,37 +306,29 @@ def run_incremental(
     if any(cls is None for _, cls in dataset.instances):
         raise InputError("run needs prepared data: instances without a class label remain")
 
-    s = dataset.class_count
     sizes = dataset.vocab_sizes
-    n_attr = len(sizes)
-    model = NaiveBayesModel(sizes, s)
-    joint = [np.zeros((v, s), dtype=np.int64) for v in sizes]
-    partial = [np.zeros(s, dtype=np.int64) for _ in range(n_attr)]
+    model = NaiveBayesModel(sizes, dataset.class_count)
+    tallies = _Tallies(sizes, dataset.class_count)
+    keep = {f: np.zeros(len(sizes), dtype=bool) for f in filters}
 
     correct = {f: [] for f in filters}
     counts = {f: [] for f in filters}
     sets = {f: [] for f in filters} if record_selected else None
 
     for values, cls in dataset.instances:
-        selected = {f: [] for f in filters}
-        for a in range(n_attr):
-            table = ContingencyTable(joint[a], missing_feature=partial[a])
-            decision = decide(table, cfg, attribute=a)
+        for v, attrs in tallies.groups.items():
+            batch = decide_batch(tallies.joint[v], cfg, missing_feature=tallies.partial[attrs])
             for f in filters:
-                if getattr(decision, _FLAG_NAMES[f]):
-                    selected[f].append(a)
+                keep[f][attrs] = getattr(batch, _FLAG_NAMES[f])
+        selected = {f: np.flatnonzero(keep[f]).tolist() for f in filters}
         for f in filters:
             predicted, _ = model.predict(values, selected[f])
             correct[f].append(int(predicted == cls))
             counts[f].append(len(selected[f]))
             if sets is not None:
-                sets[f].append(list(selected[f]))
+                sets[f].append(selected[f])
         model.update(values, cls)
-        for a, v in enumerate(values):
-            if v is None:
-                partial[a][cls] += 1
-            else:
-                joint[a][v, cls] += 1
+        tallies.add(values, cls)
 
     steps = np.arange(1, len(dataset) + 1)
     runs = {}

@@ -4,8 +4,7 @@ Chance matrices are drawn from the Dirichlet posterior by normalising
 independent unit-scale gamma variates (one per cell, shape = posterior
 count) and the information value is evaluated exactly on each draw.  Every
 fixed-size chunk of draws owns its own seed-derived substream, so results
-are bit-identical for a given seed no matter how chunks would be scheduled
-across workers.
+are bit-identical for a given seed and chunk size.
 """
 
 from __future__ import annotations

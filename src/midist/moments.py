@@ -18,23 +18,27 @@ with the double-sum intermediates
     Q = 1 - sum_ij n_ij^2 / (n_i+ n_+j)
 
 The intermediates are exposed so tests can pin each one separately.  Cost
-is O(r*s) per table; only double sums appear.
+is O(r*s) per table; only double sums appear.  One kernel evaluates a whole
+stack of same-shape grids at once; a single grid is a stack of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy import special
 
-from .core import digamma_grid
 from .errors import ZeroCellError
 from .tables import PosteriorCounts
 
 
 @dataclass(frozen=True)
 class MiMoments:
-    """First two posterior moments plus the variance intermediates."""
+    """First two posterior moments plus the variance intermediates.
+
+    ``moments_batch`` returns the same fields as length-B arrays.
+    """
 
     mean: float
     variance: float
@@ -45,69 +49,58 @@ class MiMoments:
     variance_clamped: bool = False
 
 
-def _require_positive_cells(pc: PosteriorCounts) -> None:
-    if pc.n.min() <= 0:
-        raise ZeroCellError(
-            "moment formulas need every posterior cell positive; "
-            "apply a positive-weight prior first"
-        )
-
-
-def _mean_unchecked(pc: PosteriorCounts) -> float:
-    # one digamma evaluation over a flat batch of all needed arguments
-    r, s = pc.r, pc.s
-    args = np.empty(r * s + r + s + 1)
-    args[: r * s] = pc.n.ravel()
-    args[r * s : r * s + r] = pc.row_marginals
-    args[r * s + r : r * s + r + s] = pc.col_marginals
-    args[-1] = pc.total
-    psi = digamma_grid(args + 1.0)
-    bracket = (
-        psi[: r * s].reshape(r, s)
-        - psi[r * s : r * s + r][:, None]
-        - psi[r * s + r : r * s + r + s][None, :]
-        + psi[-1]
-    )
-    return float((pc.n * bracket).sum() / pc.total)
-
-
-def mi_mean(pc: PosteriorCounts) -> float:
-    """Exact posterior mean of mutual information, in nats."""
-    _require_positive_cells(pc)
-    return _mean_unchecked(pc)
-
-
-def mi_moments(pc: PosteriorCounts) -> MiMoments:
-    """Exact mean plus the second-order variance approximation.
+def moments_batch(n) -> MiMoments:
+    """Exact mean and second-order variance of every grid in a (B, r, s) stack.
 
     A negative raw variance (possible deep in the near-independence,
     small-count corner of the expansion) is clamped to zero and flagged
     rather than raised, so downstream distribution fits stay defined.
     """
-    _require_positive_cells(pc)
-    n = pc.n
-    rows = pc.row_marginals
-    cols = pc.col_marginals
-    total = pc.total
-    outer = np.outer(rows, cols)
-    log_ratio = np.log(n * total) - np.log(outer)
-    p = n / total
-    j = float((p * log_ratio).sum())
-    k = float((p * log_ratio**2).sum())
-    m = float(
-        ((1.0 / n - (1.0 / rows)[:, None] - (1.0 / cols)[None, :] + 1.0 / total) * n * log_ratio).sum()
+    n = np.asarray(n, dtype=float)
+    if n.min() <= 0:
+        raise ZeroCellError(
+            "moment formulas need every posterior cell positive; "
+            "apply a positive-weight prior first"
+        )
+    _, r, s = n.shape
+    rows = n.sum(axis=2)
+    cols = n.sum(axis=1)
+    total = rows.sum(axis=1)
+    tot = total[:, None, None]
+    bracket = (
+        special.digamma(n + 1.0)
+        - special.digamma(rows + 1.0)[:, :, None]
+        - special.digamma(cols + 1.0)[:, None, :]
+        + special.digamma(total + 1.0)[:, None, None]
     )
-    q = float(1.0 - (n * n / outer).sum())
-    r, s = pc.r, pc.s
-    raw = (k - j * j) / (total + 1.0) + (
-        m + (r - 1) * (s - 1) * (0.5 - j) - q
-    ) / ((total + 1.0) * (total + 2.0))
+    outer = rows[:, :, None] * cols[:, None, :]
+    log_ratio = np.log(n * tot) - np.log(outer)
+    p = n / tot
+    j = (p * log_ratio).sum(axis=(1, 2))
+    k = (p * log_ratio**2).sum(axis=(1, 2))
+    spread = 1.0 / n - (1.0 / rows)[:, :, None] - (1.0 / cols)[:, None, :] + 1.0 / tot
+    m = (spread * n * log_ratio).sum(axis=(1, 2))
+    q = 1.0 - (n * n / outer).sum(axis=(1, 2))
+    raw = (k - j * j) / (total + 1.0) + (m + (r - 1) * (s - 1) * (0.5 - j) - q) / (
+        (total + 1.0) * (total + 2.0)
+    )
     return MiMoments(
-        mean=_mean_unchecked(pc),
-        variance=max(raw, 0.0),
+        mean=(n * bracket).sum(axis=(1, 2)) / total,
+        variance=np.maximum(raw, 0.0),
         k_term=k,
         j_term=j,
         m_term=m,
         q_term=q,
-        variance_clamped=bool(raw < 0.0),
+        variance_clamped=raw < 0.0,
     )
+
+
+def mi_moments(pc: PosteriorCounts) -> MiMoments:
+    """Exact mean plus the second-order variance approximation of one grid."""
+    stack = moments_batch(pc.n[None])
+    return MiMoments(*(getattr(stack, f.name)[0].item() for f in fields(MiMoments)))
+
+
+def mi_mean(pc: PosteriorCounts) -> float:
+    """Exact posterior mean of mutual information, in nats."""
+    return mi_moments(pc).mean

@@ -201,19 +201,24 @@ def build_table(pairs: Iterable[Sequence[int]], r: int, s: int) -> ContingencyTa
     return ContingencyTable(counts)
 
 
-def apply_prior(table: ContingencyTable, prior: PriorSpec) -> PosteriorCounts:
-    """Add the prior pseudo-count to every cell and recompute marginals.
+def add_prior(counts: np.ndarray, prior: PriorSpec) -> np.ndarray:
+    """Counts of an r x s table, or of a stack of them, plus the prior pseudo-count.
 
-    A weight of zero is rejected whenever the table has empty cells, since
+    A weight of zero is rejected whenever a table has empty cells, since
     the downstream moment formulas divide by every cell.
     """
-    weight = prior.cell_weight(table.r, table.s)
-    if weight == 0.0 and np.any(table.counts == 0):
+    weight = prior.cell_weight(*counts.shape[-2:])
+    if weight == 0.0 and np.any(counts == 0):
         raise ZeroCellError(
             "zero-cell posterior: prior weight 0 leaves empty cells that the "
             "moment formulas divide by"
         )
-    return PosteriorCounts.from_grid(table.counts + weight)
+    return counts + weight
+
+
+def apply_prior(table: ContingencyTable, prior: PriorSpec) -> PosteriorCounts:
+    """Add the prior pseudo-count to every cell and recompute marginals."""
+    return PosteriorCounts.from_grid(add_prior(table.counts, prior))
 
 
 def marginals(pc: PosteriorCounts) -> tuple[np.ndarray, np.ndarray, float]:

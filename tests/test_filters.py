@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midist.errors import ConfigurationError, InputError
-from midist.filters import FilterConfig, decide, select_features
+from midist.core import mi_upper_bound
+from midist.dist import FIT_FAMILIES, fit_with_fallback
+from midist.errors import ConfigurationError, InputError, NumericalError, ZeroCellError
+from midist.filters import FilterConfig, decide, decide_batch, select_features
 from midist.harness import attribute_tables, synthetic_dataset
 from midist.missing import moments_with_missing
 from midist.tables import ContingencyTable, PriorSpec
@@ -149,3 +153,93 @@ def test_monotone_in_p_and_ff_within_bf(payload):
     assert not (lo.keep_bf and not hi.keep_bf)  # bf keep stays kept
     for d in (lo, hi):
         assert not d.keep_ff or d.keep_bf  # ff implies bf at p >= 1/2
+
+
+PRIORS = (
+    PriorSpec("uniform"),
+    PriorSpec("jeffreys"),
+    PriorSpec("perks"),
+    PriorSpec("custom", 0.3),
+    PriorSpec("haldane"),
+)
+
+
+@st.composite
+def table_stacks(draw):
+    size = draw(st.integers(1, 6))
+    r = draw(st.integers(1, 4))
+    s = draw(st.integers(2, 3))
+    cells = draw(st.lists(st.integers(0, 12), min_size=size * r * s, max_size=size * r * s))
+    # every third table may carry mass on the feature margin
+    gaps = [draw(st.lists(st.integers(0, 3), min_size=s, max_size=s)) if k % 3 == 2 else [0] * s for k in range(size)]
+    cfg = FilterConfig(family=draw(st.sampled_from(FIT_FAMILIES)), prior=draw(st.sampled_from(PRIORS)))
+    return np.array(cells, dtype=np.int64).reshape(size, r, s), np.array(gaps, dtype=np.int64), cfg
+
+
+def assert_batch_matches_single_tables(counts, gaps, cfg):
+    """Every table of the stack decides as it does alone; the tail also matches the scalar fit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # beta -> gamma fallbacks
+        try:
+            batch = decide_batch(counts, cfg, missing_feature=gaps)
+        except NumericalError as exc:
+            batch = exc
+        singles = []
+        for c, g in zip(counts, gaps):
+            try:
+                singles.append(decide(ContingencyTable(c, missing_feature=g), cfg))
+            except NumericalError as exc:
+                singles.append(exc)
+        if isinstance(batch, Exception):
+            assert type(batch) in {type(d) for d in singles if isinstance(d, Exception)}
+            return
+        for k, d in enumerate(singles):
+            assert (bool(batch.keep_f[k]), bool(batch.keep_ff[k]), bool(batch.keep_bf[k])) == (
+                d.keep_f,
+                d.keep_ff,
+                d.keep_bf,
+            )
+            for name in ("j", "mean", "variance", "prob_exceeds_eps"):
+                assert abs(getattr(batch, name)[k] - getattr(d, name)) <= 1e-12, name
+            assert bool(batch.fit_fallback[k]) == (d.fit_fallback is not None)
+            assert bool(batch.used_missing[k]) == d.used_missing
+            assert batch.degenerate == d.degenerate
+            if not d.degenerate:
+                approx, _ = fit_with_fallback(cfg.family, d.mean, d.variance, mi_upper_bound(*counts.shape[1:]))
+                assert abs(approx.prob_exceeds(cfg.epsilon) - d.prob_exceeds_eps) <= 1e-12
+
+
+@given(table_stacks())
+@settings(max_examples=200, deadline=None)
+def test_batch_matches_decide_on_each_table_alone(payload):
+    counts, gaps, cfg = payload
+    complete_gap = (gaps.sum(axis=1) == 0) & (counts == 0).any(axis=(1, 2))
+    if cfg.prior.kind == "haldane" and counts.shape[1] > 1 and complete_gap.any():
+        with pytest.raises(ZeroCellError):
+            decide_batch(counts, cfg, missing_feature=gaps)
+        k = int(np.argmax(complete_gap))
+        with pytest.raises(ZeroCellError):
+            decide(ContingencyTable(counts[k]), cfg)
+    assert_batch_matches_single_tables(counts, gaps, cfg)
+
+
+@pytest.mark.parametrize("family", FIT_FAMILIES)
+def test_batch_covers_point_mass_and_fallback(family):
+    # under Perks, the second table's variance clamps to 0, so its tail is a
+    # point mass (a known weakness, not pinned here beyond reaching that
+    # branch), and the third's beta pair is infeasible, so beta falls back
+    counts = np.array(
+        [
+            [[5, 1], [1, 4], [2, 2], [0, 3]],
+            [[0, 0], [0, 1], [2, 0], [1, 0]],
+            [[0, 0], [0, 0], [1, 0], [0, 0]],
+        ]
+    )
+    cfg = FilterConfig(family=family, prior=PriorSpec("perks"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = decide_batch(counts, cfg)
+    assert batch.variance[1] == 0.0
+    assert list(batch.fit_fallback) == [False, False, family == "beta"]
+    assert len(caught) == (family == "beta")  # one warning per batch, with the count
+    assert_batch_matches_single_tables(counts, np.zeros((3, 2), dtype=np.int64), cfg)

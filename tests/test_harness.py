@@ -1,13 +1,18 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from midist.errors import InputError
-from midist.filters import FilterConfig
+import midist
+from midist.errors import InfeasibleFitError, InputError
+from midist.filters import FilterConfig, decide
 from midist.harness import (
     Dataset,
+    attribute_tables,
     discretize_equal_frequency,
     load_dataset,
     load_report,
@@ -19,6 +24,7 @@ from midist.harness import (
     synthetic_dataset,
     write_report,
 )
+from midist.tables import ContingencyTable, PriorSpec
 
 CFG = FilterConfig()
 
@@ -217,6 +223,76 @@ class TestRunIncremental:
         ds = Dataset(["a"], [["0", "1"]], ["0", "1"], [((0,), None)])
         with pytest.raises(InputError, match="class"):
             run_incremental(ds, CFG)
+
+
+def mixed_dataset(seed: int, instances: int = 40) -> Dataset:
+    """3 classes, vocabulary sizes 1 to 6, half the attributes lose cells at random."""
+    rng = np.random.default_rng(seed)
+    sizes = (1, 2, 3, 4, 6, 2, 3, 6)
+    rows = []
+    for _ in range(instances):
+        cls = int(rng.integers(3))
+        values = []
+        for a, v in enumerate(sizes):
+            value = (cls + rng.integers(2)) % v if a < 4 else rng.integers(v)  # the first four lean to the class
+            values.append(None if a % 2 and rng.random() < 0.1 else int(value))
+        rows.append((tuple(values), cls))
+    return Dataset(
+        [f"a{a}" for a in range(len(sizes))],
+        [[str(k) for k in range(v)] for v in sizes],
+        ["c0", "c1", "c2"],
+        rows,
+    )
+
+
+class TestBatchedDecisions:
+    @pytest.mark.parametrize("prior", [PriorSpec("perks"), PriorSpec("jeffreys")])
+    def test_selected_sets_equal_per_step_decide_on_own_tallies(self, prior):
+        cfg = FilterConfig(prior=prior, family="normal")
+        ds = prepare(mixed_dataset(3), mode="keep_missing", seed=3)
+        report = run_incremental(ds, cfg, record_selected=True)
+        s = ds.class_count
+        joint = [np.zeros((v, s), dtype=np.int64) for v in ds.vocab_sizes]
+        partial = [np.zeros(s, dtype=np.int64) for _ in ds.vocab_sizes]
+        for step, (values, cls) in enumerate(ds.instances):
+            decisions = [
+                decide(ContingencyTable(joint[a], missing_feature=partial[a]), cfg)
+                for a in range(len(joint))
+            ]
+            for f in ("f", "ff", "bf"):
+                expected = [a for a, d in enumerate(decisions) if getattr(d, f"keep_{f}")]
+                assert report.runs[f].selected_sets[step] == expected, (f, step)
+            for a, v in enumerate(values):
+                if v is None:
+                    partial[a][cls] += 1
+                else:
+                    joint[a][v, cls] += 1
+        assert any(d.used_missing for d in decisions)
+
+    def test_attribute_tables_count_every_labelled_instance(self):
+        ds = mixed_dataset(4)
+        tables = attribute_tables(ds)
+        for a, table in enumerate(tables.values()):
+            assert table.counts.sum() + table.missing_feature.sum() == len(ds)
+            assert table.counts.shape == (ds.vocab_sizes[a], 3)
+
+    def test_zero_mean_partial_table_still_raises_under_beta(self):
+        # the known library defect: an independent partial-margin table gets
+        # mean 0 with a positive variance, which neither beta nor gamma fits
+        cfg = FilterConfig(prior=PriorSpec("perks"))
+        table = ContingencyTable(np.zeros((2, 3), dtype=np.int64), missing_feature=[1, 0, 0])
+        with pytest.warns(RuntimeWarning, match="gamma"), pytest.raises(InfeasibleFitError):
+            decide(table, cfg)
+        ds = Dataset(["a"], [["0", "1"]], ["c0", "c1", "c2"], [((None,), 0), ((0,), 1)])
+        with pytest.warns(RuntimeWarning, match="gamma"), pytest.raises(InfeasibleFitError):
+            run_incremental(ds, cfg)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(midist.__file__).resolve().parents[1])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import midist; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestReports:
