@@ -41,7 +41,6 @@ from .tables import (
     PriorSpec,
     apply_prior,
     build_table,
-    marginals,
     table_from_json,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "fit_with_fallback",
     "ks_distance",
     "load_dataset",
-    "marginals",
     "mi_mean",
     "mi_mean_missing",
     "mi_moments",

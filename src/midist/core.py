@@ -35,7 +35,8 @@ def _information_terms(grid, rows, cols, total) -> np.ndarray:
     """Per-cell contributions to sum p*log(p / (p_row * p_col)).
 
     Empty cells contribute zero (the 0*log 0 convention).  Works for raw
-    counts with their marginals as well as for chance grids with total 1.
+    counts with their marginals as well as for chance grids with total 1,
+    and for a (B, r, s) stack of grids with (B, r) and (B, s) marginals.
     The logarithms are split so that extreme cell magnitudes cannot
     underflow inside a product.
     """
@@ -52,7 +53,7 @@ def _information_terms(grid, rows, cols, total) -> np.ndarray:
     np.log(cols, out=log_cols, where=cols > 0)
     log_g = np.zeros_like(g)
     np.log(g, out=log_g, where=mask)
-    ratio = log_g + math.log(total) - log_rows[:, None] - log_cols[None, :]
+    ratio = log_g + math.log(total) - log_rows[..., :, None] - log_cols[..., None, :]
     out[mask] = g[mask] / total * ratio[mask]
     return out
 

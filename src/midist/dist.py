@@ -135,9 +135,9 @@ def _cdf(family: str, params: dict, x):
 def _check_moments(family: str, mean, variance, i_max) -> None:
     if family not in FIT_FAMILIES:
         raise InputError(f"unknown family {family!r}; expected one of {FIT_FAMILIES}")
-    if not (np.isfinite(mean).all() and np.isfinite(variance).all() and math.isfinite(i_max)):
+    if not (np.isfinite(mean).all() and np.isfinite(variance).all() and np.isfinite(i_max).all()):
         raise InputError("mean, variance and i_max must be finite")
-    if np.less(variance, 0).any() or i_max < 0:
+    if np.less(variance, 0).any() or np.less(i_max, 0).any():
         raise InputError("variance and i_max must be non-negative")
 
 
@@ -186,14 +186,15 @@ def fit_with_fallback(family: str, mean: float, variance: float, i_max: float):
         return fit("gamma", mean, variance, i_max), "gamma"
 
 
-def prob_exceeds_batch(family: str, mean, variance, i_max: float, epsilon: float):
-    """P(I > epsilon) under ``fit_with_fallback(family, mean[k], variance[k], i_max)`` for every k.
+def prob_exceeds_batch(family: str, mean, variance, i_max, epsilon: float):
+    """P(I > epsilon) under ``fit_with_fallback(family, mean[k], variance[k], i_max[k])`` for every k.
 
     Returns the probabilities and the mask of beta pairs that fell back to
     gamma.  The batch warns once, with the count, when any pair falls back.
     """
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
+    i_max = np.asarray(i_max, dtype=float)
     _check_moments(family, mean, variance, i_max)
     point = (variance == 0.0) | (i_max == 0.0)
     fallback = np.zeros(mean.shape, dtype=bool)
@@ -206,12 +207,12 @@ def prob_exceeds_batch(family: str, mean, variance, i_max: float, epsilon: float
                 stacklevel=2,
             )
     prob = np.empty(mean.shape)
-    location = mean if i_max > 0.0 else np.zeros(mean.shape)
+    location = np.where(i_max > 0.0, mean, 0.0)
     prob[point] = 1.0 - _cdf("point_mass", {"location": location[point]}, epsilon)
     for fam, mask in ((family, ~point & ~fallback), ("gamma", fallback)):
         if not mask.any():
             continue
         if fam == "gamma" and mean[mask].min() <= 0:
             raise InfeasibleFitError(f"gamma needs mean > 0, got {mean[mask].min()}")
-        prob[mask] = 1.0 - _cdf(fam, _match(fam, mean[mask], variance[mask], i_max), epsilon)
+        prob[mask] = 1.0 - _cdf(fam, _match(fam, mean[mask], variance[mask], i_max[mask]), epsilon)
     return prob, fallback

@@ -12,14 +12,14 @@ With p >= 1/2 the ff set is always contained in the bf set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .core import mi_upper_bound
 from .dist import FIT_FAMILIES, prob_exceeds_batch
 from .errors import ConfigurationError, InputError
-from .missing import moments_with_missing
+from .missing import BOTH_MARGINS, missing_batch
 from .moments import moments_batch
 from .tables import ContingencyTable, PriorSpec, add_prior
 
@@ -61,7 +61,11 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class FilterDecision:
-    """Per-attribute outcome of all three keep rules."""
+    """Per-attribute outcome of all three keep rules.
+
+    ``decide_batch`` returns the same fields as length-B arrays, with no
+    attribute and ``fit_fallback`` as the mask of beta fits that fell back.
+    """
 
     attribute: object
     j: float
@@ -74,59 +78,54 @@ class FilterDecision:
     degenerate: bool = False
     fit_fallback: str | None = None
     used_missing: bool = False
+    variance_clamped: bool = False
 
 
-_ROW_FIELDS = ("j", "mean", "variance", "prob_exceeds_eps", "keep_f", "keep_ff", "keep_bf", "used_missing")
+def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=None, rows=None) -> FilterDecision:
+    """Evaluate every keep rule for a (B, R, s) stack of attribute-against-class tables.
 
-
-@dataclass(frozen=True, eq=False)
-class BatchDecision:
-    """The FilterDecision fields of a stack of same-shape tables, as length-B arrays."""
-
-    j: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
-    prob_exceeds_eps: np.ndarray
-    keep_f: np.ndarray
-    keep_ff: np.ndarray
-    keep_bf: np.ndarray
-    fit_fallback: np.ndarray
-    used_missing: np.ndarray
-    degenerate: bool = False
-
-
-def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=None) -> BatchDecision:
-    """Evaluate every keep rule for a (B, r, s) stack of attribute-against-class tables.
-
-    Complete tables are decided in one vectorised pass.  Tables with mass
-    on a partial margin (``missing_class`` of shape (B, r) or
-    ``missing_feature`` of shape (B, s)) take the incomplete-sample moments
-    one table at a time, then join the same tail evaluation.  Single-valued
-    attributes (information range of zero) are degenerate and discarded
-    by all three rules.
+    Table b owns rows ``[0, rows[b])`` (all R by default); padded rows, and
+    their ``missing_class`` entries, must be zero.  In one pass, complete
+    tables take the exact moments, tables with mass on one partial margin
+    (``missing_class`` (B, R) or ``missing_feature`` (B, s)) the
+    incomplete-sample moments, and all the same tail.  Single-valued
+    attributes (information range 0) are degenerate: every rule discards them.
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.dtype.kind not in "iu" or (counts.size and counts.min() < 0):
-        raise InputError("counts must be a (B, r, s) stack of non-negative integer tables")
-    size, r, s = counts.shape
-    upper = mi_upper_bound(r, s)
-    if upper == 0.0:
-        zeros, no = np.zeros(size), np.zeros(size, dtype=bool)
-        return BatchDecision(zeros, zeros, zeros, zeros, no, no, no, no, no, degenerate=True)
-    missing_class = np.zeros((size, r)) if missing_class is None else np.asarray(missing_class)
+        raise InputError("counts must be a (B, R, s) stack of non-negative integer tables")
+    size, height, s = counts.shape
+    rows = np.full(size, height) if rows is None else np.asarray(rows)
+    if rows.shape != (size,) or (size and not (1 <= rows.min() and rows.max() <= height)):
+        raise InputError(f"rows must hold one row count in [1, {height}] per table")
+    padding = np.arange(height) >= rows[:, None]
+    missing_class = np.zeros((size, height)) if missing_class is None else np.asarray(missing_class)
     missing_feature = np.zeros((size, s)) if missing_feature is None else np.asarray(missing_feature)
-    partial = (missing_class.sum(axis=1) > 0) | (missing_feature.sum(axis=1) > 0)
-    j, mean, variance = np.empty(size), np.empty(size), np.empty(size)
-    complete = ~partial
+    if counts[padding].any() or missing_class[padding].any():
+        raise InputError("padded rows must stay zero")
+    upper = np.array([mi_upper_bound(r, s) for r in range(1, height + 1)])[rows - 1]
+    live = upper > 0.0
+    class_gap = live & (missing_class.sum(axis=1) > 0)
+    feature_gap = live & (missing_feature.sum(axis=1) > 0)
+    if (class_gap & feature_gap).any():
+        raise InputError(BOTH_MARGINS)
+    grid = add_prior(counts, cfg.prior, rows)
+    j, mean, variance, clamped = np.zeros(size), np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool)
+    complete = live & ~class_gap & ~feature_gap
     if complete.any():
-        mom = moments_batch(add_prior(counts[complete], cfg.prior))
+        mom = moments_batch(grid[complete], rows[complete])
         # j_term is the plug-in value itself; clamp mirrors empirical_mi
-        j[complete], mean[complete], variance[complete] = np.maximum(mom.j_term, 0.0), mom.mean, mom.variance
-    for i in np.flatnonzero(partial):
-        mm = moments_with_missing(ContingencyTable(counts[i], missing_class[i], missing_feature[i]), cfg.prior)
-        j[i], mean[i], variance[i] = mm.mean, mm.mean, mm.variance
+        j[complete], mean[complete] = np.maximum(mom.j_term, 0.0), mom.mean
+        variance[complete], clamped[complete] = mom.variance, mom.variance_clamped
+    # a feature-margin gap is a class-margin gap of the transposed table
+    transposed = grid.swapaxes(1, 2)
+    for gap, stack, unlabeled in ((class_gap, grid, missing_class), (feature_gap, transposed, missing_feature)):
+        if gap.any():
+            mm = missing_batch(stack[gap], unlabeled[gap])
+            j[gap], mean[gap], variance[gap], clamped[gap] = mm.mean, mm.mean, mm.variance, mm.variance_clamped
     prob, fallback = prob_exceeds_batch(cfg.family, mean, variance, upper, cfg.epsilon)
-    return BatchDecision(
+    return FilterDecision(
+        attribute=None,
         j=j,
         mean=mean,
         variance=variance,
@@ -135,20 +134,18 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
         keep_ff=prob > cfg.p_level,
         keep_bf=prob > 1.0 - cfg.p_level,
         fit_fallback=fallback,
-        used_missing=partial,
+        used_missing=class_gap | feature_gap,
+        variance_clamped=clamped,
+        degenerate=~live,
     )
 
 
 def decide(table: ContingencyTable, cfg: FilterConfig, attribute=None) -> FilterDecision:
     """Evaluate every keep rule for one table: ``decide_batch`` on a stack of one."""
     batch = decide_batch(table.counts[None], cfg, table.missing_class[None], table.missing_feature[None])
-    values = {name: getattr(batch, name)[0].item() for name in _ROW_FIELDS}
-    return FilterDecision(
-        attribute=attribute,
-        degenerate=batch.degenerate,
-        fit_fallback="gamma" if batch.fit_fallback[0] else None,
-        **values,
-    )
+    values = {f.name: getattr(batch, f.name)[0].item() for f in fields(FilterDecision)[1:]}
+    values["fit_fallback"] = "gamma" if values["fit_fallback"] else None
+    return FilterDecision(attribute, **values)
 
 
 def select_features(tables: dict, cfg: FilterConfig, which: str) -> list:
@@ -161,18 +158,18 @@ def select_features(tables: dict, cfg: FilterConfig, which: str) -> list:
         raise InputError(f"unknown filter {which!r}; expected one of {FILTERS}")
     if which != "f":
         cfg.require_credible_threshold()
-    items = list(tables.items())
-    cardinalities = {t.s for _, t in items}
+    cardinalities = {t.s for t in tables.values()}
     if len(cardinalities) > 1:
         raise InputError(
             f"attributes disagree on the class cardinality: {sorted(cardinalities)}"
         )
-    kept = set()
-    for shape in dict.fromkeys(t.counts.shape for _, t in items):
-        group = [(aid, t) for aid, t in items if t.counts.shape == shape]
-        counts, missing_class, missing_feature = (
-            np.stack([getattr(t, name) for _, t in group]) for name in ("counts", "missing_class", "missing_feature")
-        )
-        batch = decide_batch(counts, cfg, missing_class, missing_feature)
-        kept.update(aid for (aid, _), keep in zip(group, getattr(batch, _FLAG_NAMES[which])) if keep)
-    return [aid for aid, _ in items if aid in kept]
+    if not tables:
+        return []
+    rows = np.array([t.r for t in tables.values()])
+    counts = np.zeros((len(rows), rows.max(), cardinalities.pop()), dtype=np.int64)
+    missing_class = np.zeros(counts.shape[:2])
+    for k, t in enumerate(tables.values()):
+        counts[k, : t.r], missing_class[k, : t.r] = t.counts, t.missing_class
+    missing_feature = np.stack([t.missing_feature for t in tables.values()])
+    batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
+    return [aid for aid, keep in zip(tables, getattr(batch, _FLAG_NAMES[which])) if keep]

@@ -163,45 +163,20 @@ def prepare(dataset: Dataset, mode: str = "drop_missing", seed: int = 0) -> Data
     )
 
 
-class _Tallies:
-    """Every attribute's counts against the class, stacked per vocabulary size.
-
-    ``joint[v]`` is the (attributes, v, s) stack of the attributes listed in
-    ``groups[v]``; ``partial[a]`` counts, per class, the instances missing
-    attribute a.  Both are updated in place.
-    """
-
-    def __init__(self, vocab_sizes: Sequence[int], class_count: int):
-        self.groups: dict[int, list[int]] = {}
-        slots = []
-        for a, v in enumerate(vocab_sizes):
-            slots.append((v, len(self.groups.setdefault(v, []))))
-            self.groups[v].append(a)
-        self.joint = {v: np.zeros((len(attrs), v, class_count), dtype=np.int64) for v, attrs in self.groups.items()}
-        self.views = [self.joint[v][k] for v, k in slots]  # each attribute's (v, s) slice of its stack
-        self.partial = np.zeros((len(vocab_sizes), class_count), dtype=np.int64)
-
-    def add(self, values, cls: int) -> None:
-        for a, v in enumerate(values):
-            if v is None:
-                self.partial[a, cls] += 1
-            else:
-                self.views[a][v, cls] += 1
-
-
 def attribute_tables(dataset: Dataset) -> dict[str, ContingencyTable]:
     """Full-dataset contingency tables, one per attribute against the class.
 
     Rows without a class label are skipped; a missing attribute value in a
     labelled row counts into that attribute's partial margin.
     """
-    tallies = _Tallies(dataset.vocab_sizes, dataset.class_count)
+    model = NaiveBayesModel(dataset.vocab_sizes, dataset.class_count)  # its counts are the tables
     for values, cls in dataset.instances:
         if cls is not None:
-            tallies.add(values, cls)
+            model.update(values, cls)
+    missing = model.missing_counts()
     return {
-        name: ContingencyTable(tallies.views[a], missing_feature=tallies.partial[a])
-        for a, name in enumerate(dataset.attributes)
+        name: ContingencyTable(model.cond_counts[a, :v], missing_feature=missing[a])
+        for a, (name, v) in enumerate(zip(dataset.attributes, dataset.vocab_sizes))
     }
 
 
@@ -288,10 +263,10 @@ def run_incremental(
 ) -> RunReport:
     """Classify-then-update pass over a prepared dataset.
 
-    Per instance: decide every attribute from the tallies of everything
-    seen so far, one batch per vocabulary size, let each filter pick its
-    subset, predict with that subset, score, and only then absorb the
-    instance into the classifier and the tallies.
+    Per instance: decide every attribute in one batch from the counts of
+    everything seen so far, let each filter pick its subset, predict with
+    all subsets at once, score, and only then absorb the instance into the
+    classifier, whose counts are the filters' tables.
     """
     filters = list(filters)
     if not filters or len(set(filters)) != len(filters):
@@ -306,40 +281,36 @@ def run_incremental(
     if any(cls is None for _, cls in dataset.instances):
         raise InputError("run needs prepared data: instances without a class label remain")
 
-    sizes = dataset.vocab_sizes
-    model = NaiveBayesModel(sizes, dataset.class_count)
-    tallies = _Tallies(sizes, dataset.class_count)
-    keep = {f: np.zeros(len(sizes), dtype=bool) for f in filters}
-
-    correct = {f: [] for f in filters}
-    counts = {f: [] for f in filters}
+    model = NaiveBayesModel(dataset.vocab_sizes, dataset.class_count)
+    rows = np.array(dataset.vocab_sizes, dtype=np.int64)
+    flags = [_FLAG_NAMES[f] for f in filters]
+    predicted, sizes = [], []  # per step, one entry per filter
     sets = {f: [] for f in filters} if record_selected else None
 
     for values, cls in dataset.instances:
-        for v, attrs in tallies.groups.items():
-            batch = decide_batch(tallies.joint[v], cfg, missing_feature=tallies.partial[attrs])
-            for f in filters:
-                keep[f][attrs] = getattr(batch, _FLAG_NAMES[f])
-        selected = {f: np.flatnonzero(keep[f]).tolist() for f in filters}
-        for f in filters:
-            predicted, _ = model.predict(values, selected[f])
-            correct[f].append(int(predicted == cls))
-            counts[f].append(len(selected[f]))
-            if sets is not None:
-                sets[f].append(selected[f])
+        batch = decide_batch(model.cond_counts, cfg, missing_feature=model.missing_counts(), rows=rows)
+        keep = np.stack([getattr(batch, flag) for flag in flags])
+        predicted.append(model.predict_subsets(values, keep)[0])
+        sizes.append(keep.sum(axis=1))
+        if sets is not None:
+            for f, row in zip(filters, keep):
+                sets[f].append(np.flatnonzero(row).tolist())
         model.update(values, cls)
-        tallies.add(values, cls)
 
+    labels = np.array([cls for _, cls in dataset.instances])
+    hits = np.stack(predicted, axis=1) == labels
+    sizes = np.stack(sizes, axis=1)
+    correct = {f: hits[i].astype(np.int64).tolist() for i, f in enumerate(filters)}
     steps = np.arange(1, len(dataset) + 1)
     runs = {}
-    for f in filters:
+    for i, f in enumerate(filters):
         acc = np.cumsum(correct[f]) / steps
         runs[f] = FilterRun(
             correct=correct[f],
             running_accuracy=[float(a) for a in acc],
-            selected_counts=counts[f],
+            selected_counts=sizes[i].tolist(),
             final_accuracy=float(acc[-1]),
-            mean_selected=float(np.mean(counts[f])),
+            mean_selected=float(np.mean(sizes[i])),
             selected_sets=sets[f] if sets is not None else None,
         )
     pair_tests = {}

@@ -26,7 +26,8 @@ built from
 With no unlabeled mass everything reduces to the complete-case values:
 pi_ij = n_ij/N, Qbar = 1, Pbar = 0 and the variance becomes (K - J^2)/N.
 The mirror case (class observed, feature value missing) is handled by
-transposing, see ``moments_with_missing``.  Cost is O(r*s).
+transposing, see ``moments_with_missing``.  Cost is O(r*s).  One kernel
+evaluates a (B, r, s) stack at once; a single table is a stack of one.
 
 The derivation assumes the uniform prior; other priors are accepted but
 the result carries ``prior_extrapolation=True``.
@@ -34,13 +35,15 @@ the result carries ``prior_extrapolation=True``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .core import _information_terms
 from .errors import InputError, UndefinedFillError
-from .tables import ContingencyTable, PriorSpec
+from .tables import ContingencyTable, PriorSpec, add_prior
+
+BOTH_MARGINS = "instances missing the feature and instances missing the class cannot be combined in a single table"
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +54,7 @@ class MissingMoments:
     mass; the dependent quantities resolve that limit to the complete-case
     values.  The vectors are indexed by the fully observed variable, which
     is the original table's columns when ``missing_axis == "feature"``.
+    ``missing_batch`` returns the per-table fields with a leading stack axis.
     """
 
     pi_hat: np.ndarray
@@ -70,28 +74,81 @@ class MissingMoments:
     missing_axis: str = "class"
 
 
-def _prepare(table: ContingencyTable, prior: PriorSpec):
+def _masked_log(x, mask):
+    return np.log(x, out=np.zeros_like(x), where=mask)
+
+
+def missing_batch(grid, unlabeled) -> MissingMoments:
+    """Leading 1/N moments of a (B, r, s) stack of prior-augmented grids.
+
+    ``unlabeled`` (B, r) is each table's mass on the class margin.  Empty
+    cells, padded rows and padded columns included, contribute exactly 0.
+    """
+    grid = np.ascontiguousarray(grid, dtype=float)
+    unlabeled = np.asarray(unlabeled, dtype=float)
+    rows = grid.sum(axis=2)
+    total = grid.sum(axis=(1, 2)) + unlabeled.sum(axis=1)
+    if np.any(total <= 0):
+        raise InputError("table carries no mass")
+    bad = (unlabeled > 0) & (rows <= 0)
+    if bad.any():
+        i = int(np.argwhere(bad)[0, 1])
+        raise UndefinedFillError(
+            f"row {i} has unlabeled instances but no observed mass to spread them over"
+        )
+    pos = rows > 0
+    share = ((rows + unlabeled) / total[:, None])[:, :, None] * grid
+    pi = np.divide(share, rows[:, :, None], out=np.zeros_like(grid), where=pos[:, :, None])
+    pi_rows = pi.sum(axis=2)
+    pi_cols = pi.sum(axis=1)
+
+    mask = pi > 0
+    log_ratio = _masked_log(pi, mask) - _masked_log(pi_rows[:, :, None] * pi_cols[:, None, :], mask)
+
+    cell = grid > 0
+    rho = np.divide(total[:, None, None] * pi**2, grid, out=np.zeros_like(grid), where=cell)
+    rho_rows = rho.sum(axis=2)
+
+    has_unlabeled = unlabeled > 0
+    rho_missing = np.divide(
+        total[:, None] * pi_rows**2, unlabeled, out=np.full_like(unlabeled, np.inf), where=has_unlabeled
+    )
+    q_bar_i = np.divide(
+        rho_missing, rho_missing + rho_rows, out=np.ones_like(unlabeled), where=has_unlabeled
+    )
+    q_bar = (rho_rows * q_bar_i).sum(axis=1)
+    k_bar = (rho * log_ratio**2).sum(axis=(1, 2))
+    j_bar_rows = (rho * log_ratio).sum(axis=2)
+    j_bar = (j_bar_rows * q_bar_i).sum(axis=1)
+    p_bar = (j_bar_rows**2 * q_bar_i / rho_missing).sum(axis=1)  # division by inf -> 0
+
+    mean = np.maximum(0.0, _information_terms(pi, pi_rows, pi_cols, 1.0).sum(axis=(1, 2)))
+    raw = (k_bar - j_bar**2 / q_bar - p_bar) / total
+    variance, clamped = np.maximum(raw, 0.0), raw < 0.0
+    return MissingMoments(
+        pi, rho, rho_missing, q_bar_i, q_bar, k_bar, j_bar, p_bar, j_bar_rows, mean, variance, total, clamped
+    )
+
+
+def _one_table(counts, unlabeled, prior: PriorSpec, axis: str) -> MissingMoments:
+    """``missing_batch`` on a stack of one, unstacked to plain values."""
+    stack = missing_batch(add_prior(counts[None], prior, [counts.shape[0]]), unlabeled[None])
+    values = {f.name: getattr(stack, f.name)[0] for f in fields(MissingMoments)[:-2]}
+    return MissingMoments(
+        **{name: v.item() if v.ndim == 0 else v for name, v in values.items()},
+        prior_extrapolation=prior.kind != "uniform",
+        missing_axis=axis,
+    )
+
+
+def mi_variance_missing(table: ContingencyTable, prior: PriorSpec = PriorSpec()) -> MissingMoments:
+    """Leading 1/N mean and variance with all intermediates exposed."""
     if np.any(table.missing_feature > 0):
         raise InputError(
             "these routines take unlabeled mass on the class margin; transpose "
             "the table or call moments_with_missing for missing feature values"
         )
-    grid = table.counts.astype(float) + prior.cell_weight(table.r, table.s)
-    unlabeled = np.asarray(table.missing_class, dtype=float)
-    rows = grid.sum(axis=1)
-    total = float(grid.sum() + unlabeled.sum())
-    if total <= 0:
-        raise InputError("table carries no mass")
-    bad = (unlabeled > 0) & (rows <= 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise UndefinedFillError(
-            f"row {i} has unlabeled instances but no observed mass to spread them over"
-        )
-    pi = np.zeros_like(grid)
-    pos = rows > 0
-    pi[pos] = ((rows[pos] + unlabeled[pos]) / total)[:, None] * grid[pos] / rows[pos][:, None]
-    return grid, unlabeled, total, pi
+    return _one_table(table.counts, table.missing_class, prior, "class")
 
 
 def fill_estimate(table: ContingencyTable, prior: PriorSpec = PriorSpec()) -> np.ndarray:
@@ -99,64 +156,12 @@ def fill_estimate(table: ContingencyTable, prior: PriorSpec = PriorSpec()) -> np
 
     The grid sums to 1.
     """
-    return _prepare(table, prior)[3]
+    return mi_variance_missing(table, prior).pi_hat
 
 
 def mi_mean_missing(table: ContingencyTable, prior: PriorSpec = PriorSpec()) -> float:
     """Leading-order posterior mean: the plug-in information of the filled grid."""
-    pi = fill_estimate(table, prior)
-    value = float(_information_terms(pi, pi.sum(axis=1), pi.sum(axis=0), 1.0).sum())
-    return max(0.0, value)
-
-
-def mi_variance_missing(table: ContingencyTable, prior: PriorSpec = PriorSpec()) -> MissingMoments:
-    """Leading 1/N mean and variance with all intermediates exposed."""
-    grid, unlabeled, total, pi = _prepare(table, prior)
-    pi_rows = pi.sum(axis=1)
-    pi_cols = pi.sum(axis=0)
-
-    log_ratio = np.zeros_like(pi)
-    mask = pi > 0
-    log_ratio[mask] = np.log(pi[mask]) - np.log(np.outer(pi_rows, pi_cols)[mask])
-
-    rho = np.zeros_like(pi)
-    cell = grid > 0
-    rho[cell] = total * pi[cell] ** 2 / grid[cell]
-    rho_rows = rho.sum(axis=1)
-
-    rho_missing = np.full(table.r, np.inf)
-    has_unlabeled = unlabeled > 0
-    rho_missing[has_unlabeled] = total * pi_rows[has_unlabeled] ** 2 / unlabeled[has_unlabeled]
-
-    q_bar_i = np.ones(table.r)
-    q_bar_i[has_unlabeled] = rho_missing[has_unlabeled] / (
-        rho_missing[has_unlabeled] + rho_rows[has_unlabeled]
-    )
-    q_bar = float((rho_rows * q_bar_i).sum())
-    k_bar = float((rho * log_ratio**2).sum())
-    j_bar_rows = (rho * log_ratio).sum(axis=1)
-    j_bar = float((j_bar_rows * q_bar_i).sum())
-    p_bar = float((j_bar_rows**2 * q_bar_i / rho_missing).sum())  # division by inf -> 0
-
-    mean = max(0.0, float(_information_terms(pi, pi_rows, pi_cols, 1.0).sum()))
-    raw = (k_bar - j_bar**2 / q_bar - p_bar) / total
-    return MissingMoments(
-        pi_hat=pi,
-        rho=rho,
-        rho_missing=rho_missing,
-        q_bar_i=q_bar_i,
-        q_bar=q_bar,
-        k_bar=k_bar,
-        j_bar=j_bar,
-        p_bar=p_bar,
-        j_bar_rows=j_bar_rows,
-        mean=mean,
-        variance=max(raw, 0.0),
-        total=total,
-        variance_clamped=bool(raw < 0.0),
-        prior_extrapolation=prior.kind != "uniform",
-        missing_axis="class",
-    )
+    return mi_variance_missing(table, prior).mean
 
 
 def moments_with_missing(table: ContingencyTable, prior: PriorSpec = PriorSpec()) -> MissingMoments:
@@ -166,14 +171,9 @@ def moments_with_missing(table: ContingencyTable, prior: PriorSpec = PriorSpec()
     transposing the grids back.  Mass on both margins at once is out of
     scope here (joint missingness needs an iterative estimator).
     """
-    has_class_gap = bool(table.missing_class.sum() > 0)
-    has_feature_gap = bool(table.missing_feature.sum() > 0)
-    if has_class_gap and has_feature_gap:
-        raise InputError(
-            "instances missing the feature and instances missing the class "
-            "cannot be combined in a single table"
-        )
-    if has_feature_gap:
-        m = mi_variance_missing(table.transposed(), prior)
-        return replace(m, pi_hat=m.pi_hat.T, rho=m.rho.T, missing_axis="feature")
+    if table.missing_feature.sum() > 0:
+        if table.missing_class.sum() > 0:
+            raise InputError(BOTH_MARGINS)
+        m = _one_table(table.counts.T, table.missing_feature, prior, "feature")
+        return replace(m, pi_hat=m.pi_hat.T, rho=m.rho.T)
     return mi_variance_missing(table, prior)

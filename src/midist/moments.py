@@ -19,7 +19,8 @@ with the double-sum intermediates
 
 The intermediates are exposed so tests can pin each one separately.  Cost
 is O(r*s) per table; only double sums appear.  One kernel evaluates a whole
-stack of same-shape grids at once; a single grid is a stack of one.
+stack of grids at once, padded to a common row count; a single grid is a
+stack of one.
 """
 
 from __future__ import annotations
@@ -49,39 +50,46 @@ class MiMoments:
     variance_clamped: bool = False
 
 
-def moments_batch(n) -> MiMoments:
-    """Exact mean and second-order variance of every grid in a (B, r, s) stack.
+def moments_batch(n, rows=None) -> MiMoments:
+    """Exact mean and second-order variance of every grid in a (B, R, s) stack.
 
-    A negative raw variance (possible deep in the near-independence,
-    small-count corner of the expansion) is clamped to zero and flagged
-    rather than raised, so downstream distribution fits stay defined.
+    Grid b owns rows ``[0, rows[b])`` (all R by default); its padded rows
+    must be zero and contribute exactly 0.  A negative raw variance
+    (possible deep in the near-independence, small-count corner of the
+    expansion) is clamped to zero and flagged rather than raised, so
+    downstream distribution fits stay defined.
     """
     n = np.asarray(n, dtype=float)
-    if n.min() <= 0:
+    size, height, s = n.shape
+    rows = np.full(size, height) if rows is None else np.asarray(rows)
+    real_rows = np.arange(height) < rows[:, None]
+    # padded cells and rows divide and take logs through a stand-in of 1; their weight n is 0
+    cell = np.where(real_rows[:, :, None], n, 1.0)
+    if cell.min() <= 0:
         raise ZeroCellError(
             "moment formulas need every posterior cell positive; "
             "apply a positive-weight prior first"
         )
-    _, r, s = n.shape
-    rows = n.sum(axis=2)
+    row_sums = n.sum(axis=2)
     cols = n.sum(axis=1)
-    total = rows.sum(axis=1)
+    total = row_sums.sum(axis=1)
+    row_sums = np.where(real_rows, row_sums, 1.0)
     tot = total[:, None, None]
     bracket = (
-        special.digamma(n + 1.0)
-        - special.digamma(rows + 1.0)[:, :, None]
+        special.digamma(cell + 1.0)
+        - special.digamma(row_sums + 1.0)[:, :, None]
         - special.digamma(cols + 1.0)[:, None, :]
         + special.digamma(total + 1.0)[:, None, None]
     )
-    outer = rows[:, :, None] * cols[:, None, :]
-    log_ratio = np.log(n * tot) - np.log(outer)
+    outer = row_sums[:, :, None] * cols[:, None, :]
+    log_ratio = np.log(cell * tot) - np.log(outer)
     p = n / tot
     j = (p * log_ratio).sum(axis=(1, 2))
     k = (p * log_ratio**2).sum(axis=(1, 2))
-    spread = 1.0 / n - (1.0 / rows)[:, :, None] - (1.0 / cols)[:, None, :] + 1.0 / tot
+    spread = 1.0 / cell - (1.0 / row_sums)[:, :, None] - (1.0 / cols)[:, None, :] + 1.0 / tot
     m = (spread * n * log_ratio).sum(axis=(1, 2))
     q = 1.0 - (n * n / outer).sum(axis=(1, 2))
-    raw = (k - j * j) / (total + 1.0) + (m + (r - 1) * (s - 1) * (0.5 - j) - q) / (
+    raw = (k - j * j) / (total + 1.0) + (m + (rows - 1) * (s - 1) * (0.5 - j) - q) / (
         (total + 1.0) * (total + 2.0)
     )
     return MiMoments(

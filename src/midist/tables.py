@@ -91,10 +91,6 @@ class ContingencyTable:
     def has_missing(self) -> bool:
         return bool(self.missing_class.sum() > 0 or self.missing_feature.sum() > 0)
 
-    def transposed(self) -> "ContingencyTable":
-        """Swap the roles of the two variables, margins included."""
-        return ContingencyTable(self.counts.T, self.missing_feature, self.missing_class)
-
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -116,8 +112,8 @@ class PriorSpec:
         elif self.weight is not None:
             raise InputError(f"prior kind {self.kind!r} determines its own weight")
 
-    def cell_weight(self, r: int, s: int) -> float:
-        """Pseudo-count added to every cell of an r x s table."""
+    def cell_weight(self, r, s: int):
+        """Pseudo-count added to every cell of an r x s table; r may be an array of row counts."""
         if self.kind == "perks":
             return 1.0 / (r * s)
         if self.kind == "custom":
@@ -163,18 +159,11 @@ class PosteriorCounts:
     @classmethod
     def from_grid(cls, grid) -> "PosteriorCounts":
         """Build from a grid alone; marginals are consistent by construction."""
-        g = np.asarray(grid, dtype=float)
-        if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
+        g = np.array(grid, dtype=float)
+        if g.ndim != 2:
             raise InputError("posterior grid must be an r x s array")
-        if not np.all(np.isfinite(g)) or g.min() < 0:
-            raise InputError("posterior cells must be finite and non-negative")
         rows = g.sum(axis=1)
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", _readonly(g.copy()))
-        object.__setattr__(self, "row_marginals", _readonly(rows))
-        object.__setattr__(self, "col_marginals", _readonly(g.sum(axis=0)))
-        object.__setattr__(self, "total", float(rows.sum()))
-        return self
+        return cls(g, rows, g.sum(axis=0), rows.sum())
 
     @property
     def r(self) -> int:
@@ -201,29 +190,31 @@ def build_table(pairs: Iterable[Sequence[int]], r: int, s: int) -> ContingencyTa
     return ContingencyTable(counts)
 
 
-def add_prior(counts: np.ndarray, prior: PriorSpec) -> np.ndarray:
-    """Counts of an r x s table, or of a stack of them, plus the prior pseudo-count.
+def add_prior(counts, prior: PriorSpec, rows) -> np.ndarray:
+    """A (B, R, s) stack of counts plus the prior pseudo-count on its real cells.
 
-    A weight of zero is rejected whenever a table has empty cells, since
+    Table b owns rows ``[0, rows[b])``; its padded rows stay exactly zero.
+    Each table takes its own weight (Perks is 1/(rows[b]*s)).
+    """
+    height, s = counts.shape[1:]
+    rows = np.asarray(rows)
+    weight = np.where(np.arange(height) < rows[:, None], np.reshape(prior.cell_weight(rows, s), (-1, 1)), 0.0)
+    return counts + weight[:, :, None]
+
+
+def apply_prior(table: ContingencyTable, prior: PriorSpec) -> PosteriorCounts:
+    """Add the prior pseudo-count to every cell and recompute marginals.
+
+    A weight of zero is rejected whenever the table has empty cells, since
     the downstream moment formulas divide by every cell.
     """
-    weight = prior.cell_weight(*counts.shape[-2:])
-    if weight == 0.0 and np.any(counts == 0):
+    grid = add_prior(table.counts[None], prior, [table.r])[0]
+    if not grid.all():
         raise ZeroCellError(
             "zero-cell posterior: prior weight 0 leaves empty cells that the "
             "moment formulas divide by"
         )
-    return counts + weight
-
-
-def apply_prior(table: ContingencyTable, prior: PriorSpec) -> PosteriorCounts:
-    """Add the prior pseudo-count to every cell and recompute marginals."""
-    return PosteriorCounts.from_grid(add_prior(table.counts, prior))
-
-
-def marginals(pc: PosteriorCounts) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cached (row sums, column sums, total) of a posterior grid."""
-    return pc.row_marginals, pc.col_marginals, pc.total
+    return PosteriorCounts.from_grid(grid)
 
 
 def table_from_json(obj) -> ContingencyTable:

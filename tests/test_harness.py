@@ -9,7 +9,7 @@ import pytest
 
 import midist
 from midist.errors import InfeasibleFitError, InputError
-from midist.filters import FilterConfig, decide
+from midist.filters import FilterConfig, decide, decide_batch
 from midist.harness import (
     Dataset,
     attribute_tables,
@@ -268,6 +268,19 @@ class TestBatchedDecisions:
                 else:
                     joint[a][v, cls] += 1
         assert any(d.used_missing for d in decisions)
+
+    def test_one_decision_call_per_instance(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return decide_batch(*args, **kwargs)
+
+        monkeypatch.setattr(midist.harness, "decide_batch", counting)
+        ds = prepare(mixed_dataset(5), mode="keep_missing", seed=5)
+        run_incremental(ds, FilterConfig(prior=PriorSpec("perks"), family="normal"))
+        # vocabulary sizes 1 to 6 share one padded stack
+        assert calls == [(len(ds.attributes), 6, 3)] * len(ds)
 
     def test_attribute_tables_count_every_labelled_instance(self):
         ds = mixed_dataset(4)

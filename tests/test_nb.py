@@ -137,3 +137,37 @@ def test_log_space_argmax_matches_exact_arithmetic(rows, query):
         model.update([v], cls)
     predicted, _ = model.predict([query[0]], [0])
     assert predicted == _exact_rational_argmax(model, [query[0]], [0])
+
+
+def test_mathematically_equal_scores_tie_to_the_lowest_class():
+    # class 0 scores 2/4 * 2/3 * 1/4 and class 1 scores 2/4 * 1/3 * 2/4: both
+    # 1/12 from different terms, so their log sums may round either way
+    model = NaiveBayesModel([2, 3], 2)
+    model.update([1, 1], 0)
+    model.update([0, 0], 1)
+    predicted, posterior = model.predict([1, 0], [0, 1])
+    assert predicted == _exact_rational_argmax(model, [1, 0], [0, 1]) == 0
+    assert posterior == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 2)), max_size=25),
+    st.lists(st.one_of(st.none(), st.integers(0, 1)), min_size=3, max_size=3),
+    st.lists(st.lists(st.booleans(), min_size=3, max_size=3), min_size=1, max_size=4),
+)
+@settings(max_examples=60)
+def test_subset_scoring_equals_predict_per_subset(rows, query, masks):
+    model = NaiveBayesModel([4, 2, 2], 3)
+    for v0, v1, cls in rows:
+        model.update([v0, v1, None if cls == 2 else v0 % 2], cls)
+    predicted, posteriors = model.predict_subsets(query, masks)
+    for mask, guess, posterior in zip(masks, predicted, posteriors):
+        alone, expected = model.predict(query, [a for a, on in enumerate(mask) if on])
+        assert guess == alone
+        assert np.array_equal(posterior, expected)
+
+
+def test_subset_mask_shape_checked():
+    model = NaiveBayesModel([2, 2], 2)
+    with pytest.raises(InputError):
+        model.predict_subsets([0, 1], [[True]])

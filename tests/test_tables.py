@@ -12,7 +12,6 @@ from midist.tables import (
     PriorSpec,
     apply_prior,
     build_table,
-    marginals,
     table_from_json,
 )
 
@@ -83,16 +82,19 @@ class TestApplyPrior:
 
 class TestMarginals:
     def test_square(self):
-        rows, cols, total = marginals(PosteriorCounts.from_grid([[2, 1], [1, 2]]))
+        pc = PosteriorCounts.from_grid([[2, 1], [1, 2]])
+        rows, cols, total = pc.row_marginals, pc.col_marginals, pc.total
         assert np.array_equal(rows, [3, 3]) and np.array_equal(cols, [3, 3]) and total == 6
 
     def test_figure_vector(self):
-        rows, cols, total = marginals(PosteriorCounts.from_grid([[41, 11], [21, 81]]))
+        pc = PosteriorCounts.from_grid([[41, 11], [21, 81]])
+        rows, cols, total = pc.row_marginals, pc.col_marginals, pc.total
         assert np.array_equal(rows, [52, 102]) and np.array_equal(cols, [62, 92])
         assert total == 154
 
     def test_degenerate_1x1(self):
-        rows, cols, total = marginals(PosteriorCounts.from_grid([[7.0]]))
+        pc = PosteriorCounts.from_grid([[7.0]])
+        rows, cols, total = pc.row_marginals, pc.col_marginals, pc.total
         assert rows[0] == 7 and cols[0] == 7 and total == 7
 
 
