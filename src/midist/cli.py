@@ -183,30 +183,7 @@ def cmd_ttest(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    with open(args.data, newline="") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=args.delimiter) if row]
-    if not rows:
-        raise InputError(f"{args.data}: empty file")
-    if args.no_header:
-        header = None
-        body = rows
-    else:
-        header, body = rows[0], rows[1:]
-    width = len(rows[0])
-    for i, row in enumerate(body):
-        if len(row) != width:
-            raise InputError(f"{args.data}: row {i + 1}: expected {width} fields")
-    class_index = width - 1
-    if args.class_column is not None:
-        if header is not None and args.class_column in header:
-            class_index = header.index(args.class_column)
-        else:
-            try:
-                class_index = int(args.class_column)
-            except ValueError:
-                raise InputError(f"class column {args.class_column!r} not found") from None
-        if not 0 <= class_index < width:
-            raise InputError(f"class column index {class_index} outside [0, {width})")
+    names, body, class_index = harness.read_rows(args.data, args.delimiter, not args.no_header, args.class_column)
     columns = list(map(list, zip(*body)))
     for idx, column in enumerate(columns):
         if idx == class_index:
@@ -221,8 +198,8 @@ def cmd_discretize(args) -> int:
             column[pos] = label
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=args.delimiter)
-        if header is not None:
-            writer.writerow(header)
+        if not args.no_header:
+            writer.writerow(names)
         writer.writerows(zip(*columns))
     print(json.dumps({"out": args.out, "bins": args.bins}))
     return 0
@@ -277,13 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ttest)
 
     p = sub.add_parser("discretize", help="equal-frequency binning of numeric columns")
-    p.add_argument("--data", required=True)
+    _add_dataset_options(p)
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--delimiter", default=",")
-    p.add_argument("--no-header", action="store_true")
-    p.add_argument("--class-column", default=None)
-    p.add_argument("--missing-token", default=harness.DEFAULT_MISSING_TOKEN)
     p.set_defaults(func=cmd_discretize)
 
     return parser

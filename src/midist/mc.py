@@ -63,6 +63,14 @@ def _information_of(pi: np.ndarray, r: int, s: int) -> np.ndarray:
     return joint - special.xlogy(rows, rows).sum(axis=1) - special.xlogy(cols, cols).sum(axis=1)
 
 
+def _information_chunks(pc: PosteriorCounts, sample_count: int, seed: int, upper: float):
+    """Yield (first draw index, information values clipped to [0, upper]) per chunk of draws."""
+    shapes = np.asarray(pc.n, dtype=float).reshape(-1)
+    for k, start in enumerate(range(0, sample_count, CHUNK_DRAWS)):
+        pi = _chance_draws(shapes, min(CHUNK_DRAWS, sample_count - start), _chunk_rng(seed, k))
+        yield start, np.clip(_information_of(pi, pc.r, pc.s), 0.0, upper)
+
+
 def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
     """Draw chance matrices from the posterior and summarise their information."""
     if np.any(pc.n <= 0):
@@ -74,42 +82,27 @@ def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
             f"sample_count {sample_count} exceeds the storage budget {SAMPLE_BUDGET}"
         )
     upper = mi_upper_bound(pc.r, pc.s)
-    shapes = np.asarray(pc.n, dtype=float).reshape(-1)
-    keep_samples = sample_count <= SORTED_SAMPLE_LIMIT
-
-    if keep_samples:
-        out = np.empty(sample_count)
-        for k, start in enumerate(range(0, sample_count, CHUNK_DRAWS)):
-            m = min(CHUNK_DRAWS, sample_count - start)
-            pi = _chance_draws(shapes, m, _chunk_rng(seed, k))
-            out[start : start + m] = np.clip(_information_of(pi, pc.r, pc.s), 0.0, upper)
-        mean = float(out.mean())
-        variance = float(out.var(ddof=1)) if sample_count > 1 else 0.0
-        out.sort()
-        out.setflags(write=False)
-        return McSummary(
-            sample_count=sample_count,
-            mean=mean,
-            variance=variance,
-            mean_std_error=math.sqrt(variance / sample_count),
-            seed=seed,
-            i_max=upper,
-            samples=out,
-        )
-
-    edges = np.linspace(0.0, upper if upper > 0 else 1.0, HISTOGRAM_BINS + 1)
-    counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
-    total = 0.0
-    total_sq = 0.0
-    for k, start in enumerate(range(0, sample_count, CHUNK_DRAWS)):
-        m = min(CHUNK_DRAWS, sample_count - start)
-        pi = _chance_draws(shapes, m, _chunk_rng(seed, k))
-        values = np.clip(_information_of(pi, pc.r, pc.s), 0.0, upper)
-        counts += np.histogram(values, bins=edges)[0]
-        total += float(values.sum())
-        total_sq += float((values**2).sum())
-    mean = total / sample_count
-    variance = max(0.0, (total_sq - total**2 / sample_count) / (sample_count - 1))
+    chunks = _information_chunks(pc, sample_count, seed, upper)
+    samples = histogram = None
+    if sample_count <= SORTED_SAMPLE_LIMIT:
+        samples = np.empty(sample_count)
+        for start, values in chunks:
+            samples[start : start + len(values)] = values
+        mean = float(samples.mean())
+        variance = float(samples.var(ddof=1)) if sample_count > 1 else 0.0
+        samples.sort()
+        samples.setflags(write=False)
+    else:
+        edges = np.linspace(0.0, upper if upper > 0 else 1.0, HISTOGRAM_BINS + 1)
+        counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
+        total = total_sq = 0.0
+        for _, values in chunks:
+            counts += np.histogram(values, bins=edges)[0]
+            total += float(values.sum())
+            total_sq += float((values**2).sum())
+        mean = total / sample_count
+        variance = max(0.0, (total_sq - total**2 / sample_count) / (sample_count - 1))
+        histogram = (counts, edges)
     return McSummary(
         sample_count=sample_count,
         mean=mean,
@@ -117,7 +110,8 @@ def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
         mean_std_error=math.sqrt(variance / sample_count),
         seed=seed,
         i_max=upper,
-        histogram=(counts, edges),
+        samples=samples,
+        histogram=histogram,
     )
 
 

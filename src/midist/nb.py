@@ -12,8 +12,43 @@ from .errors import InputError
 TIE_TOLERANCE = 1e-12  # relative; log-scores this close to the best are ties
 
 
+def encode(instances, vocab_sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (T, A) value indices of a list of instances, 0 where unobserved, and their observed mask."""
+    width = len(vocab_sizes)
+    for t, values in enumerate(instances):
+        if len(values) != width:
+            raise InputError(f"instance {t} has {len(values)} attributes, expected {width}")
+    shape = (len(instances), width)
+    observed = np.array([[v is not None for v in values] for values in instances], dtype=bool).reshape(shape)
+    grid = np.array([[v or 0 for v in values] for values in instances], dtype=np.int64).reshape(shape)
+    for t, a in np.argwhere((grid < 0) | (grid >= np.asarray(vocab_sizes)))[:1]:
+        raise InputError(f"instance {t}: attribute {a}: value index {grid[t, a]} outside vocabulary of size {vocab_sizes[a]}")
+    return grid, observed
+
+
+def score_subsets(value_counts, class_counts, vocab_sizes, selected) -> tuple[np.ndarray, np.ndarray]:
+    """Most probable class under each row of a (..., F, A) mask, from counts alone.
+
+    ``value_counts`` (..., A, s) holds the class counts of the instance's value
+    of each attribute, ``class_counts`` (..., s) the class counts.  Log-scores
+    within ``TIE_TOLERANCE * max(1, |best|)`` of the best tie to the lowest
+    class.  Returns (..., F) classes and (..., F, s) log-scores less the best.
+    """
+    s = class_counts.shape[-1]
+    seen = class_counts.sum(axis=-1)
+    # math.log, not np.log, whose last bit differs for some integers and could move a near tie
+    log_seen = np.array([math.log(n + s) for n in seen.ravel().tolist()]).reshape(seen.shape)
+    vocab = np.asarray(vocab_sizes, dtype=float)
+    terms = np.log(value_counts + 1.0) - np.log(class_counts[..., None, :] + vocab[:, None])
+    prior = np.log(class_counts + 1.0) - log_seen[..., None]
+    log_scores = prior[..., None, :] + np.where(selected[..., None], terms[..., None, :, :], 0.0).sum(axis=-2)
+    best = log_scores.max(axis=-1, keepdims=True)
+    tied = log_scores >= best - TIE_TOLERANCE * np.maximum(1.0, np.abs(best))
+    return np.argmax(tied, axis=-1), log_scores - best
+
+
 class NaiveBayesModel:
-    """Categorical naive Bayes learned one labelled instance at a time.
+    """Categorical naive Bayes learned from labelled instances in order.
 
     Scoring uses the smoothed posterior-mean estimates
 
@@ -23,8 +58,7 @@ class NaiveBayesModel:
     accumulated in log space.  Instance cells may be None (unobserved);
     such cells are skipped both when predicting and when updating.
     ``cond_counts[a, v, j]`` is attribute a's count_vj in one padded stack:
-    rows past a's vocabulary stay zero.  The logarithms the scores read are
-    cached and ``update`` refreshes only the cells it changes.
+    rows past a's vocabulary stay zero.
     Updates are single-writer by contract; reads between updates are free.
     """
 
@@ -38,49 +72,27 @@ class NaiveBayesModel:
         self.class_counts = np.zeros(self.class_count, dtype=np.int64)
         shape = (len(self.vocab_sizes), max(self.vocab_sizes, default=1), self.class_count)
         self.cond_counts = np.zeros(shape, dtype=np.int64)
-        self._vocab = np.array(self.vocab_sizes, dtype=float)
-        self._log_cond = np.zeros(shape)  # log(count_vj + 1)
-        self._log_norm = np.log(self.class_counts + self._vocab[:, None])  # log(count_j + vocab size)
         self.seen = 0
 
     def missing_counts(self) -> np.ndarray:
         """(attributes, s) counts of the absorbed instances of each class that left the attribute unobserved."""
         return self.class_counts - self.cond_counts.sum(axis=1)
 
-    def _check_instance(self, instance) -> None:
-        if len(instance) != len(self.vocab_sizes):
-            raise InputError(
-                f"instance has {len(instance)} attributes, model expects {len(self.vocab_sizes)}"
-            )
-        for a, v in enumerate(instance):
-            if v is None:
-                continue
-            if not 0 <= v < self.vocab_sizes[a]:
-                raise InputError(
-                    f"attribute {a}: value index {v} outside vocabulary of size {self.vocab_sizes[a]}"
-                )
-
     def predict_subsets(self, instance, selected) -> tuple[np.ndarray, np.ndarray]:
         """Most probable class and posterior under each row of an (F, attributes) mask.
 
         Row f marks the attributes that contribute likelihood terms to the
-        f-th prediction.  Classes whose log-scores lie within
-        ``TIE_TOLERANCE * max(1, |best|)`` of the best are tied, and ties
-        resolve to the lowest class index.  Returns (F,) classes and (F, s) posteriors.
+        f-th prediction; ties resolve as in ``score_subsets``.  Returns (F,)
+        classes and (F, s) posteriors.
         """
-        self._check_instance(instance)
+        values, observed = encode([instance], self.vocab_sizes)
         selected = np.asarray(selected, dtype=bool)
         if selected.ndim != 2 or selected.shape[1] != len(self.vocab_sizes):
             raise InputError(f"selected must be an (F, {len(self.vocab_sizes)}) mask")
-        observed = np.array([v is not None for v in instance], dtype=bool)
-        values = np.array([v or 0 for v in instance], dtype=np.intp)
-        terms = self._log_cond[np.arange(len(values)), values] - self._log_norm
-        log_scores = np.log(self.class_counts + 1.0) - math.log(self.seen + self.class_count)
-        log_scores = log_scores + np.where((selected & observed)[:, :, None], terms, 0.0).sum(axis=1)
-        best = log_scores.max(axis=1, keepdims=True)
-        tied = log_scores >= best - TIE_TOLERANCE * np.maximum(1.0, np.abs(best))
-        weights = np.exp(log_scores - best)
-        return np.argmax(tied, axis=1), weights / weights.sum(axis=1, keepdims=True)
+        value_counts = self.cond_counts[np.arange(len(self.vocab_sizes)), values[0]]
+        predicted, log_scores = score_subsets(value_counts, self.class_counts, self.vocab_sizes, selected & observed)
+        weights = np.exp(log_scores)
+        return predicted, weights / weights.sum(axis=1, keepdims=True)
 
     def predict(self, instance, selected: Iterable[int]) -> tuple[int, np.ndarray]:
         """Most probable class and the full posterior: ``predict_subsets`` with one subset.
@@ -96,17 +108,24 @@ class NaiveBayesModel:
         predicted, posterior = self.predict_subsets(instance, mask)
         return int(predicted[0]), posterior[0]
 
+    def absorb(self, values, observed, classes) -> tuple[np.ndarray, np.ndarray]:
+        """Absorb ``encode``d labelled instances in order; return the counts before each.
+
+        (T, A, R, s) and (T, s): the model's counts plus an exclusive cumsum of one-hot instances.
+        """
+        for c in classes[(classes < 0) | (classes >= self.class_count)][:1]:
+            raise InputError(f"class index {c} outside [0, {self.class_count})")
+        t, a = np.nonzero(observed)
+        onehot = np.zeros((len(classes), *self.cond_counts.shape), dtype=np.int64)
+        onehot[t, a, values[t, a], classes[t]] = 1
+        class_onehot = np.eye(self.class_count, dtype=np.int64)[classes]
+        before = np.cumsum(onehot, axis=0) - onehot + self.cond_counts
+        class_before = np.cumsum(class_onehot, axis=0) - class_onehot + self.class_counts
+        self.cond_counts += onehot.sum(axis=0)
+        self.class_counts += class_onehot.sum(axis=0)
+        self.seen += len(classes)
+        return before, class_before
+
     def update(self, instance, class_index: int) -> None:
-        """Absorb one labelled instance into the tallies and their cached logarithms."""
-        self._check_instance(instance)
-        if not 0 <= class_index < self.class_count:
-            raise InputError(f"class index {class_index} outside [0, {self.class_count})")
-        self.class_counts[class_index] += 1
-        values = np.array([-1 if v is None else v for v in instance], dtype=np.intp)
-        _, rows, s = self.cond_counts.shape
-        cells = ((np.arange(len(values)) * rows + values) * s + class_index)[values >= 0]  # flat indices
-        counts, logs = self.cond_counts.reshape(-1), self._log_cond.reshape(-1)  # views
-        counts[cells] += 1
-        logs[cells] = np.log(counts[cells] + 1.0)
-        self._log_norm[:, class_index] = np.log(self.class_counts[class_index] + self._vocab)
-        self.seen += 1
+        """Absorb one labelled instance: ``absorb`` with one instance."""
+        self.absorb(*encode([instance], self.vocab_sizes), np.array([class_index]))

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import midist
 from midist.errors import InfeasibleFitError, InputError
-from midist.filters import FilterConfig, decide, decide_batch
+from midist.filters import FILTERS, FilterConfig, decide, decide_batch
 from midist.harness import (
     Dataset,
     attribute_tables,
@@ -24,6 +25,7 @@ from midist.harness import (
     synthetic_dataset,
     write_report,
 )
+from midist.nb import NaiveBayesModel
 from midist.tables import ContingencyTable, PriorSpec
 
 CFG = FilterConfig()
@@ -245,6 +247,12 @@ def mixed_dataset(seed: int, instances: int = 40) -> Dataset:
     )
 
 
+def long_mixed_dataset() -> Dataset:
+    """A keep_missing run of ``mixed_dataset`` long enough for three decision chunks."""
+    steps = midist.harness._CHUNK_TABLES // 8 + 1  # mixed_dataset has 8 attributes
+    return prepare(mixed_dataset(6, instances=2 * steps + 50), mode="keep_missing", seed=6)
+
+
 class TestBatchedDecisions:
     @pytest.mark.parametrize("prior", [PriorSpec("perks"), PriorSpec("jeffreys")])
     def test_selected_sets_equal_per_step_decide_on_own_tallies(self, prior):
@@ -269,7 +277,7 @@ class TestBatchedDecisions:
                     joint[a][v, cls] += 1
         assert any(d.used_missing for d in decisions)
 
-    def test_one_decision_call_per_instance(self, monkeypatch):
+    def test_one_decision_call_per_chunk(self, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
@@ -277,10 +285,66 @@ class TestBatchedDecisions:
             return decide_batch(*args, **kwargs)
 
         monkeypatch.setattr(midist.harness, "decide_batch", counting)
-        ds = prepare(mixed_dataset(5), mode="keep_missing", seed=5)
+        ds = long_mixed_dataset()
         run_incremental(ds, FilterConfig(prior=PriorSpec("perks"), family="normal"))
-        # vocabulary sizes 1 to 6 share one padded stack
-        assert calls == [(len(ds.attributes), 6, 3)] * len(ds)
+        # vocabulary sizes 1 to 6 share one padded stack; each call holds whole steps
+        steps = midist.harness._CHUNK_TABLES // len(ds.attributes)
+        sizes = [min(steps, len(ds) - start) for start in range(0, len(ds), steps)]
+        assert len(sizes) >= 2
+        assert calls == [(n * len(ds.attributes), 6, 3) for n in sizes]
+
+    def test_chunked_run_equals_the_per_step_loop(self):
+        # the reference: decide from the classifier's counts, predict, then absorb
+        cfg = FilterConfig(prior=PriorSpec("jeffreys"), family="normal")
+        ds = long_mixed_dataset()
+        report = run_incremental(ds, cfg, record_selected=True)
+        model = NaiveBayesModel(ds.vocab_sizes, ds.class_count)
+        rows = np.array(ds.vocab_sizes)
+        correct = {f: [] for f in FILTERS}
+        sets = {f: [] for f in FILTERS}
+        for values, cls in ds.instances:
+            batch = decide_batch(model.cond_counts, cfg, missing_feature=model.missing_counts(), rows=rows)
+            keep = np.stack([getattr(batch, f"keep_{f}") for f in FILTERS])
+            predicted, _ = model.predict_subsets(values, keep)
+            for f, row, guess in zip(FILTERS, keep, predicted):
+                correct[f].append(int(guess == cls))
+                sets[f].append(np.flatnonzero(row).tolist())
+            model.update(values, cls)
+        for f in FILTERS:
+            assert report.runs[f].correct == correct[f]
+            assert report.runs[f].selected_counts == [len(chosen) for chosen in sets[f]]
+            assert report.runs[f].selected_sets == sets[f]
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            (((0, 1), 0), "has 2 attributes"),
+            (((4,), 0), "value index 4"),
+            (((-1,), 0), "value index -1"),
+            (((1,), 2), "class index 2"),
+        ],
+    )
+    def test_malformed_instance_rejected_before_any_decision(self, monkeypatch, last, message):
+        calls = []
+        monkeypatch.setattr(midist.harness, "decide_batch", lambda *args, **kwargs: calls.append(args))
+        instances = [((v % 4,), v % 2) for v in range(50)] + [last]
+        ds = Dataset(["a"], [["0", "1", "2", "3"]], ["c0", "c1"], instances)
+        with pytest.raises(InputError, match=message):
+            run_incremental(ds, CFG)
+        assert calls == []
+
+    def test_fallback_warns_once_per_chunk(self):
+        # under Perks the empty and the one-count 4x2 tables of steps 0 and 1
+        # have infeasible beta pairs; both steps lie in one chunk
+        cfg = FilterConfig(prior=PriorSpec("perks"))
+        rows = [((2,), 0), ((2,), 0), ((0,), 1), ((1,), 1), ((3,), 0), ((2,), 1)]
+        ds = Dataset(["a"], [["0", "1", "2", "3"]], ["c0", "c1"], rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_incremental(ds, cfg)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == [
+            "2 beta moment pair(s) infeasible; falling back to the gamma family"
+        ]
 
     def test_attribute_tables_count_every_labelled_instance(self):
         ds = mixed_dataset(4)
