@@ -16,7 +16,7 @@ from . import harness
 from .core import empirical_mi, mi_upper_bound
 from .dist import fit_with_fallback
 from .errors import ConfigurationError, InputError, NumericalError
-from .filters import FILTERS, FilterConfig, decide, select_features
+from .filters import FILTERS, FilterConfig, decide_tables
 from .mc import ks_distance, sample_mi
 from .missing import moments_with_missing
 from .moments import mi_moments
@@ -139,9 +139,9 @@ def cmd_select(args) -> int:
     dataset = _dataset(args)
     cfg = FilterConfig(epsilon=args.epsilon, p_level=args.p, family=args.family, prior=_prior(args))
     tables = harness.attribute_tables(dataset)
-    kept = select_features(tables, cfg, args.filter)
-    for name, table in tables.items():
-        print(json.dumps(asdict(decide(table, cfg, attribute=name))))
+    kept, decisions = decide_tables(tables, cfg, args.filter)
+    for decision in decisions:
+        print(json.dumps(asdict(decision)))
     print(json.dumps({"filter": args.filter, "kept": kept}))
     return 0
 

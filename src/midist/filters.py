@@ -140,19 +140,12 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     )
 
 
-def decide(table: ContingencyTable, cfg: FilterConfig, attribute=None) -> FilterDecision:
-    """Evaluate every keep rule for one table: ``decide_batch`` on a stack of one."""
-    batch = decide_batch(table.counts[None], cfg, table.missing_class[None], table.missing_feature[None])
-    values = {f.name: getattr(batch, f.name)[0].item() for f in fields(FilterDecision)[1:]}
-    values["fit_fallback"] = "gamma" if values["fit_fallback"] else None
-    return FilterDecision(attribute, **values)
-
-
-def select_features(tables: dict, cfg: FilterConfig, which: str) -> list:
-    """Apply one filter across attributes; kept ids come back in input order.
+def decide_tables(tables: dict, cfg: FilterConfig, which: str = "f") -> tuple[list, list[FilterDecision]]:
+    """Evaluate every keep rule for every attribute in one ``decide_batch`` call.
 
     ``tables`` maps attribute id to that attribute's table against the
-    class; all tables must agree on the class cardinality.
+    class; all tables must agree on the class cardinality.  Returns the ids
+    that filter ``which`` keeps, in input order, and every decision.
     """
     if which not in FILTERS:
         raise InputError(f"unknown filter {which!r}; expected one of {FILTERS}")
@@ -164,7 +157,7 @@ def select_features(tables: dict, cfg: FilterConfig, which: str) -> list:
             f"attributes disagree on the class cardinality: {sorted(cardinalities)}"
         )
     if not tables:
-        return []
+        return [], []
     rows = np.array([t.r for t in tables.values()])
     counts = np.zeros((len(rows), rows.max(), cardinalities.pop()), dtype=np.int64)
     missing_class = np.zeros(counts.shape[:2])
@@ -172,4 +165,18 @@ def select_features(tables: dict, cfg: FilterConfig, which: str) -> list:
         counts[k, : t.r], missing_class[k, : t.r] = t.counts, t.missing_class
     missing_feature = np.stack([t.missing_feature for t in tables.values()])
     batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
-    return [aid for aid, keep in zip(tables, getattr(batch, _FLAG_NAMES[which])) if keep]
+    columns = {f.name: getattr(batch, f.name).tolist() for f in fields(FilterDecision)[1:]}
+    columns["fit_fallback"] = ["gamma" if fell_back else None for fell_back in columns["fit_fallback"]]
+    decisions = [FilterDecision(aid, *(column[k] for column in columns.values())) for k, aid in enumerate(tables)]
+    return [d.attribute for d in decisions if getattr(d, _FLAG_NAMES[which])], decisions
+
+
+def decide(table: ContingencyTable, cfg: FilterConfig, attribute=None) -> FilterDecision:
+    """Evaluate every keep rule for one table: ``decide_tables`` on a single attribute."""
+    _, (decision,) = decide_tables({attribute: table}, cfg)
+    return decision
+
+
+def select_features(tables: dict, cfg: FilterConfig, which: str) -> list:
+    """Apply one filter across attributes; the ids ``decide_tables`` keeps, in input order."""
+    return decide_tables(tables, cfg, which)[0]

@@ -148,14 +148,8 @@ def prepare(dataset: Dataset, mode: str = "drop_missing", seed: int = 0) -> Data
     """
     if mode not in ("drop_missing", "keep_missing"):
         raise InputError(f"mode must be drop_missing or keep_missing, got {mode!r}")
-    if mode == "drop_missing":
-        kept = [
-            row
-            for row in dataset.instances
-            if row[1] is not None and all(v is not None for v in row[0])
-        ]
-    else:
-        kept = [row for row in dataset.instances if row[1] is not None]
+    keep_partial = mode == "keep_missing"
+    kept = [row for row in dataset.instances if row[1] is not None and (keep_partial or None not in row[0])]
     order = np.random.default_rng(seed).permutation(len(kept))
     return Dataset(
         attributes=list(dataset.attributes),
@@ -219,17 +213,17 @@ def _order_hash(dataset: Dataset) -> str:
     return hashlib.sha256(repr(dataset.instances).encode()).hexdigest()
 
 
-def _paired_t_curve(correct_a: Sequence[int], correct_b: Sequence[int]):
+def _paired_t_curve(correct_a: Sequence[int], correct_b: Sequence[int], critical: np.ndarray):
     """Per-k paired t statistics and two-tailed 0.05 significance flags.
 
+    ``critical[k - 1]`` is the t quantile for prefix length k (inf at k = 1).
     Zero-variance differences follow the conventions of paired_t_test;
     k = 1 is reported as (0, not significant).
     """
     d = np.asarray(correct_a, dtype=np.int64) - np.asarray(correct_b, dtype=np.int64)
-    length = len(d)
     s1 = np.cumsum(d)
     s2 = np.cumsum(d * d)
-    k = np.arange(1, length + 1)
+    k = np.arange(1, len(d) + 1)
     num = k * s2 - s1 * s1  # k(k-1) * sample variance, exact in integers
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(
@@ -238,9 +232,6 @@ def _paired_t_curve(correct_a: Sequence[int], correct_b: Sequence[int]):
             np.where(s1 == 0, 0.0, np.sign(s1) * np.inf),
         )
     t[0] = 0.0
-    critical = np.full(length, np.inf)
-    if length > 1:
-        critical[1:] = special.stdtrit(k[1:] - 1, 0.975)
     significant = np.abs(t) > critical
     return [float(v) for v in t], [bool(v) for v in significant]
 
@@ -326,8 +317,9 @@ def run_incremental(
             selected_sets=[np.flatnonzero(row).tolist() for row in keep[:, i]] if record_selected else None,
         )
     pair_tests = {}
+    critical = np.append(np.inf, special.stdtrit(steps[1:] - 1, 0.975))  # shared by every pair
     for a, b in combinations(filters, 2):
-        t_curve, sig_curve = _paired_t_curve(correct[a], correct[b])
+        t_curve, sig_curve = _paired_t_curve(correct[a], correct[b], critical)
         pair_tests[f"{a}_vs_{b}"] = {"t": t_curve, "significant": sig_curve}
 
     return RunReport(

@@ -1,9 +1,13 @@
 import json
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import midist
 from midist.cli import main
+from midist.filters import FilterConfig, decide, decide_batch
 
 
 @pytest.fixture
@@ -126,6 +130,35 @@ class TestSelect:
         assert {d["attribute"] for d in decisions} == {"a", "b"}
         assert kept["filter"] == "ff"
         assert "a" in kept["kept"] and "b" not in kept["kept"]
+
+    def test_one_decision_call_prints_every_record(self, capsys, csv_file, monkeypatch):
+        sizes = []
+
+        def counting(*args, **kwargs):
+            sizes.append(len(args[0]))
+            return decide_batch(*args, **kwargs)
+
+        monkeypatch.setattr(midist.filters, "decide_batch", counting)
+        code, out, _ = run_cli(capsys, "select", "--data", csv_file, "--filter", "ff", "--family", "gamma")
+        assert code == 0
+        assert sizes == [2]
+        tables = midist.harness.attribute_tables(midist.load_dataset(csv_file))
+        cfg = FilterConfig(family="gamma")
+        # same-shape tables need no padding, so the batch equals each table decided alone
+        expected = [json.dumps(asdict(decide(table, cfg, attribute=name))) for name, table in tables.items()]
+        assert out.strip().splitlines()[:-1] == expected
+
+    def test_fallback_prints_gamma_and_warns_once(self, capsys, tmp_path):
+        # values 1-3 occur only in unlabelled rows: under Perks the table
+        # [[1, 1], [0, 0], [0, 0], [0, 0]] has a moment pair beta cannot match
+        path = tmp_path / "sparse.csv"
+        path.write_text("a,cls\n0,0\n0,1\n1,?\n2,?\n3,?\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(capsys, "select", "--data", str(path), "--filter", "bf", "--prior", "perks")
+        assert [str(w.message) for w in caught] == ["1 beta moment pair(s) infeasible; falling back to the gamma family"]
+        record = json.loads(out.splitlines()[0])
+        assert code == 0 and record["attribute"] == "a" and record["fit_fallback"] == "gamma"
 
     def test_zero_epsilon_rejected_for_ff(self, capsys, csv_file):
         code, _, err = run_cli(

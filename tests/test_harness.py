@@ -160,6 +160,20 @@ class TestRunIncremental:
         ds = prepare(synthetic_dataset(80, informative=2, noise=2, seed=4), seed=4)
         assert run_incremental(ds, CFG) == run_incremental(ds, CFG)
 
+    def test_one_critical_value_pass_per_run(self, monkeypatch):
+        ds = prepare(synthetic_dataset(80, informative=2, noise=2, seed=4), seed=4)
+        expected = run_incremental(ds, CFG)
+        calls = []
+        stdtrit = midist.harness.special.stdtrit
+
+        def counting(df, q):
+            calls.append(np.shape(df))
+            return stdtrit(df, q)
+
+        monkeypatch.setattr(midist.harness.special, "stdtrit", counting)
+        assert run_incremental(ds, CFG) == expected  # three filter pairs share one pass
+        assert calls == [(len(ds) - 1,)]
+
     def test_causality_under_suffix_permutation(self):
         ds = prepare(synthetic_dataset(60, informative=1, noise=1, seed=8), seed=8)
         base = run_incremental(ds, CFG)

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from scipy import special
 
 import midist.mc as mc
-from midist.dist import fit
+from midist.dist import DistApprox, fit
 from midist.errors import ConfigurationError, InputError, InsufficientDataError, ZeroCellError
-from midist.mc import CHUNK_DRAWS, McSummary, _chance_draws, _chunk_rng, ks_distance, sample_mi, tail_slope
+from midist.mc import (
+    CHUNK_DRAWS,
+    McSummary,
+    _chance_draws,
+    _chunk_rng,
+    _information_of,
+    ks_distance,
+    sample_mi,
+    tail_slope,
+)
 from midist.moments import mi_moments
 from midist.tables import PosteriorCounts
 
@@ -96,6 +106,49 @@ class TestSampleMi:
         assert s.mean == reference.mean
 
 
+def _information_xlogy(pi, r, s):
+    """The per-draw information as Σ xlogy over cells, rows and columns."""
+    p = pi.reshape(-1, r, s)
+    rows = p.sum(axis=2)
+    cols = p.sum(axis=1)
+    joint = special.xlogy(p, p).sum(axis=(1, 2))
+    return joint - special.xlogy(rows, rows).sum(axis=1) - special.xlogy(cols, cols).sum(axis=1)
+
+
+class TestInformationKernel:
+    @pytest.mark.parametrize(
+        "r, s, shape",
+        [(1, 1, 5.0), (2, 2, 1.0), (2, 2, 0.02), (3, 4, 2.5), (3, 4, 0.02), (10, 5, 0.4), (10, 5, 0.02)],
+    )
+    def test_matches_the_xlogy_formula(self, r, s, shape):
+        shapes = np.full(r * s, shape)
+        shapes[::3] += np.arange(shapes[::3].size)  # uneven shapes
+        pi = _chance_draws(shapes, 4096, _chunk_rng(17, 0))
+        got = _information_of(pi, r, s)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - _information_xlogy(pi, r, s))) <= 1e-14
+
+    def test_exact_zeros_give_finite_values(self):
+        pi = _chance_draws(np.full(12, 0.5), 64, _chunk_rng(3, 0))
+        pi[0] = 0.0
+        pi[0, 5] = 1.0  # all mass in one cell: I = 0
+        pi[1, :4] = 0.0  # an empty row of the 3x4 grid
+        pi[2, ::4] = 0.0  # an empty column
+        pi[1:3] /= pi[1:3].sum(axis=1, keepdims=True)
+        got = _information_of(pi, 3, 4)
+        assert np.all(np.isfinite(got))
+        assert got[0] == 0.0
+        assert np.max(np.abs(got - _information_xlogy(pi, 3, 4))) <= 1e-14
+
+    def test_underflowed_draws_stay_finite(self):
+        # Perks on an empty 20x10 table: shapes of 1/200 underflow some gamma variates to exactly 0
+        pi = _chance_draws(np.full(200, 1 / 200), 4096, _chunk_rng(1, 0))
+        assert (pi == 0.0).any()
+        got = _information_of(pi, 20, 10)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - _information_xlogy(pi, 20, 10))) <= 1e-14
+
+
 class TestKsDistance:
     def test_point_mass_against_its_own_point_sample_set(self):
         s = sample_mi(PosteriorCounts.from_grid([[5.0]]), 1000, seed=0)
@@ -121,6 +174,30 @@ class TestKsDistance:
         for family in ("normal", "gamma", "beta"):
             d = fit(family, mom.mean, mom.variance, s.i_max)
             assert 0.0 <= ks_distance(s, d) <= 1.0
+
+    @pytest.mark.parametrize("family", ["normal", "gamma", "beta"])
+    def test_one_cdf_pass_equals_the_two_pass_formula(self, monkeypatch, family):
+        s = sample_mi(UPPER, 20_000, seed=6)
+        mom = mi_moments(UPPER)
+        d = fit(family, mom.mean, mom.variance, s.i_max)
+        x, n = s.samples, s.sample_count
+        i = np.arange(1, n + 1)
+        two_pass = float(max(0.0, (i / n - d.cdf(x)).max(), (d.cdf_left(x) - (i - 1) / n).max()))
+        calls = {"cdf": 0, "cdf_left": 0}
+
+        def counted(name):
+            original = getattr(DistApprox, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(DistApprox, name, counted(name))
+        assert ks_distance(s, d) == two_pass
+        assert calls == {"cdf": 1, "cdf_left": 0}
 
     def test_histogram_fallback(self, monkeypatch):
         monkeypatch.setattr(mc, "SORTED_SAMPLE_LIMIT", 1000)
