@@ -71,7 +71,10 @@ def _add_prior_options(parser) -> None:
 def cmd_mi(args) -> int:
     table = _load_table(args.table)
     prior = _prior(args)
-    if table.has_missing():
+    upper = mi_upper_bound(table.r, table.s)
+    if upper == 0.0:  # a constant variable carries no information under any prior, as in decide
+        out = {"mode": "degenerate", "j": 0.0, "mean": 0.0, "variance": 0.0}
+    elif table.has_missing():
         mm = moments_with_missing(table, prior)
         out = {
             "mode": f"missing_{mm.missing_axis}",
@@ -90,7 +93,6 @@ def cmd_mi(args) -> int:
             "variance": mom.variance,
         }
     if args.dist:
-        upper = mi_upper_bound(table.r, table.s)
         approx, fallback = fit_with_fallback(args.dist, out["mean"], out["variance"], upper)
         out["dist"] = {
             "family": approx.family,

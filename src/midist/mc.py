@@ -7,6 +7,8 @@ fixed-size chunk of draws owns its own seed-derived substream, so results
 are bit-identical for a given seed and chunk size.
 The information kernel takes each draw's margins from one product with a
 0/1 indicator matrix; that changes only the order of its sums, never a draw.
+``ks_distance`` skips every block of KS_BLOCK draws whose monotone bound on
+the gap stays KS_SLACK below the best gap found, so its value is the full pass's.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ CHUNK_DRAWS = 1 << 15
 SORTED_SAMPLE_LIMIT = 10_000_000
 HISTOGRAM_BINS = 10_000
 SAMPLE_BUDGET = 1_000_000_000
+KS_BLOCK = 32  # CDF stride of ks_distance's pruned pass, chosen from timings at 16k-1e6 draws
+KS_SLACK = 1e-9  # covers last-bit non-monotonicity of ndtr, gammainc and betainc
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,23 +124,37 @@ def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
     )
 
 
+def _sup_gap(x: np.ndarray, steps, cdf) -> float:
+    """max(0, upper - F(x), F(x) - lower) over sorted x, with nondecreasing ``steps(j) = (upper, lower)``."""
+    at = np.append(np.arange(0, x.size - 1, KS_BLOCK), x.size - 1)
+    f, (upper, lower) = cdf(x[at]), steps(at)
+    best = max(0.0, (upper - f).max(), (f - lower).max())
+    bound = np.maximum(upper[1:] - f[:-1], f[1:] - lower[:-1])  # bounds every gap inside the block
+    at = np.minimum(at[:-1][bound >= best - KS_SLACK, None] + np.arange(1, KS_BLOCK), x.size - 1).ravel()
+    f, (upper, lower) = cdf(x[at]), steps(at)
+    return float(max(best, (upper - f).max(initial=0.0), (f - lower).max(initial=0.0)))
+
+
 def ks_distance(summary: McSummary, d: DistApprox) -> float:
     """Sup gap between the draws' empirical CDF and a fitted CDF.
 
-    Histogram summaries fall back to evaluating the gap at bin edges,
-    which understates the true distance by at most one bin's mass.
+    F is evaluated at every KS_BLOCK-th point first.  F and the ECDF steps
+    U_j = (j + 1)/n, L_j = j/n are monotone, so no gap inside the block
+    between evaluated points a < b exceeds max(U_b - F(x_a), F(x_b) - L_a);
+    blocks whose bound stays KS_SLACK (far above F's last-bit error) below
+    the best gap are skipped, and the value is the full pass's, bit for bit.
+    A point mass takes the full pass.  Histogram summaries take the gap at
+    bin edges, which understates the true distance by at most one bin's mass.
     """
-    if summary.samples is not None:
-        x = summary.samples
-        n = summary.sample_count
-        i = np.arange(1, n + 1)
-        below = d.cdf(x)  # one pass; the left limit differs only at a point mass's atom
-        upper_gap = (i / n - below).max()
-        lower_gap = ((d.cdf_left(x) if d.family == "point_mass" else below) - (i - 1) / n).max()
-        return float(max(0.0, upper_gap, lower_gap))
-    counts, edges = summary.histogram
-    ecdf = np.cumsum(counts) / summary.sample_count
-    return float(np.abs(ecdf - d.cdf(edges[1:])).max())
+    n = summary.sample_count
+    if summary.samples is None:
+        counts, edges = summary.histogram
+        ecdf = np.cumsum(counts) / n
+        return _sup_gap(edges[1:], lambda j: (ecdf[j], ecdf[j]), d.cdf)
+    if d.family != "point_mass":
+        return _sup_gap(summary.samples, lambda j: ((j + 1) / n, j / n), d.cdf)
+    x, i = summary.samples, np.arange(1, n + 1)
+    return float(max(0.0, (i / n - d.cdf(x)).max(), (d.cdf_left(x) - (i - 1) / n).max()))
 
 
 def tail_slope(summary: McSummary, side: str, window: tuple[float, float], bins: int = 25) -> float:

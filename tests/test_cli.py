@@ -78,6 +78,22 @@ class TestMi:
         code, _, err = run_cli(capsys, "mi", "--table", str(path), "--prior", "haldane")
         assert code == 2 and "zero-cell" in err
 
+    @pytest.mark.parametrize("prior", ["uniform", "jeffreys", "haldane", "perks", "custom"])
+    @pytest.mark.parametrize("counts", [[[4, 0, 2]], [[4], [0], [2]]])
+    def test_single_row_or_column_is_degenerate_as_in_decide(self, capsys, tmp_path, prior, counts):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"r": len(counts), "s": len(counts[0]), "counts": counts}))
+        weight = ["--prior-weight", "0.25"] if prior == "custom" else []
+        code, out, _ = run_cli(capsys, "mi", "--table", str(path), "--prior", prior, *weight, "--dist", "beta")
+        payload = json.loads(out)
+        assert code == 0 and payload["mode"] == "degenerate"
+        assert payload["j"] == payload["mean"] == payload["variance"] == 0.0
+        assert payload["dist"]["family"] == "point_mass" and payload["dist"]["params"] == {"location": 0.0}
+        assert payload["dist"]["prob_exceeds_epsilon"] == 0.0
+        spec = midist.PriorSpec(prior, 0.25 if prior == "custom" else None)
+        decision = decide(midist.ContingencyTable(counts), FilterConfig(prior=spec))
+        assert decision.degenerate and decision.j == decision.mean == decision.variance == 0.0
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "mi", "--table", "/nonexistent.json")
         assert code == 1

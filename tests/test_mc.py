@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import midist.mc as mc
@@ -7,6 +11,7 @@ from midist.dist import DistApprox, fit
 from midist.errors import ConfigurationError, InputError, InsufficientDataError, ZeroCellError
 from midist.mc import (
     CHUNK_DRAWS,
+    KS_BLOCK,
     McSummary,
     _chance_draws,
     _chunk_rng,
@@ -183,21 +188,65 @@ class TestKsDistance:
         x, n = s.samples, s.sample_count
         i = np.arange(1, n + 1)
         two_pass = float(max(0.0, (i / n - d.cdf(x)).max(), (d.cdf_left(x) - (i - 1) / n).max()))
-        calls = {"cdf": 0, "cdf_left": 0}
+        points = {"cdf": 0, "cdf_left": 0}
 
         def counted(name):
             original = getattr(DistApprox, name)
 
-            def wrapper(self, *args):
-                calls[name] += 1
-                return original(self, *args)
+            def wrapper(self, x):
+                points[name] += np.size(x)
+                return original(self, x)
 
             return wrapper
 
-        for name in calls:
+        for name in points:
             monkeypatch.setattr(DistApprox, name, counted(name))
         assert ks_distance(s, d) == two_pass
-        assert calls == {"cdf": 1, "cdf_left": 0}
+        assert points["cdf"] < n / 4 and points["cdf_left"] == 0
+
+    @given(
+        family=st.sampled_from(["normal", "gamma", "beta", "point_mass"]),
+        n=st.sampled_from([1, 2, KS_BLOCK - 1, KS_BLOCK, KS_BLOCK + 1, 20_000]),
+        shape=st.sampled_from(["fit", "mirrored", "top"]),
+        decimals=st.sampled_from([None, 2, 4]),
+        ends=st.booleans(),
+        mean=st.floats(0.05, 0.95),
+        spread=st.floats(1e-3, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pruned_pass_equals_the_full_pass(self, family, n, shape, decimals, ends, mean, spread, seed):
+        # "fit" draws from the fitted law (many candidate blocks), "top" puts
+        # nearly every draw at i_max (KS near 1); rounding makes ties and the
+        # clip puts draws at exactly 0 and i_max, as in sample_mi
+        i_max = math.log(2.0)
+        m = mean * i_max
+        variance = 0.0 if family == "point_mass" else spread * m * (i_max - m)
+        d = fit("normal" if family == "point_mass" else family, m, variance, i_max)
+        rng = np.random.default_rng(seed)
+        if family == "gamma":
+            x = rng.gamma(d.params["shape"], d.params["scale"], n)
+        elif family == "beta":
+            x = i_max * rng.beta(d.params["alpha"], d.params["beta"], n)
+        else:
+            x = rng.normal(m, math.sqrt(variance), n)
+        if shape == "mirrored":
+            x = i_max - x
+        elif shape == "top":
+            x[rng.random(n) < 0.99] = i_max
+        if decimals is not None:
+            x = np.round(x, decimals)
+        if ends:
+            x[: max(1, n // 10)] = 0.0
+            x[-max(1, n // 10) :] = i_max
+        x = np.sort(np.clip(x, 0.0, i_max))
+        s = McSummary(n, float(x.mean()), 0.0, 0.0, seed, i_max, samples=x)
+        i = np.arange(1, n + 1)
+        full = float(max(0.0, (i / n - d.cdf(x)).max(), (d.cdf_left(x) - (i - 1) / n).max()))
+        assert ks_distance(s, d) == full
+        counts, edges = np.histogram(x, bins=np.linspace(0.0, i_max, 1001))
+        h = McSummary(n, float(x.mean()), 0.0, 0.0, seed, i_max, histogram=(counts, edges))
+        assert ks_distance(h, d) == np.abs(np.cumsum(counts) / n - d.cdf(edges[1:])).max()
 
     def test_histogram_fallback(self, monkeypatch):
         monkeypatch.setattr(mc, "SORTED_SAMPLE_LIMIT", 1000)
