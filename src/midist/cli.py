@@ -13,14 +13,12 @@ import sys
 from dataclasses import asdict
 
 from . import harness
-from .core import empirical_mi, mi_upper_bound
+from .core import mi_upper_bound
 from .dist import fit_with_fallback
 from .errors import ConfigurationError, InputError, NumericalError
-from .filters import FILTERS, FilterConfig, decide_tables
+from .filters import FILTERS, FilterConfig, FilterDecision, decide, decide_tables
 from .mc import ks_distance, sample_mi
-from .missing import moments_with_missing
-from .moments import mi_moments
-from .tables import PRIOR_KINDS, PriorSpec, apply_prior, table_from_json
+from .tables import PRIOR_KINDS, ContingencyTable, PriorSpec, apply_prior, table_from_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,11 +27,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _prior(args) -> PriorSpec:
-    if args.prior == "custom":
-        if args.prior_weight is None:
-            raise InputError("--prior custom needs --prior-weight")
-        return PriorSpec("custom", args.prior_weight)
-    return PriorSpec(args.prior)
+    if args.prior == "custom" and args.prior_weight is None:
+        raise InputError("--prior custom needs --prior-weight")
+    return PriorSpec(args.prior, args.prior_weight)  # a named prior rejects a weight
 
 
 def _load_table(path):
@@ -68,32 +64,22 @@ def _add_prior_options(parser) -> None:
     parser.add_argument("--prior-weight", type=float, default=None, help="per-cell weight for --prior custom")
 
 
+def _posterior(table: ContingencyTable, prior: PriorSpec) -> FilterDecision:
+    """One table's ``decide`` under the normal family, which fits every moment pair without warning."""
+    return decide(table, FilterConfig(family="normal", prior=prior))
+
+
 def cmd_mi(args) -> int:
     table = _load_table(args.table)
     prior = _prior(args)
-    upper = mi_upper_bound(table.r, table.s)
-    if upper == 0.0:  # a constant variable carries no information under any prior, as in decide
-        out = {"mode": "degenerate", "j": 0.0, "mean": 0.0, "variance": 0.0}
-    elif table.has_missing():
-        mm = moments_with_missing(table, prior)
-        out = {
-            "mode": f"missing_{mm.missing_axis}",
-            "j": mm.mean,
-            "mean": mm.mean,
-            "variance": mm.variance,
-            "prior_extrapolation": mm.prior_extrapolation,
-        }
-    else:
-        pc = apply_prior(table, prior)
-        mom = mi_moments(pc)
-        out = {
-            "mode": "complete",
-            "j": empirical_mi(pc),
-            "mean": mom.mean,
-            "variance": mom.variance,
-        }
+    d = _posterior(table, prior)
+    margin = "feature" if table.missing_feature.any() else "class"
+    mode = "degenerate" if d.degenerate else f"missing_{margin}" if d.used_missing else "complete"
+    out = {"mode": mode, "j": d.j, "mean": d.mean, "variance": d.variance}
+    if d.used_missing:  # the incomplete-sample moments are derived under the uniform prior
+        out["prior_extrapolation"] = prior.kind != "uniform"
     if args.dist:
-        approx, fallback = fit_with_fallback(args.dist, out["mean"], out["variance"], upper)
+        approx, fallback = fit_with_fallback(args.dist, d.mean, d.variance, mi_upper_bound(table.r, table.s))
         out["dist"] = {
             "family": approx.family,
             "params": approx.params,
@@ -123,8 +109,8 @@ def cmd_mc(args) -> int:
         "storage": "samples" if summary.samples is not None else "histogram",
     }
     if args.fit:
-        mom = mi_moments(pc)
-        approx, fallback = fit_with_fallback(args.fit, mom.mean, mom.variance, summary.i_max)
+        d = _posterior(table, prior)
+        approx, fallback = fit_with_fallback(args.fit, d.mean, d.variance, summary.i_max)
         out["fit"] = {"family": approx.family, "params": approx.params, "fallback": fallback}
         out["ks_distance"] = ks_distance(summary, approx)
     if args.dump:

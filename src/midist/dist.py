@@ -104,12 +104,27 @@ class DistApprox:
         return self.params["location"], 0.0
 
 
-def _point_mass(location: float) -> DistApprox:
-    return DistApprox("point_mass", {"location": float(location)}, (float(location), float(location)))
+def _point_mass(mean, variance, i_max):
+    """Which pairs are point masses (zero variance or range) and their atoms (0 on a zero range)."""
+    return (variance == 0.0) | (i_max == 0.0), np.where(i_max > 0.0, mean, 0.0)
+
+
+def _feasible(family: str, mean, variance, i_max):
+    """Mask of the pairs ``family`` can match, and the bound it states; scalars or arrays alike."""
+    if family == "gamma":
+        return np.greater(mean, 0.0), "mean > 0"
+    if family == "beta":
+        ok = (0.0 < mean) & (mean < i_max) & (variance < mean * (i_max - mean))
+        return ok, "0 < mean < i_max and variance < mean * (i_max - mean)"
+    return True, ""
 
 
 def _match(family: str, mean, variance, i_max):
-    """Moment-matched parameters of one family; scalars or arrays alike."""
+    """Moment-matched parameters of one family, scalars or arrays alike; raises at the first infeasible pair."""
+    ok, bound = _feasible(family, mean, variance, i_max)
+    if not np.all(ok):
+        m, v, top = (np.broadcast_to(x, np.shape(ok)).flat[np.argmin(ok)] for x in (mean, variance, i_max))
+        raise InfeasibleFitError(f"{family} needs {bound}; got mean {m}, variance {v}, i_max {top}")
     if family == "normal":
         return {"mean": mean, "variance": variance}
     if family == "gamma":
@@ -148,24 +163,25 @@ def fit(family: str, mean: float, variance: float, i_max: float) -> DistApprox:
     Infeasible pairs raise InfeasibleFitError naming the violated bound.
     """
     _check_moments(family, mean, variance, i_max)
-    if i_max == 0.0:
-        return _point_mass(0.0)
-    if variance == 0.0:
-        return _point_mass(mean)
-    if family == "gamma" and mean <= 0:
-        raise InfeasibleFitError(f"gamma needs mean > 0, got {mean}")
-    if family == "beta":
-        if not 0.0 < mean < i_max:
-            raise InfeasibleFitError(f"beta needs 0 < mean < i_max = {i_max}, got mean {mean}")
-        bound = mean * (i_max - mean)
-        if variance >= bound:
-            raise InfeasibleFitError(
-                f"variance {variance} >= mean * (i_max - mean) = {bound}; "
-                "moment pair infeasible for beta"
-            )
+    point, location = _point_mass(mean, variance, i_max)
+    if point:
+        return DistApprox("point_mass", {"location": float(location)}, (float(location), float(location)))
     params = {name: float(v) for name, v in _match(family, mean, variance, i_max).items()}
     support = {"normal": (-math.inf, math.inf), "gamma": (0.0, math.inf), "beta": (0.0, float(i_max))}
     return DistApprox(family, params, support[family])
+
+
+def _fallback(family: str, mean, variance, i_max):
+    """Mask of the beta pairs that degrade to gamma; warns once, with the count, when any do."""
+    point, _ = _point_mass(mean, variance, i_max)
+    fallback = np.logical_not(point | _feasible(family, mean, variance, i_max)[0]) & (family == "beta")
+    if np.any(fallback):
+        warnings.warn(
+            f"{int(np.sum(fallback))} beta moment pair(s) infeasible; falling back to the gamma family",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return fallback
 
 
 def fit_with_fallback(family: str, mean: float, variance: float, i_max: float):
@@ -173,17 +189,10 @@ def fit_with_fallback(family: str, mean: float, variance: float, i_max: float):
 
     Returns (approximation, fallback family name or None).
     """
-    try:
-        return fit(family, mean, variance, i_max), None
-    except InfeasibleFitError:
-        if family != "beta":
-            raise
-        warnings.warn(
-            "beta moment pair infeasible; falling back to the gamma family",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _check_moments(family, mean, variance, i_max)
+    if _fallback(family, mean, variance, i_max):
         return fit("gamma", mean, variance, i_max), "gamma"
+    return fit(family, mean, variance, i_max), None
 
 
 def prob_exceeds_batch(family: str, mean, variance, i_max, epsilon: float):
@@ -196,23 +205,12 @@ def prob_exceeds_batch(family: str, mean, variance, i_max, epsilon: float):
     variance = np.asarray(variance, dtype=float)
     i_max = np.asarray(i_max, dtype=float)
     _check_moments(family, mean, variance, i_max)
-    point = (variance == 0.0) | (i_max == 0.0)
-    fallback = np.zeros(mean.shape, dtype=bool)
-    if family == "beta":
-        fallback = ~point & ~((0.0 < mean) & (mean < i_max) & (variance < mean * (i_max - mean)))
-        if fallback.any():
-            warnings.warn(
-                f"{int(fallback.sum())} beta moment pair(s) infeasible; falling back to the gamma family",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    point, location = _point_mass(mean, variance, i_max)
+    fallback = _fallback(family, mean, variance, i_max)
     prob = np.empty(mean.shape)
-    location = np.where(i_max > 0.0, mean, 0.0)
     prob[point] = 1.0 - _cdf("point_mass", {"location": location[point]}, epsilon)
     for fam, mask in ((family, ~point & ~fallback), ("gamma", fallback)):
         if not mask.any():
             continue
-        if fam == "gamma" and mean[mask].min() <= 0:
-            raise InfeasibleFitError(f"gamma needs mean > 0, got {mean[mask].min()}")
         prob[mask] = 1.0 - _cdf(fam, _match(fam, mean[mask], variance[mask], i_max[mask]), epsilon)
     return prob, fallback

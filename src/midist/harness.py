@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
@@ -213,12 +212,17 @@ def _order_hash(dataset: Dataset) -> str:
     return hashlib.sha256(repr(dataset.instances).encode()).hexdigest()
 
 
+def _t_critical(n: int) -> np.ndarray:
+    """Two-tailed 0.05 t quantiles for prefix lengths 1..n; inf at 1, which has no degrees of freedom."""
+    return np.append(np.inf, special.stdtrit(np.arange(1, n), 0.975))
+
+
 def _paired_t_curve(correct_a: Sequence[int], correct_b: Sequence[int], critical: np.ndarray):
     """Per-k paired t statistics and two-tailed 0.05 significance flags.
 
     ``critical[k - 1]`` is the t quantile for prefix length k (inf at k = 1).
-    Zero-variance differences follow the conventions of paired_t_test;
-    k = 1 is reported as (0, not significant).
+    All-equal differences give t = 0 when they are zero and an infinite,
+    significant t otherwise; k = 1 is reported as (0, not significant).
     """
     d = np.asarray(correct_a, dtype=np.int64) - np.asarray(correct_b, dtype=np.int64)
     s1 = np.cumsum(d)
@@ -236,25 +240,20 @@ def _paired_t_curve(correct_a: Sequence[int], correct_b: Sequence[int], critical
     return [float(v) for v in t], [bool(v) for v in significant]
 
 
-def paired_t_test(correct_a: Sequence[float], correct_b: Sequence[float], k: int) -> tuple[float, bool]:
-    """Two-tailed paired t test at level 0.05 over the first k entries.
+def paired_t_test(correct_a: Sequence[int], correct_b: Sequence[int], k: int) -> tuple[float, bool]:
+    """Two-tailed paired t test at level 0.05 over the first k entries: the report's curve at k.
 
-    All-equal differences give t = 0 (not significant) when they are zero
-    and an infinite t (significant) otherwise.
+    Entries must be integers, such as 0/1 correctness flags.
     """
     if k < 2:
         raise InputError("paired t test needs k >= 2")
     if len(correct_a) < k or len(correct_b) < k:
         raise InputError(f"both sequences must have at least k = {k} entries")
-    d = np.asarray(correct_a[:k], dtype=float) - np.asarray(correct_b[:k], dtype=float)
-    mean = float(d.mean())
-    if np.all(d == d[0]):
-        if mean == 0.0:
-            return 0.0, False
-        return math.copysign(math.inf, mean), True
-    t = mean * math.sqrt(k) / float(d.std(ddof=1))
-    critical = float(special.stdtrit(k - 1, 0.975))
-    return t, bool(abs(t) > critical)
+    pairs = np.asarray([correct_a[:k], correct_b[:k]], dtype=float)
+    if not np.all(np.isfinite(pairs) & (pairs == np.round(pairs))):
+        raise InputError("paired t test needs integer entries, such as 0/1 correctness flags")
+    t, significant = _paired_t_curve(pairs[0], pairs[1], _t_critical(k))
+    return t[-1], significant[-1]
 
 
 def run_incremental(
@@ -317,7 +316,7 @@ def run_incremental(
             selected_sets=[np.flatnonzero(row).tolist() for row in keep[:, i]] if record_selected else None,
         )
     pair_tests = {}
-    critical = np.append(np.inf, special.stdtrit(steps[1:] - 1, 0.975))  # shared by every pair
+    critical = _t_critical(len(dataset))  # shared by every pair
     for a, b in combinations(filters, 2):
         t_curve, sig_curve = _paired_t_curve(correct[a], correct[b], critical)
         pair_tests[f"{a}_vs_{b}"] = {"t": t_curve, "significant": sig_curve}

@@ -67,8 +67,8 @@ def moments_batch(n, rows=None) -> MiMoments:
     cell = np.where(real_rows[:, :, None], n, 1.0)
     if cell.min() <= 0:
         raise ZeroCellError(
-            "moment formulas need every posterior cell positive; "
-            "apply a positive-weight prior first"
+            "zero-cell posterior: the moment formulas need every posterior "
+            "cell positive; apply a positive-weight prior first"
         )
     row_sums = n.sum(axis=2)
     cols = n.sum(axis=1)

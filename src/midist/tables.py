@@ -2,14 +2,14 @@
 
 Observed counts stay integral.  Prior pseudo-counts are real valued
 (Jeffreys and Perks add fractions), so the prior-augmented grid is stored
-as floats with cached marginals.  All values are immutable after
+as floats with derived marginals.  All values are immutable after
 construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -123,47 +123,33 @@ class PriorSpec:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorCounts:
-    """Prior-augmented counts with cached marginals.
+    """Prior-augmented counts with read-only marginals derived from the grid.
 
     This grid is the sufficient statistic for every posterior quantity in
-    the package.  Marginals are validated against the grid at construction
-    (tolerance 1e-12 relative to the total).
+    the package.
     """
 
     n: np.ndarray
-    row_marginals: np.ndarray
-    col_marginals: np.ndarray
-    total: float
+    row_marginals: np.ndarray = field(init=False)
+    col_marginals: np.ndarray = field(init=False)
+    total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        n = np.asarray(self.n, dtype=float)
+        n = np.array(self.n, dtype=float)
         if n.ndim != 2 or n.shape[0] < 1 or n.shape[1] < 1:
             raise InputError("posterior grid must be an r x s array")
         if not np.all(np.isfinite(n)) or np.any(n < 0):
             raise InputError("posterior cells must be finite and non-negative")
-        rows = np.asarray(self.row_marginals, dtype=float)
-        cols = np.asarray(self.col_marginals, dtype=float)
-        total = float(self.total)
-        tol = 1e-12 * max(total, 1.0)
-        if rows.shape != (n.shape[0],) or np.max(np.abs(rows - n.sum(axis=1))) > tol:
-            raise InputError("row marginals inconsistent with the grid")
-        if cols.shape != (n.shape[1],) or np.max(np.abs(cols - n.sum(axis=0))) > tol:
-            raise InputError("column marginals inconsistent with the grid")
-        if abs(total - n.sum()) > tol:
-            raise InputError("total inconsistent with the grid")
+        rows = n.sum(axis=1)
         object.__setattr__(self, "n", _readonly(n))
         object.__setattr__(self, "row_marginals", _readonly(rows))
-        object.__setattr__(self, "col_marginals", _readonly(cols))
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "col_marginals", _readonly(n.sum(axis=0)))
+        object.__setattr__(self, "total", float(rows.sum()))
 
     @classmethod
     def from_grid(cls, grid) -> "PosteriorCounts":
-        """Build from a grid alone; marginals are consistent by construction."""
-        g = np.array(grid, dtype=float)
-        if g.ndim != 2:
-            raise InputError("posterior grid must be an r x s array")
-        rows = g.sum(axis=1)
-        return cls(g, rows, g.sum(axis=0), rows.sum())
+        """The constructor under its older name."""
+        return cls(grid)
 
     @property
     def r(self) -> int:
@@ -174,7 +160,7 @@ class PosteriorCounts:
         return int(self.n.shape[1])
 
     def transposed(self) -> "PosteriorCounts":
-        return PosteriorCounts(self.n.T, self.col_marginals, self.row_marginals, self.total)
+        return PosteriorCounts(self.n.T)
 
 
 def build_table(pairs: Iterable[Sequence[int]], r: int, s: int) -> ContingencyTable:
@@ -214,7 +200,7 @@ def apply_prior(table: ContingencyTable, prior: PriorSpec) -> PosteriorCounts:
             "zero-cell posterior: prior weight 0 leaves empty cells that the "
             "moment formulas divide by"
         )
-    return PosteriorCounts.from_grid(grid)
+    return PosteriorCounts(grid)
 
 
 def table_from_json(obj) -> ContingencyTable:

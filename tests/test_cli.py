@@ -94,6 +94,25 @@ class TestMi:
         decision = decide(midist.ContingencyTable(counts), FilterConfig(prior=spec))
         assert decision.degenerate and decision.j == decision.mean == decision.variance == 0.0
 
+    @pytest.mark.parametrize("prior", ["uniform", "jeffreys", "perks"])
+    @pytest.mark.parametrize(
+        "literal, mode",
+        [
+            ({"r": 2, "s": 2, "counts": [[40, 10], [20, 80]]}, "complete"),
+            ({"r": 2, "s": 2, "counts": [[8, 2], [4, 16]], "missing_class": [3, 5]}, "missing_class"),
+            ({"r": 2, "s": 3, "counts": [[3, 1, 0], [2, 5, 7]], "missing_feature": [2, 0, 4]}, "missing_feature"),
+        ],
+    )
+    def test_moments_are_decides_bit_for_bit(self, capsys, tmp_path, literal, mode, prior):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(literal))
+        code, out, _ = run_cli(capsys, "mi", "--table", str(path), "--prior", prior)
+        payload = json.loads(out)
+        table = midist.table_from_json(literal)
+        decision = decide(table, FilterConfig(prior=midist.PriorSpec(prior)))
+        assert code == 0 and payload["mode"] == mode
+        assert (payload["j"], payload["mean"], payload["variance"]) == (decision.j, decision.mean, decision.variance)
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "mi", "--table", "/nonexistent.json")
         assert code == 1
@@ -243,12 +262,34 @@ class TestRun:
         assert payload["pair"] == "ff,f" and payload["k"] == 60
         assert isinstance(payload["significant"], bool)
 
+    def test_ttest_reads_the_report_curve(self, capsys, csv_file, tmp_path):
+        out_path = tmp_path / "report.json"
+        run_cli(capsys, "run", "--data", csv_file, "--filters", "ff,f", "--seed", "5",
+                "--out", str(out_path), "--format", "json")
+        curve = json.loads(out_path.read_text())["pair_tests"]["ff_vs_f"]
+        for k in range(2, 61):
+            code, out, _ = run_cli(capsys, "ttest", "--report", str(out_path), "--pair", "ff,f", "--k", str(k))
+            payload = json.loads(out)
+            assert code == 0
+            assert (payload["t"], payload["significant"]) == (curve["t"][k - 1], curve["significant"][k - 1])
+
     def test_ttest_unknown_filter(self, capsys, csv_file, tmp_path):
         out_path = tmp_path / "report.json"
         run_cli(capsys, "run", "--data", csv_file, "--filters", "f", "--seed", "1",
                 "--out", str(out_path), "--format", "json")
         code, _, err = run_cli(capsys, "ttest", "--report", str(out_path), "--pair", "ff,f")
         assert code == 1 and "ff" in err
+
+
+@pytest.mark.parametrize("command", ["mi", "select", "run"])
+def test_prior_weight_with_a_named_prior_is_rejected(capsys, table_file, csv_file, tmp_path, command):
+    source = {
+        "mi": ["--table", table_file],
+        "select": ["--data", csv_file, "--filter", "f"],
+        "run": ["--data", csv_file, "--out", str(tmp_path / "report.csv")],
+    }[command]
+    code, out, err = run_cli(capsys, command, *source, "--prior", "uniform", "--prior-weight", "5")
+    assert code == 1 and out == "" and "determines its own weight" in err
 
 
 class TestDiscretize:

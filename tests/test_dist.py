@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midist.dist import DistApprox, fit, fit_with_fallback, tail_exponents
+from midist.dist import DistApprox, fit, fit_with_fallback, prob_exceeds_batch, tail_exponents
 from midist.errors import InfeasibleFitError, InputError
 
 
@@ -72,6 +73,25 @@ def test_moment_round_trip(family, mean_frac, var_frac, i_max):
     got_mean, got_var = d.moments()
     assert got_mean == pytest.approx(mean, rel=1e-10)
     assert got_var == pytest.approx(variance, rel=1e-10)
+
+
+@pytest.mark.parametrize("i_max", [0.0, 0.5, 1.0, 2.0])
+def test_strict_beta_raises_exactly_where_the_batch_falls_back(i_max):
+    # 0.25 * (1 - 0.25) = 0.1875 and 0.5 * (1 - 0.5) = 0.25 sit on the variance bound
+    grid = np.meshgrid([0.05, 0.25, 0.5, 0.75, 1.0, 1.5], [0.0, 1e-6, 0.01, 0.1875, 0.25, 0.3])
+    mean, variance = (a.ravel() for a in grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, fallback = prob_exceeds_batch("beta", mean, variance, np.full(mean.size, i_max), 0.003)
+    raised = []
+    for m, v in zip(mean, variance):
+        try:
+            fit("beta", m, v, i_max)
+            raised.append(False)
+        except InfeasibleFitError:
+            raised.append(True)
+    assert raised == fallback.tolist()
+    assert any(raised) == (i_max > 0.0) and not all(raised)
 
 
 class TestCdf:

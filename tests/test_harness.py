@@ -131,6 +131,12 @@ class TestPairedT:
         with pytest.raises(InputError):
             paired_t_test([1], [0], 2)
 
+    @pytest.mark.parametrize("a", [[0.5, 1, 1], [1, math.nan, 1], [1, math.inf, 1]])
+    def test_non_integer_entries_rejected(self, a):
+        # the curve counts in integers, so a fractional flag would be truncated silently
+        with pytest.raises(InputError, match="integer"):
+            paired_t_test(a, [0, 0, 1], 3)
+
 
 class TestRunIncremental:
     def test_single_instance_predicts_class_zero_from_no_evidence(self):

@@ -99,10 +99,6 @@ class TestMarginals:
 
 
 class TestPosteriorCountsValidation:
-    def test_inconsistent_marginals_rejected(self):
-        with pytest.raises(InputError, match="marginals"):
-            PosteriorCounts(np.ones((2, 2)), np.array([2.0, 1.0]), np.array([2.0, 2.0]), 4.0)
-
     def test_negative_cells_rejected(self):
         with pytest.raises(InputError):
             PosteriorCounts.from_grid([[1, -1], [1, 1]])
