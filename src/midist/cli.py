@@ -64,15 +64,15 @@ def _add_prior_options(parser) -> None:
     parser.add_argument("--prior-weight", type=float, default=None, help="per-cell weight for --prior custom")
 
 
-def _posterior(table: ContingencyTable, prior: PriorSpec) -> FilterDecision:
+def _posterior(table: ContingencyTable, prior: PriorSpec, **settings) -> FilterDecision:
     """One table's ``decide`` under the normal family, which fits every moment pair without warning."""
-    return decide(table, FilterConfig(family="normal", prior=prior))
+    return decide(table, FilterConfig(family="normal", prior=prior, **settings))
 
 
 def cmd_mi(args) -> int:
     table = _load_table(args.table)
     prior = _prior(args)
-    d = _posterior(table, prior)
+    d = _posterior(table, prior, epsilon=args.epsilon)
     margin = "feature" if table.missing_feature.any() else "class"
     mode = "degenerate" if d.degenerate else f"missing_{margin}" if d.used_missing else "complete"
     out = {"mode": mode, "j": d.j, "mean": d.mean, "variance": d.variance}

@@ -7,6 +7,7 @@ All functions here are pure and callable from any number of threads.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 from scipy import special
@@ -29,6 +30,20 @@ def digamma(x):
     if not np.all(np.asarray(x) > 0):
         raise InputError(f"digamma needs x > 0, got {x}")
     return special.digamma(x)
+
+
+def ordered_sum(x, axis=0):
+    """Sum over one axis of a batch-last stack, or over its cells with axis (0, 1), term by term in index order.
+
+    numpy sums pairwise only along the fast axis, so a C-contiguous stack (a lone
+    table beside its copy) takes numpy's reduction; others add slice by slice.
+    """
+    if axis == (0, 1):  # the cells, row by row
+        x, axis = x.reshape(-1, *x.shape[2:]), 0
+    if x.ndim > 1 and x.flags.c_contiguous:
+        pair = x if x.shape[-1] > 1 else np.concatenate([x, x], axis=-1)
+        return pair.sum(axis=axis)[..., : x.shape[-1]]
+    return reduce(np.add, np.moveaxis(x, axis, 0))
 
 
 def _information_terms(grid, rows, cols, total) -> np.ndarray:

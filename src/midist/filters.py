@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import mi_upper_bound
+from .core import mi_upper_bound, ordered_sum
 from .dist import FIT_FAMILIES, prob_exceeds_batch
 from .errors import ConfigurationError, InputError
 from .missing import BOTH_MARGINS, missing_batch
@@ -105,8 +105,8 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
         raise InputError("padded rows must stay zero")
     upper = np.array([mi_upper_bound(r, s) for r in range(1, height + 1)])[rows - 1]
     live = upper > 0.0
-    class_gap = live & (missing_class.sum(axis=1) > 0)
-    feature_gap = live & (missing_feature.sum(axis=1) > 0)
+    class_gap = live & (ordered_sum(missing_class.T) > 0)
+    feature_gap = live & (ordered_sum(missing_feature.T) > 0)
     if (class_gap & feature_gap).any():
         raise InputError(BOTH_MARGINS)
     grid = add_prior(counts, cfg.prior, rows)

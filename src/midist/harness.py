@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
+from .core import ordered_sum
 from .errors import InputError
 from .filters import _FLAG_NAMES, FILTERS, FilterConfig, decide_batch
 from .nb import NaiveBayesModel, encode, score_subsets
@@ -237,7 +238,7 @@ def _paired_t_curve(correct_a: Sequence[int], correct_b: Sequence[int], critical
         )
     t[0] = 0.0
     significant = np.abs(t) > critical
-    return [float(v) for v in t], [bool(v) for v in significant]
+    return t.tolist(), significant.tolist()
 
 
 def paired_t_test(correct_a: Sequence[int], correct_b: Sequence[int], k: int) -> tuple[float, bool]:
@@ -294,7 +295,7 @@ def run_incremental(
     for chunk in _chunks(len(classes), len(rows)):
         prefix, class_prefix = model.absorb(values[chunk], observed[chunk], classes[chunk])
         steps, attributes, height, s = prefix.shape
-        missing = (class_prefix[:, None, :] - prefix.sum(axis=2)).reshape(-1, s)
+        missing = (class_prefix[:, None, :] - ordered_sum(prefix.transpose(2, 0, 1, 3))).reshape(-1, s)
         batch = decide_batch(prefix.reshape(-1, height, s), cfg, missing_feature=missing, rows=np.tile(rows, steps))
         keep.append(np.stack([getattr(batch, flag).reshape(steps, attributes) for flag in flags], axis=1))
         value_counts = prefix[np.arange(steps)[:, None], np.arange(attributes), values[chunk]]
@@ -309,7 +310,7 @@ def run_incremental(
         acc = np.cumsum(correct[f]) / steps
         runs[f] = FilterRun(
             correct=correct[f],
-            running_accuracy=[float(a) for a in acc],
+            running_accuracy=acc.tolist(),
             selected_counts=sizes[i].tolist(),
             final_accuracy=float(acc[-1]),
             mean_selected=float(np.mean(sizes[i])),

@@ -29,6 +29,9 @@ The mirror case (class observed, feature value missing) is handled by
 transposing, see ``moments_with_missing``.  Cost is O(r*s).  One kernel
 evaluates a (B, r, s) stack at once; a single table is a stack of one.
 
+As in ``moments``, the kernel works batch last, on (r, s, B), and adds every
+per-table sum in index order, so a table's floats do not depend on its batch.
+
 The derivation assumes the uniform prior; other priors are accepted but
 the result carries ``prior_extrapolation=True``.
 """
@@ -39,7 +42,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import _information_terms
+from .core import _information_terms, ordered_sum
 from .errors import InputError, UndefinedFillError
 from .tables import ContingencyTable, PriorSpec, add_prior
 
@@ -74,60 +77,53 @@ class MissingMoments:
     missing_axis: str = "class"
 
 
-def _masked_log(x, mask):
-    return np.log(x, out=np.zeros_like(x), where=mask)
-
-
 def missing_batch(grid, unlabeled) -> MissingMoments:
     """Leading 1/N moments of a (B, r, s) stack of prior-augmented grids.
 
     ``unlabeled`` (B, r) is each table's mass on the class margin.  Empty
     cells, padded rows and padded columns included, contribute exactly 0.
     """
-    grid = np.ascontiguousarray(grid, dtype=float)
-    unlabeled = np.asarray(unlabeled, dtype=float)
-    rows = grid.sum(axis=2)
-    total = grid.sum(axis=(1, 2)) + unlabeled.sum(axis=1)
+    grid = np.ascontiguousarray(np.asarray(grid, dtype=float).transpose(1, 2, 0))  # (r, s, B)
+    unlabeled = np.ascontiguousarray(np.asarray(unlabeled, dtype=float).T)  # (r, B)
+    rows = ordered_sum(grid, axis=1)
+    total = ordered_sum(grid, axis=(0, 1)) + ordered_sum(unlabeled)
     if np.any(total <= 0):
         raise InputError("table carries no mass")
-    bad = (unlabeled > 0) & (rows <= 0)
-    if bad.any():
-        i = int(np.argwhere(bad)[0, 1])
-        raise UndefinedFillError(
-            f"row {i} has unlabeled instances but no observed mass to spread them over"
-        )
+    for i in np.argwhere(((unlabeled > 0) & (rows <= 0)).T)[:1, 1]:  # the first table's first such row
+        raise UndefinedFillError(f"row {i} has unlabeled instances but no observed mass to spread them over")
     pos = rows > 0
-    share = ((rows + unlabeled) / total[:, None])[:, :, None] * grid
-    pi = np.divide(share, rows[:, :, None], out=np.zeros_like(grid), where=pos[:, :, None])
-    pi_rows = pi.sum(axis=2)
-    pi_cols = pi.sum(axis=1)
+    share = ((rows + unlabeled) / total)[:, None, :] * grid
+    pi = np.divide(share, rows[:, None, :], out=np.zeros_like(grid), where=pos[:, None, :])
+    pi_rows = ordered_sum(pi, axis=1)
+    pi_cols = ordered_sum(pi)
 
     mask = pi > 0
-    log_ratio = _masked_log(pi, mask) - _masked_log(pi_rows[:, :, None] * pi_cols[:, None, :], mask)
+    log_ratio = np.log(pi, out=np.zeros_like(pi), where=mask)
+    log_ratio -= np.log(pi_rows[:, None, :] * pi_cols, out=np.zeros_like(pi), where=mask)
 
     cell = grid > 0
-    rho = np.divide(total[:, None, None] * pi**2, grid, out=np.zeros_like(grid), where=cell)
-    rho_rows = rho.sum(axis=2)
+    rho = np.divide(total * pi**2, grid, out=np.zeros_like(grid), where=cell)
+    rho_rows = ordered_sum(rho, axis=1)
 
     has_unlabeled = unlabeled > 0
     rho_missing = np.divide(
-        total[:, None] * pi_rows**2, unlabeled, out=np.full_like(unlabeled, np.inf), where=has_unlabeled
+        total * pi_rows**2, unlabeled, out=np.full_like(unlabeled, np.inf), where=has_unlabeled
     )
     q_bar_i = np.divide(
         rho_missing, rho_missing + rho_rows, out=np.ones_like(unlabeled), where=has_unlabeled
     )
-    q_bar = (rho_rows * q_bar_i).sum(axis=1)
-    k_bar = (rho * log_ratio**2).sum(axis=(1, 2))
-    j_bar_rows = (rho * log_ratio).sum(axis=2)
-    j_bar = (j_bar_rows * q_bar_i).sum(axis=1)
-    p_bar = (j_bar_rows**2 * q_bar_i / rho_missing).sum(axis=1)  # division by inf -> 0
+    q_bar = ordered_sum(rho_rows * q_bar_i)
+    k_bar = ordered_sum(rho * log_ratio**2, axis=(0, 1))
+    j_bar_rows = ordered_sum(rho * log_ratio, axis=1)
+    j_bar = ordered_sum(j_bar_rows * q_bar_i)
+    p_bar = ordered_sum(j_bar_rows**2 * q_bar_i / rho_missing)  # division by inf -> 0
 
-    mean = np.maximum(0.0, _information_terms(pi, pi_rows, pi_cols, 1.0).sum(axis=(1, 2)))
+    terms = _information_terms(np.moveaxis(pi, -1, 0), pi_rows.T, pi_cols.T, 1.0)  # stack axis first
+    mean = np.maximum(0.0, ordered_sum(np.moveaxis(terms, 0, -1), axis=(0, 1)))
     raw = (k_bar - j_bar**2 / q_bar - p_bar) / total
     variance, clamped = np.maximum(raw, 0.0), raw < 0.0
-    return MissingMoments(
-        pi, rho, rho_missing, q_bar_i, q_bar, k_bar, j_bar, p_bar, j_bar_rows, mean, variance, total, clamped
-    )
+    leading = (np.moveaxis(a, -1, 0) for a in (pi, rho, rho_missing, q_bar_i))  # the fields lead with the stack axis
+    return MissingMoments(*leading, q_bar, k_bar, j_bar, p_bar, j_bar_rows.T, mean, variance, total, clamped)
 
 
 def _one_table(counts, unlabeled, prior: PriorSpec, axis: str) -> MissingMoments:

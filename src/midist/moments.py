@@ -20,7 +20,11 @@ with the double-sum intermediates
 The intermediates are exposed so tests can pin each one separately.  Cost
 is O(r*s) per table; only double sums appear.  One kernel evaluates a whole
 stack of grids at once, padded to a common row count; a single grid is a
-stack of one.
+stack of one.  The kernel works batch last, on (R, s, B), and adds every
+per-table sum in index order (``core.ordered_sum``): a few passes over
+length-B vectors, not B tiny loops, and never numpy's pairwise grouping,
+which depends on the term count; so a table's floats are the same alone as
+in any padded stack.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import special
 
+from .core import ordered_sum
 from .errors import ZeroCellError
 from .tables import PosteriorCounts
 
@@ -59,41 +64,41 @@ def moments_batch(n, rows=None) -> MiMoments:
     expansion) is clamped to zero and flagged rather than raised, so
     downstream distribution fits stay defined.
     """
-    n = np.asarray(n, dtype=float)
-    size, height, s = n.shape
+    n = np.ascontiguousarray(np.asarray(n, dtype=float).transpose(1, 2, 0))  # (R, s, B)
+    height, s, size = n.shape
     rows = np.full(size, height) if rows is None else np.asarray(rows)
-    real_rows = np.arange(height) < rows[:, None]
-    # padded cells and rows divide and take logs through a stand-in of 1; their weight n is 0
-    cell = np.where(real_rows[:, :, None], n, 1.0)
+    real_rows = np.arange(height)[:, None] < rows
+    # padded cells and rows divide, take logs and enter digamma through a stand-in of 1 (their
+    # weight n is 0); a where= mask on a scipy.special ufunc gave wrong values, then a segfault
+    cell = np.where(real_rows[:, None, :], n, 1.0)
     if cell.min() <= 0:
         raise ZeroCellError(
             "zero-cell posterior: the moment formulas need every posterior "
             "cell positive; apply a positive-weight prior first"
         )
-    row_sums = n.sum(axis=2)
-    cols = n.sum(axis=1)
-    total = row_sums.sum(axis=1)
+    row_sums = ordered_sum(n, axis=1)
+    cols = ordered_sum(n)
+    total = ordered_sum(row_sums)
     row_sums = np.where(real_rows, row_sums, 1.0)
-    tot = total[:, None, None]
     bracket = (
         special.digamma(cell + 1.0)
-        - special.digamma(row_sums + 1.0)[:, :, None]
-        - special.digamma(cols + 1.0)[:, None, :]
-        + special.digamma(total + 1.0)[:, None, None]
+        - special.digamma(row_sums + 1.0)[:, None, :]
+        - special.digamma(cols + 1.0)
+        + special.digamma(total + 1.0)
     )
-    outer = row_sums[:, :, None] * cols[:, None, :]
-    log_ratio = np.log(cell * tot) - np.log(outer)
-    p = n / tot
-    j = (p * log_ratio).sum(axis=(1, 2))
-    k = (p * log_ratio**2).sum(axis=(1, 2))
-    spread = 1.0 / cell - (1.0 / row_sums)[:, :, None] - (1.0 / cols)[:, None, :] + 1.0 / tot
-    m = (spread * n * log_ratio).sum(axis=(1, 2))
-    q = 1.0 - (n * n / outer).sum(axis=(1, 2))
+    outer = row_sums[:, None, :] * cols
+    log_ratio = np.log(cell * total) - np.log(outer)
+    p = n / total
+    j = ordered_sum(p * log_ratio, axis=(0, 1))
+    k = ordered_sum(p * log_ratio**2, axis=(0, 1))
+    spread = 1.0 / cell - (1.0 / row_sums)[:, None, :] - 1.0 / cols + 1.0 / total
+    m = ordered_sum(spread * n * log_ratio, axis=(0, 1))
+    q = 1.0 - ordered_sum(n * n / outer, axis=(0, 1))
     raw = (k - j * j) / (total + 1.0) + (m + (rows - 1) * (s - 1) * (0.5 - j) - q) / (
         (total + 1.0) * (total + 2.0)
     )
     return MiMoments(
-        mean=(n * bracket).sum(axis=(1, 2)) / total,
+        mean=ordered_sum(n * bracket, axis=(0, 1)) / total,
         variance=np.maximum(raw, 0.0),
         k_term=k,
         j_term=j,

@@ -18,12 +18,15 @@ def encode(instances, vocab_sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarra
     for t, values in enumerate(instances):
         if len(values) != width:
             raise InputError(f"instance {t} has {len(values)} attributes, expected {width}")
-    shape = (len(instances), width)
-    observed = np.array([[v is not None for v in values] for values in instances], dtype=bool).reshape(shape)
-    grid = np.array([[v or 0 for v in values] for values in instances], dtype=np.int64).reshape(shape)
-    for t, a in np.argwhere((grid < 0) | (grid >= np.asarray(vocab_sizes)))[:1]:
-        raise InputError(f"instance {t}: attribute {a}: value index {grid[t, a]} outside vocabulary of size {vocab_sizes[a]}")
-    return grid, observed
+    try:
+        grid = np.array(instances, dtype=float).reshape(len(instances), width)  # None becomes NaN
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"value indices must be integers: {exc}") from None
+    observed, integral = ~np.isnan(grid), grid == np.floor(grid)
+    for t, a in np.argwhere(observed & ~(integral & (grid >= 0) & (grid < np.asarray(vocab_sizes))))[:1]:
+        problem = f"outside vocabulary of size {vocab_sizes[a]}" if integral[t, a] else "is not an integer"
+        raise InputError(f"instance {t}: attribute {a}: value index {instances[t][a]} {problem}")
+    return np.where(observed, grid, 0.0).astype(np.int64), observed
 
 
 def score_subsets(value_counts, class_counts, vocab_sizes, selected) -> tuple[np.ndarray, np.ndarray]:
@@ -41,7 +44,7 @@ def score_subsets(value_counts, class_counts, vocab_sizes, selected) -> tuple[np
     vocab = np.asarray(vocab_sizes, dtype=float)
     terms = np.log(value_counts + 1.0) - np.log(class_counts[..., None, :] + vocab[:, None])
     prior = np.log(class_counts + 1.0) - log_seen[..., None]
-    log_scores = prior[..., None, :] + np.where(selected[..., None], terms[..., None, :, :], 0.0).sum(axis=-2)
+    log_scores = prior[..., None, :] + np.einsum("...fa,...as->...fs", selected, terms)
     best = log_scores.max(axis=-1, keepdims=True)
     tied = log_scores >= best - TIE_TOLERANCE * np.maximum(1.0, np.abs(best))
     return np.argmax(tied, axis=-1), log_scores - best

@@ -28,14 +28,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _as_margin(vec, length: int, name: str) -> np.ndarray:
     if vec is None:
         return np.zeros(length)
-    src = np.asarray(vec)
-    out = src.astype(float)
+    out = np.array(vec, dtype=float)
     if out.shape != (length,):
         raise InputError(f"{name} must have length {length}, got shape {out.shape}")
-    if np.issubdtype(src.dtype, np.integer):
-        if src.min() < 0:
-            raise InputError(f"{name} entries must be finite and non-negative")
-    elif not np.all(np.isfinite(out)) or np.any(out < 0):
+    if not np.all(np.isfinite(out)) or np.any(out < 0):
         raise InputError(f"{name} entries must be finite and non-negative")
     return out
 
@@ -57,17 +53,13 @@ class ContingencyTable:
         counts = np.asarray(self.counts)
         if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] < 1:
             raise InputError("counts must be an r x s grid with r >= 1 and s >= 1")
-        if np.issubdtype(counts.dtype, np.integer):
-            if counts.min() < 0:
-                raise InputError("counts must be non-negative")
-        else:
-            as_float = counts.astype(float)
-            if not np.all(np.isfinite(as_float)):
-                raise InputError("counts must be finite")
-            if np.any(as_float < 0):
-                raise InputError("counts must be non-negative")
-            if np.any(np.mod(as_float, 1.0) != 0):
-                raise InputError("observed counts must be integral")
+        as_float = counts.astype(float)
+        if not np.all(np.isfinite(as_float)):
+            raise InputError("counts must be finite")
+        if np.any(as_float < 0):
+            raise InputError("counts must be non-negative")
+        if np.any(np.mod(as_float, 1.0) != 0):
+            raise InputError("observed counts must be integral")
         r, s = counts.shape
         mc = _as_margin(self.missing_class, r, "missing_class")
         mf = _as_margin(self.missing_feature, s, "missing_feature")

@@ -66,6 +66,13 @@ class TestMi:
         assert code == 0
         assert json.loads(out)["mode"] == "missing_class"
 
+    @pytest.mark.parametrize("epsilon", ["nan", "-1"])
+    def test_invalid_epsilon_rejected_as_select_rejects_it(self, capsys, table_file, csv_file, epsilon):
+        code, out, err = run_cli(capsys, "mi", "--table", table_file, "--dist", "beta", "--epsilon", epsilon)
+        assert (code, out) == (1, "")
+        assert "epsilon must be finite and non-negative" in err
+        assert run_cli(capsys, "select", "--data", csv_file, "--filter", "f", "--epsilon", epsilon)[2] == err
+
     def test_input_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -7,7 +7,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midist.core import EULER_GAMMA, digamma, empirical_mi, mi_upper_bound
+from midist.core import EULER_GAMMA, digamma, empirical_mi, mi_upper_bound, ordered_sum
 from midist.errors import InputError
 from midist.tables import PosteriorCounts
 
@@ -134,3 +134,16 @@ def test_mi_zero_iff_rank_one(row_weights, col_weights):
     cols = np.asarray(col_weights)
     pc = PosteriorCounts.from_grid(np.outer(rows, cols))
     assert empirical_mi(pc) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(9, 3, 1), (9, 3, 2), (12, 3, 7), (2, 2, 960), (40, 1, 5)])
+def test_ordered_sum_adds_terms_in_index_order(shape):
+    # the reference is the plain left-to-right loop; numpy's pairwise grouping would differ in the last bits
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) * np.exp(4.0 * rng.standard_normal(shape))
+    for axis, view in ((0, x), (1, x.transpose(1, 0, 2)), ((0, 1), x.reshape(-1, shape[-1]))):
+        expected = view[0].copy()
+        for term in view[1:]:
+            expected = expected + term
+        assert np.array_equal(ordered_sum(x, axis=axis), expected)
+        assert np.array_equal(ordered_sum(np.asfortranarray(x), axis=axis), expected)

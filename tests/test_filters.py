@@ -243,6 +243,43 @@ def test_batch_matches_decide_on_each_table_alone(payload):
     assert_batch_matches_single_tables(counts, missing_class, missing_feature, rows, cfg)
 
 
+@st.composite
+def padded_stacks(draw):
+    """Tables of 1 to 12 rows padded to one height; each complete or with mass on one partial margin."""
+    size = draw(st.integers(2, 8))
+    s = draw(st.integers(2, 3))
+    rows = np.array(draw(st.lists(st.integers(1, 12), min_size=size, max_size=size)))
+    counts = np.zeros((size, rows.max(), s), dtype=np.int64)
+    missing_class = np.zeros((size, rows.max()), dtype=np.int64)
+    missing_feature = np.zeros((size, s), dtype=np.int64)
+    for k, r in enumerate(rows.tolist()):
+        counts[k, :r] = np.reshape(draw(st.lists(st.integers(0, 9), min_size=r * s, max_size=r * s)), (r, s))
+        route = draw(st.sampled_from(("complete", "missing_class", "missing_feature")))
+        if route == "missing_class":
+            missing_class[k, :r] = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+        elif route == "missing_feature":
+            missing_feature[k] = draw(st.lists(st.integers(1, 3), min_size=s, max_size=s))
+    cfg = FilterConfig(family=draw(st.sampled_from(FIT_FAMILIES)), prior=draw(st.sampled_from(PRIORS[:4])))
+    return counts, missing_class, missing_feature, rows, cfg
+
+
+@given(padded_stacks())
+@settings(max_examples=200, deadline=None)
+def test_a_tables_decision_does_not_depend_on_its_batch(payload):
+    # bit for bit: every per-table sum groups the same alone as inside any padded stack
+    counts, missing_class, missing_feature, rows, cfg = payload
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # beta -> gamma fallbacks
+        try:
+            batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
+        except NumericalError:  # a zero-mean partial table no family fits; covered elsewhere
+            return
+        for k, table in enumerate(single_tables(counts, missing_class, missing_feature, rows)):
+            alone = decide(table, cfg)
+            for name in ("j", "mean", "variance", "prob_exceeds_eps"):
+                assert getattr(batch, name)[k] == getattr(alone, name), (name, k)
+
+
 @pytest.mark.parametrize("family", FIT_FAMILIES)
 def test_batch_covers_point_mass_and_fallback(family):
     # under Perks, the second table's variance clamps to 0, so its tail is a

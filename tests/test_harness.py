@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -267,6 +268,19 @@ def mixed_dataset(seed: int, instances: int = 40) -> Dataset:
     )
 
 
+def _tally(instances, vocab_sizes, class_count) -> list[ContingencyTable]:
+    """Each attribute's table against the class over ``instances``, unobserved values on the partial margin."""
+    joint = [np.zeros((v, class_count), dtype=np.int64) for v in vocab_sizes]
+    partial = [np.zeros(class_count, dtype=np.int64) for _ in vocab_sizes]
+    for values, cls in instances:
+        for a, v in enumerate(values):
+            if v is None:
+                partial[a][cls] += 1
+            else:
+                joint[a][v, cls] += 1
+    return [ContingencyTable(j, missing_feature=p) for j, p in zip(joint, partial)]
+
+
 def long_mixed_dataset() -> Dataset:
     """A keep_missing run of ``mixed_dataset`` long enough for three decision chunks."""
     steps = midist.harness._CHUNK_TABLES // 8 + 1  # mixed_dataset has 8 attributes
@@ -279,23 +293,32 @@ class TestBatchedDecisions:
         cfg = FilterConfig(prior=prior, family="normal")
         ds = prepare(mixed_dataset(3), mode="keep_missing", seed=3)
         report = run_incremental(ds, cfg, record_selected=True)
-        s = ds.class_count
-        joint = [np.zeros((v, s), dtype=np.int64) for v in ds.vocab_sizes]
-        partial = [np.zeros(s, dtype=np.int64) for _ in ds.vocab_sizes]
-        for step, (values, cls) in enumerate(ds.instances):
-            decisions = [
-                decide(ContingencyTable(joint[a], missing_feature=partial[a]), cfg)
-                for a in range(len(joint))
-            ]
+        for step in range(len(ds)):
+            decisions = [decide(t, cfg) for t in _tally(ds.instances[:step], ds.vocab_sizes, ds.class_count)]
             for f in ("f", "ff", "bf"):
                 expected = [a for a, d in enumerate(decisions) if getattr(d, f"keep_{f}")]
                 assert report.runs[f].selected_sets[step] == expected, (f, step)
-            for a, v in enumerate(values):
-                if v is None:
-                    partial[a][cls] += 1
-                else:
-                    joint[a][v, cls] += 1
         assert any(d.used_missing for d in decisions)
+
+    def test_in_run_decisions_equal_decide_on_own_tallies_bit_for_bit(self, monkeypatch):
+        batches = []
+
+        def recording(*args, **kwargs):
+            batches.append(decide_batch(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(midist.harness, "decide_batch", recording)
+        cfg = FilterConfig(prior=PriorSpec("perks"), family="normal")
+        ds = prepare(mixed_dataset(5), mode="keep_missing", seed=5)
+        run_incremental(ds, cfg)
+        (batch,) = batches  # 40 steps of 8 attributes fit one chunk
+        width = len(ds.attributes)
+        for step in (1, 9, 23, 39):
+            tables = _tally(ds.instances[:step], ds.vocab_sizes, ds.class_count)
+            for a, table in enumerate(tables):
+                alone = decide(table, cfg)
+                for name in ("j", "mean", "variance", "prob_exceeds_eps"):
+                    assert getattr(batch, name)[step * width + a] == getattr(alone, name), (step, a, name)
 
     def test_one_decision_call_per_chunk(self, monkeypatch):
         calls = []
@@ -342,6 +365,8 @@ class TestBatchedDecisions:
             (((4,), 0), "value index 4"),
             (((-1,), 0), "value index -1"),
             (((1,), 2), "class index 2"),
+            (((1.5,), 0), r"instance 50: attribute 0: value index 1\.5 is not an integer"),
+            (((2**70,), 0), "instance 50: attribute 0: value index 1180591620717411303424 outside vocabulary"),
         ],
     )
     def test_malformed_instance_rejected_before_any_decision(self, monkeypatch, last, message):
@@ -383,6 +408,35 @@ class TestBatchedDecisions:
         ds = Dataset(["a"], [["0", "1"]], ["c0", "c1", "c2"], [((None,), 0), ((0,), 1)])
         with pytest.warns(RuntimeWarning, match="gamma"), pytest.raises(InfeasibleFitError):
             run_incremental(ds, cfg)
+
+
+@pytest.mark.parametrize(
+    "build, cfg, digest",
+    [
+        (
+            lambda: prepare(synthetic_dataset(500, informative=5, noise=5, seed=0), seed=0),
+            FilterConfig(),
+            "ace949ee70fd6424004c4745b35f537b7af97e8a28b080297c707876e06f1dd1",
+        ),
+        (
+            lambda: prepare(mixed_dataset(3), mode="keep_missing", seed=3),
+            FilterConfig(prior=PriorSpec("perks"), family="normal"),
+            "fb24a32a58b4b60339d2395a662710730b5bdcb1d9f6cb1f9625043792016eb0",
+        ),
+        (
+            long_mixed_dataset,
+            FilterConfig(prior=PriorSpec("jeffreys"), family="normal"),
+            "64289570cc06440b53884cc612223f7958bea331a9498b18b1fa7346e60ca56e",
+        ),
+    ],
+    ids=["synthetic_seed_0", "keep_missing_mixed", "three_chunks"],
+)
+def test_report_digest_pinned(build, cfg, digest):
+    # a report holds decisions, and accuracies and t statistics computed from integer
+    # counts, so last-bit moves in the moments leave it alone; a moved decision does not
+    report = run_incremental(build(), cfg, record_selected=True)
+    text = json.dumps(report_to_dict(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_import_leaves_scipy_stats_unloaded():
