@@ -37,7 +37,7 @@ def main() -> None:
 
     print(f"{'counts':>18s} {'mean':>9s} {'sd':>9s} {'ks_norm':>8s} {'ks_gam':>8s} {'ks_beta':>8s} {'q05':>8s} {'q95':>8s}")
     for name, counts in rows:
-        pc = PosteriorCounts.from_grid(counts + 1.0)
+        pc = PosteriorCounts(counts + 1.0)
         moments = mi_moments(pc)
         summary = sample_mi(pc, args.samples, seed=args.seed)
         distances = {}

@@ -31,7 +31,7 @@ from .harness import (
     write_report,
 )
 from .mc import McSummary, ks_distance, sample_mi, tail_slope
-from .missing import MissingMoments, fill_estimate, mi_mean_missing, mi_variance_missing, moments_with_missing
+from .missing import MissingMoments, moments_with_missing
 from .moments import MiMoments, mi_mean, mi_moments
 from .nb import NaiveBayesModel
 from .dist import DistApprox, TailExponents, fit, fit_with_fallback, tail_exponents
@@ -40,7 +40,6 @@ from .tables import (
     PosteriorCounts,
     PriorSpec,
     apply_prior,
-    build_table,
     table_from_json,
 )
 
@@ -70,21 +69,17 @@ __all__ = [
     "UndefinedFillError",
     "ZeroCellError",
     "apply_prior",
-    "build_table",
     "decide",
     "digamma",
     "discretize_equal_frequency",
     "empirical_mi",
-    "fill_estimate",
     "fit",
     "fit_with_fallback",
     "ks_distance",
     "load_dataset",
     "mi_mean",
-    "mi_mean_missing",
     "mi_moments",
     "mi_upper_bound",
-    "mi_variance_missing",
     "moments_with_missing",
     "paired_t_test",
     "prepare",

@@ -172,7 +172,7 @@ def attribute_tables(dataset: Dataset) -> dict[str, ContingencyTable]:
     model = NaiveBayesModel(dataset.vocab_sizes, dataset.class_count)  # its counts are the tables
     for chunk in _chunks(len(classes), len(dataset.attributes)):
         model.absorb(values[chunk], observed[chunk], classes[chunk])
-    missing = model.missing_counts()
+    missing = model.class_counts - model.cond_counts.sum(axis=1)  # per attribute: labelled, value unobserved
     return {
         name: ContingencyTable(model.cond_counts[a, :v], missing_feature=missing[a])
         for a, (name, v) in enumerate(zip(dataset.attributes, dataset.vocab_sizes))

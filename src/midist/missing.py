@@ -26,8 +26,10 @@ built from
 With no unlabeled mass everything reduces to the complete-case values:
 pi_ij = n_ij/N, Qbar = 1, Pbar = 0 and the variance becomes (K - J^2)/N.
 The mirror case (class observed, feature value missing) is handled by
-transposing, see ``moments_with_missing``.  Cost is O(r*s).  One kernel
-evaluates a (B, r, s) stack at once; a single table is a stack of one.
+transposing.  Cost is O(r*s).  ``missing_batch`` evaluates a (B, r, s) stack
+at once, as ``decide_batch`` does for every table with a partial margin;
+``moments_with_missing`` adds the prior to one table and evaluates it as a
+stack of one.
 
 As in ``moments``, the kernel works batch last, on (r, s, B), and adds every
 per-table sum in index order, so a table's floats do not depend on its batch.
@@ -38,7 +40,7 @@ the result carries ``prior_extrapolation=True``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,7 +53,7 @@ BOTH_MARGINS = "instances missing the feature and instances missing the class ca
 
 @dataclass(frozen=True, eq=False)
 class MissingMoments:
-    """Filled-in chance grid plus every intermediate of the 1/N variance.
+    """Filled-in chance grid plus the intermediates of the 1/N variance.
 
     ``rho_missing`` uses ``inf`` as the sentinel for rows without unlabeled
     mass; the dependent quantities resolve that limit to the complete-case
@@ -61,17 +63,14 @@ class MissingMoments:
     """
 
     pi_hat: np.ndarray
-    rho: np.ndarray
     rho_missing: np.ndarray
     q_bar_i: np.ndarray
     q_bar: float
     k_bar: float
     j_bar: float
     p_bar: float
-    j_bar_rows: np.ndarray
     mean: float
     variance: float
-    total: float
     variance_clamped: bool = False
     prior_extrapolation: bool = False
     missing_axis: str = "class"
@@ -122,54 +121,25 @@ def missing_batch(grid, unlabeled) -> MissingMoments:
     mean = np.maximum(0.0, ordered_sum(np.moveaxis(terms, 0, -1), axis=(0, 1)))
     raw = (k_bar - j_bar**2 / q_bar - p_bar) / total
     variance, clamped = np.maximum(raw, 0.0), raw < 0.0
-    leading = (np.moveaxis(a, -1, 0) for a in (pi, rho, rho_missing, q_bar_i))  # the fields lead with the stack axis
-    return MissingMoments(*leading, q_bar, k_bar, j_bar, p_bar, j_bar_rows.T, mean, variance, total, clamped)
-
-
-def _one_table(counts, unlabeled, prior: PriorSpec, axis: str) -> MissingMoments:
-    """``missing_batch`` on a stack of one, unstacked to plain values."""
-    stack = missing_batch(add_prior(counts[None], prior, [counts.shape[0]]), unlabeled[None])
-    values = {f.name: getattr(stack, f.name)[0] for f in fields(MissingMoments)[:-2]}
-    return MissingMoments(
-        **{name: v.item() if v.ndim == 0 else v for name, v in values.items()},
-        prior_extrapolation=prior.kind != "uniform",
-        missing_axis=axis,
-    )
-
-
-def mi_variance_missing(table: ContingencyTable, prior: PriorSpec = PriorSpec()) -> MissingMoments:
-    """Leading 1/N mean and variance with all intermediates exposed."""
-    if np.any(table.missing_feature > 0):
-        raise InputError(
-            "these routines take unlabeled mass on the class margin; transpose "
-            "the table or call moments_with_missing for missing feature values"
-        )
-    return _one_table(table.counts, table.missing_class, prior, "class")
-
-
-def fill_estimate(table: ContingencyTable, prior: PriorSpec = PriorSpec()) -> np.ndarray:
-    """Chance grid with each row's unlabeled mass spread over the row's frequencies.
-
-    The grid sums to 1.
-    """
-    return mi_variance_missing(table, prior).pi_hat
-
-
-def mi_mean_missing(table: ContingencyTable, prior: PriorSpec = PriorSpec()) -> float:
-    """Leading-order posterior mean: the plug-in information of the filled grid."""
-    return mi_variance_missing(table, prior).mean
+    leading = (np.moveaxis(a, -1, 0) for a in (pi, rho_missing, q_bar_i))  # the fields lead with the stack axis
+    return MissingMoments(*leading, q_bar, k_bar, j_bar, p_bar, mean, variance, clamped)
 
 
 def moments_with_missing(table: ContingencyTable, prior: PriorSpec = PriorSpec()) -> MissingMoments:
-    """Route a table with unlabeled mass on either margin through the same formulas.
+    """Leading 1/N moments of one table with unlabeled mass on either margin, or none.
 
     Mass on the feature margin is handled by transposing, evaluating, and
-    transposing the grids back.  Mass on both margins at once is out of
+    transposing the filled grid back.  Mass on both margins at once is out of
     scope here (joint missingness needs an iterative estimator).
     """
+    axis, counts, unlabeled = "class", table.counts, table.missing_class
     if table.missing_feature.sum() > 0:
         if table.missing_class.sum() > 0:
             raise InputError(BOTH_MARGINS)
-        m = _one_table(table.counts.T, table.missing_feature, prior, "feature")
-        return replace(m, pi_hat=m.pi_hat.T, rho=m.rho.T)
-    return mi_variance_missing(table, prior)
+        axis, counts, unlabeled = "feature", table.counts.T, table.missing_feature
+    stack = missing_batch(add_prior(counts[None], prior, [counts.shape[0]]), unlabeled[None])
+    values = {f.name: getattr(stack, f.name)[0] for f in fields(MissingMoments)[:-2]}
+    values = {name: v.item() if v.ndim == 0 else v for name, v in values.items()}
+    if axis == "feature":
+        values["pi_hat"] = values["pi_hat"].T
+    return MissingMoments(**values, prior_extrapolation=prior.kind != "uniform", missing_axis=axis)

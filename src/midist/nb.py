@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +18,10 @@ def encode(instances, vocab_sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarra
     for t, values in enumerate(instances):
         if len(values) != width:
             raise InputError(f"instance {t} has {len(values)} attributes, expected {width}")
+        for kind in set(map(type, values)):  # numpy would parse "2" as 2; a per-row type set keeps this cheap
+            if issubclass(kind, (str, bytes)):
+                a = next(a for a, value in enumerate(values) if isinstance(value, kind))
+                raise InputError(f"instance {t}: attribute {a}: value index {values[a]!r} is a string, not an integer")
     try:
         grid = np.array(instances, dtype=float).reshape(len(instances), width)  # None becomes NaN
     except (TypeError, ValueError, OverflowError) as exc:
@@ -51,15 +55,17 @@ def score_subsets(value_counts, class_counts, vocab_sizes, selected) -> tuple[np
 
 
 class NaiveBayesModel:
-    """Categorical naive Bayes learned from labelled instances in order.
+    """Categorical naive Bayes counts, learned from labelled instances in order.
 
-    Scoring uses the smoothed posterior-mean estimates
+    ``score_subsets`` scores from these counts with the smoothed
+    posterior-mean estimates
 
         P(class j)            = (count_j + 1) / (seen + s)
         P(value v | class j)  = (count_vj + 1) / (count_j + vocab size)
 
-    accumulated in log space.  Instance cells may be None (unobserved);
-    such cells are skipped both when predicting and when updating.
+    accumulated in log space, where seen is ``class_counts.sum()``.  Instance
+    cells may be None (unobserved); ``absorb`` tallies no value for them,
+    and ``score_subsets`` is given a mask that leaves them out.
     ``cond_counts[a, v, j]`` is attribute a's count_vj in one padded stack:
     rows past a's vocabulary stay zero.
     Updates are single-writer by contract; reads between updates are free.
@@ -75,41 +81,6 @@ class NaiveBayesModel:
         self.class_counts = np.zeros(self.class_count, dtype=np.int64)
         shape = (len(self.vocab_sizes), max(self.vocab_sizes, default=1), self.class_count)
         self.cond_counts = np.zeros(shape, dtype=np.int64)
-        self.seen = 0
-
-    def missing_counts(self) -> np.ndarray:
-        """(attributes, s) counts of the absorbed instances of each class that left the attribute unobserved."""
-        return self.class_counts - self.cond_counts.sum(axis=1)
-
-    def predict_subsets(self, instance, selected) -> tuple[np.ndarray, np.ndarray]:
-        """Most probable class and posterior under each row of an (F, attributes) mask.
-
-        Row f marks the attributes that contribute likelihood terms to the
-        f-th prediction; ties resolve as in ``score_subsets``.  Returns (F,)
-        classes and (F, s) posteriors.
-        """
-        values, observed = encode([instance], self.vocab_sizes)
-        selected = np.asarray(selected, dtype=bool)
-        if selected.ndim != 2 or selected.shape[1] != len(self.vocab_sizes):
-            raise InputError(f"selected must be an (F, {len(self.vocab_sizes)}) mask")
-        value_counts = self.cond_counts[np.arange(len(self.vocab_sizes)), values[0]]
-        predicted, log_scores = score_subsets(value_counts, self.class_counts, self.vocab_sizes, selected & observed)
-        weights = np.exp(log_scores)
-        return predicted, weights / weights.sum(axis=1, keepdims=True)
-
-    def predict(self, instance, selected: Iterable[int]) -> tuple[int, np.ndarray]:
-        """Most probable class and the full posterior: ``predict_subsets`` with one subset.
-
-        Only attributes in ``selected`` contribute likelihood terms; ties
-        resolve to the lowest class index.
-        """
-        mask = np.zeros((1, len(self.vocab_sizes)), dtype=bool)
-        for a in selected:
-            if not 0 <= a < len(self.vocab_sizes):
-                raise InputError(f"selected attribute {a} does not exist")
-            mask[0, a] = True
-        predicted, posterior = self.predict_subsets(instance, mask)
-        return int(predicted[0]), posterior[0]
 
     def absorb(self, values, observed, classes) -> tuple[np.ndarray, np.ndarray]:
         """Absorb ``encode``d labelled instances in order; return the counts before each.
@@ -126,9 +97,4 @@ class NaiveBayesModel:
         class_before = np.cumsum(class_onehot, axis=0) - class_onehot + self.class_counts
         self.cond_counts += onehot.sum(axis=0)
         self.class_counts += class_onehot.sum(axis=0)
-        self.seen += len(classes)
         return before, class_before
-
-    def update(self, instance, class_index: int) -> None:
-        """Absorb one labelled instance: ``absorb`` with one instance."""
-        self.absorb(*encode([instance], self.vocab_sizes), np.array([class_index]))

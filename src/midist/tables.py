@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,10 +24,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _numbers(values, name: str) -> np.ndarray:
+    """``values`` as a float array; a ragged nesting, text or a non-number is an ``InputError``."""
+    try:
+        out = np.asarray(values)
+        if out.dtype.kind in "SU":  # astype would parse "2" as 2.0
+            raise TypeError
+        return out.astype(float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a regular array of numbers") from None
+
+
 def _as_margin(vec, length: int, name: str) -> np.ndarray:
     if vec is None:
         return np.zeros(length)
-    out = np.array(vec, dtype=float)
+    out = _numbers(vec, name)
     if out.shape != (length,):
         raise InputError(f"{name} must have length {length}, got shape {out.shape}")
     if not np.all(np.isfinite(out)) or np.any(out < 0):
@@ -50,20 +60,19 @@ class ContingencyTable:
     missing_feature: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] < 1:
+        as_float = _numbers(self.counts, "counts")
+        if as_float.ndim != 2 or as_float.shape[0] < 1 or as_float.shape[1] < 1:
             raise InputError("counts must be an r x s grid with r >= 1 and s >= 1")
-        as_float = counts.astype(float)
         if not np.all(np.isfinite(as_float)):
             raise InputError("counts must be finite")
         if np.any(as_float < 0):
             raise InputError("counts must be non-negative")
         if np.any(np.mod(as_float, 1.0) != 0):
             raise InputError("observed counts must be integral")
-        r, s = counts.shape
+        r, s = as_float.shape
         mc = _as_margin(self.missing_class, r, "missing_class")
         mf = _as_margin(self.missing_feature, s, "missing_feature")
-        object.__setattr__(self, "counts", _readonly(counts.astype(np.int64)))
+        object.__setattr__(self, "counts", _readonly(as_float.astype(np.int64)))
         object.__setattr__(self, "missing_class", _readonly(mc))
         object.__setattr__(self, "missing_feature", _readonly(mf))
 
@@ -138,11 +147,6 @@ class PosteriorCounts:
         object.__setattr__(self, "col_marginals", _readonly(n.sum(axis=0)))
         object.__setattr__(self, "total", float(rows.sum()))
 
-    @classmethod
-    def from_grid(cls, grid) -> "PosteriorCounts":
-        """The constructor under its older name."""
-        return cls(grid)
-
     @property
     def r(self) -> int:
         return int(self.n.shape[0])
@@ -150,22 +154,6 @@ class PosteriorCounts:
     @property
     def s(self) -> int:
         return int(self.n.shape[1])
-
-    def transposed(self) -> "PosteriorCounts":
-        return PosteriorCounts(self.n.T)
-
-
-def build_table(pairs: Iterable[Sequence[int]], r: int, s: int) -> ContingencyTable:
-    """Tally (feature value, class) index pairs into an r x s table."""
-    if r < 1 or s < 1:
-        raise InputError("cardinalities must be >= 1")
-    counts = np.zeros((r, s), dtype=np.int64)
-    for pos, pair in enumerate(pairs):
-        i, j = pair
-        if not (0 <= i < r and 0 <= j < s):
-            raise InputError(f"pair #{pos} = ({i}, {j}) lies outside [0, {r}) x [0, {s})")
-        counts[i, j] += 1
-    return ContingencyTable(counts)
 
 
 def add_prior(counts, prior: PriorSpec, rows) -> np.ndarray:
@@ -210,8 +198,8 @@ def table_from_json(obj) -> ContingencyTable:
     for key in ("r", "s", "counts"):
         if key not in obj:
             raise InputError(f"table literal is missing {key!r}")
-    counts = np.asarray(obj["counts"])
-    if counts.ndim != 2 or counts.shape != (int(obj["r"]), int(obj["s"])):
+    counts = _numbers(obj["counts"], "counts")
+    if counts.ndim != 2 or counts.shape != (obj["r"], obj["s"]):  # a non-integer r or s never matches
         raise InputError(
             f"counts shape {counts.shape} does not match r={obj['r']}, s={obj['s']}"
         )

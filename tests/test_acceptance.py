@@ -23,7 +23,7 @@ from midist.harness import (
     synthetic_dataset,
 )
 from midist.mc import ks_distance, sample_mi, tail_slope
-from midist.missing import mi_mean_missing, mi_variance_missing
+from midist.missing import moments_with_missing
 from midist.moments import mi_mean, mi_moments
 from midist.tables import ContingencyTable, PosteriorCounts, PriorSpec
 
@@ -52,7 +52,7 @@ def fig_references():
     """Posterior grids, analytic moments and timed 1e6-draw summaries."""
     out = {}
     for name, counts in FIG_VECTORS.items():
-        pc = PosteriorCounts.from_grid(counts + 1.0)
+        pc = PosteriorCounts(counts + 1.0)
         start = time.perf_counter()
         summary = sample_mi(pc, DRAWS, seed=SEED)
         elapsed = time.perf_counter() - start
@@ -64,7 +64,7 @@ def fig_references():
 def scaled_references():
     out = {}
     for scale in (4, 16):
-        pc = PosteriorCounts.from_grid(scale * FIG_VECTORS["upper"] + 1.0)
+        pc = PosteriorCounts(scale * FIG_VECTORS["upper"] + 1.0)
         out[scale] = (pc, mi_moments(pc), sample_mi(pc, DRAWS, seed=SEED))
     return out
 
@@ -85,7 +85,7 @@ def test_01_exact_mean_matches_monte_carlo(fig_references):
 
 
 def test_02_closed_form_mean_pin():
-    value = mi_mean(PosteriorCounts.from_grid([[1.0, 1.0], [1.0, 1.0]]))
+    value = mi_mean(PosteriorCounts([[1.0, 1.0], [1.0, 1.0]]))
     error = abs(value - 1.0 / 12.0)
     report("posterior mean of the all-ones grid equals 1/12", error <= 1e-10, f"(err {error:.2e})")
 
@@ -155,13 +155,11 @@ def test_05_missing_data_complete_case_consistency():
         r, s = rng.integers(2, 5, size=2)
         counts = rng.integers(1, 40, size=(r, s))
         table = ContingencyTable(counts)
-        pc = PosteriorCounts.from_grid(counts.astype(float))
+        pc = PosteriorCounts(counts.astype(float))
         moments = mi_moments(pc)
-        mean_gap = abs(mi_mean_missing(table, zero_weight) - empirical_mi(pc))
-        var_gap = abs(
-            mi_variance_missing(table, zero_weight).variance
-            - (moments.k_term - moments.j_term**2) / pc.total
-        )
+        incomplete = moments_with_missing(table, zero_weight)
+        mean_gap = abs(incomplete.mean - empirical_mi(pc))
+        var_gap = abs(incomplete.variance - (moments.k_term - moments.j_term**2) / pc.total)
         worst_mean = max(worst_mean, mean_gap)
         worst_var = max(worst_var, var_gap)
     elapsed = time.perf_counter() - start
@@ -174,8 +172,8 @@ def test_05_missing_data_complete_case_consistency():
 
 def test_06_lower_tail_exponents():
     start = time.perf_counter()
-    ones2 = sample_mi(PosteriorCounts.from_grid(np.ones((2, 2))), DRAWS, seed=SEED)
-    ones3 = sample_mi(PosteriorCounts.from_grid(np.ones((3, 3))), DRAWS, seed=SEED)
+    ones2 = sample_mi(PosteriorCounts(np.ones((2, 2))), DRAWS, seed=SEED)
+    ones3 = sample_mi(PosteriorCounts(np.ones((3, 3))), DRAWS, seed=SEED)
     slope2 = tail_slope(ones2, "lower", (0.001, 0.05))
     slope3 = tail_slope(ones3, "lower", (0.001, 0.02))
     upper_diag = tail_slope(ones2, "upper", (0.001, 0.05))

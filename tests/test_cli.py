@@ -1,6 +1,9 @@
+import ast
+import importlib
 import json
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +81,25 @@ class TestMi:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, "mi", "--table", str(path))
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ({"r": 2, "s": 2, "counts": [[1, 2], [3]]}, "counts must be a regular array of numbers"),
+            ({"r": 1, "s": 2, "counts": [["a", "b"]]}, "counts must be a regular array of numbers"),
+            ({"r": 1, "s": 2, "counts": [["1", "2"]]}, "counts must be a regular array of numbers"),
+            ({"r": 1, "s": 2, "counts": [[1, 2]], "missing_class": "ab"}, "missing_class must be a regular"),
+            ({"r": 1, "s": 2, "counts": [[1, 2]], "missing_class": ["a"]}, "missing_class must be a regular"),
+            ({"r": "x", "s": 2, "counts": [[1, 2]]}, "does not match r=x"),
+            ({"r": 1.5, "s": 2, "counts": [[1, 2]]}, "does not match r=1.5"),
+        ],
+    )
+    def test_malformed_literal_is_an_input_error(self, capsys, tmp_path, literal, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(literal))
+        code, out, err = run_cli(capsys, "mi", "--table", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
 
     def test_numerical_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
@@ -320,3 +342,15 @@ class TestDiscretize:
 def test_no_command_prints_usage(capsys):
     code, _, err = run_cli(capsys)
     assert code == 1 and "usage" in err
+
+
+def test_public_names_resolve_and_cover_the_readme_quick_start():
+    assert all(hasattr(midist, name) for name in midist.__all__)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    imports = [node for node in ast.walk(ast.parse(block)) if isinstance(node, ast.ImportFrom)]
+    from_package = {alias.name for node in imports if node.module == "midist" for alias in node.names}
+    assert from_package and from_package <= set(midist.__all__)
+    for node in imports:
+        module = importlib.import_module(node.module)
+        assert all(hasattr(module, alias.name) for alias in node.names), node.module

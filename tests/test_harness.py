@@ -26,7 +26,7 @@ from midist.harness import (
     synthetic_dataset,
     write_report,
 )
-from midist.nb import NaiveBayesModel
+from midist.nb import NaiveBayesModel, encode, score_subsets
 from midist.tables import ContingencyTable, PriorSpec
 
 CFG = FilterConfig()
@@ -337,7 +337,7 @@ class TestBatchedDecisions:
         assert calls == [(n * len(ds.attributes), 6, 3) for n in sizes]
 
     def test_chunked_run_equals_the_per_step_loop(self):
-        # the reference: decide from the classifier's counts, predict, then absorb
+        # the reference: decide from the classifier's counts, predict, then absorb, one instance at a time
         cfg = FilterConfig(prior=PriorSpec("jeffreys"), family="normal")
         ds = long_mixed_dataset()
         report = run_incremental(ds, cfg, record_selected=True)
@@ -345,14 +345,17 @@ class TestBatchedDecisions:
         rows = np.array(ds.vocab_sizes)
         correct = {f: [] for f in FILTERS}
         sets = {f: [] for f in FILTERS}
-        for values, cls in ds.instances:
-            batch = decide_batch(model.cond_counts, cfg, missing_feature=model.missing_counts(), rows=rows)
+        for instance, cls in ds.instances:
+            unobserved = model.class_counts - model.cond_counts.sum(axis=1)
+            batch = decide_batch(model.cond_counts, cfg, missing_feature=unobserved, rows=rows)
             keep = np.stack([getattr(batch, f"keep_{f}") for f in FILTERS])
-            predicted, _ = model.predict_subsets(values, keep)
+            values, observed = encode([instance], ds.vocab_sizes)
+            value_counts = model.cond_counts[np.arange(len(rows)), values[0]]
+            predicted, _ = score_subsets(value_counts, model.class_counts, ds.vocab_sizes, keep & observed)
             for f, row, guess in zip(FILTERS, keep, predicted):
                 correct[f].append(int(guess == cls))
                 sets[f].append(np.flatnonzero(row).tolist())
-            model.update(values, cls)
+            model.absorb(values, observed, np.array([cls]))
         for f in FILTERS:
             assert report.runs[f].correct == correct[f]
             assert report.runs[f].selected_counts == [len(chosen) for chosen in sets[f]]

@@ -23,13 +23,13 @@ from midist.mc import (
 from midist.moments import mi_moments
 from midist.tables import PosteriorCounts
 
-UPPER = PosteriorCounts.from_grid([[41.0, 11.0], [21.0, 81.0]])
-ONES = PosteriorCounts.from_grid(np.ones((2, 2)))
+UPPER = PosteriorCounts([[41.0, 11.0], [21.0, 81.0]])
+ONES = PosteriorCounts(np.ones((2, 2)))
 
 
 class TestSampleMi:
     def test_degenerate_1x1(self):
-        s = sample_mi(PosteriorCounts.from_grid([[5.0]]), 1000, seed=0)
+        s = sample_mi(PosteriorCounts([[5.0]]), 1000, seed=0)
         assert np.all(s.samples == 0.0)
         assert s.mean == 0.0 and s.variance == 0.0
 
@@ -84,7 +84,7 @@ class TestSampleMi:
 
     def test_cross_checks_analytic_moments_on_3x4_grid(self):
         rng = np.random.default_rng(23)
-        pc = PosteriorCounts.from_grid(rng.integers(2, 40, size=(3, 4)) + 1.0)
+        pc = PosteriorCounts(rng.integers(2, 40, size=(3, 4)) + 1.0)
         mom = mi_moments(pc)
         s = sample_mi(pc, 200_000, seed=23)
         assert abs(mom.mean - s.mean) <= 4.0 * s.mean_std_error
@@ -92,7 +92,7 @@ class TestSampleMi:
 
     def test_zero_cell_rejected(self):
         with pytest.raises(ZeroCellError):
-            sample_mi(PosteriorCounts.from_grid([[1.0, 0.0], [1.0, 1.0]]), 100, seed=0)
+            sample_mi(PosteriorCounts([[1.0, 0.0], [1.0, 1.0]]), 100, seed=0)
 
     def test_sample_count_validation(self):
         with pytest.raises(InputError):
@@ -156,7 +156,7 @@ class TestInformationKernel:
 
 class TestKsDistance:
     def test_point_mass_against_its_own_point_sample_set(self):
-        s = sample_mi(PosteriorCounts.from_grid([[5.0]]), 1000, seed=0)
+        s = sample_mi(PosteriorCounts([[5.0]]), 1000, seed=0)
         assert ks_distance(s, fit("beta", 0.0, 0.0, 0.0)) == 0.0
 
     def test_uniform_draws_against_flat_beta(self):

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from midist.core import empirical_mi
 from midist.errors import InputError, UndefinedFillError
-from midist.missing import (
-    fill_estimate,
-    mi_mean_missing,
-    mi_variance_missing,
-    moments_with_missing,
-)
+from midist.missing import moments_with_missing
 from midist.moments import mi_moments
 from midist.tables import ContingencyTable, PosteriorCounts, PriorSpec
 
@@ -67,46 +62,41 @@ def transcribed_variance(counts, unlabeled):
 class TestFillEstimate:
     def test_spreads_unlabeled_mass_proportionally(self):
         t = ContingencyTable([[1, 1], [1, 1]], missing_class=[2, 0])
-        pi = fill_estimate(t, W0)
+        pi = moments_with_missing(t, W0).pi_hat
         assert np.allclose(pi, [[1 / 3, 1 / 3], [1 / 6, 1 / 6]], atol=1e-15)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_complete_case_gives_relative_frequencies(self):
         t = ContingencyTable([[8, 2], [4, 16]])
-        assert np.allclose(fill_estimate(t, W0), np.array([[8, 2], [4, 16]]) / 30.0)
+        assert np.allclose(moments_with_missing(t, W0).pi_hat, np.array([[8, 2], [4, 16]]) / 30.0)
 
     def test_diagonal(self):
         t = ContingencyTable([[4, 0], [0, 4]], missing_class=[0, 0])
-        assert np.allclose(fill_estimate(t, W0), [[0.5, 0], [0, 0.5]])
+        assert np.allclose(moments_with_missing(t, W0).pi_hat, [[0.5, 0], [0, 0.5]])
 
     def test_unobserved_row_with_unlabeled_mass_rejected(self):
         t = ContingencyTable([[0, 0], [1, 1]], missing_class=[3, 0])
         with pytest.raises(UndefinedFillError, match="row 0"):
-            fill_estimate(t, W0)
-
-    def test_feature_margin_rejected_here(self):
-        t = ContingencyTable([[1, 1], [1, 1]], missing_feature=[1, 0])
-        with pytest.raises(InputError):
-            fill_estimate(t, W0)
+            moments_with_missing(t, W0)
 
 
 class TestMeanMissing:
     def test_complete_case_equals_plugin_value(self):
         t = ContingencyTable([[8, 2], [4, 16]])
-        expected = empirical_mi(PosteriorCounts.from_grid([[8, 2], [4, 16]]))
-        assert mi_mean_missing(t, W0) == pytest.approx(expected, abs=1e-12)
+        expected = empirical_mi(PosteriorCounts([[8, 2], [4, 16]]))
+        assert moments_with_missing(t, W0).mean == pytest.approx(expected, abs=1e-12)
 
     def test_rank_one_fill_is_zero(self):
         # the filled grid ((1/3,1/3),(1/6,1/6)) has proportional rows
         t = ContingencyTable([[1, 1], [1, 1]], missing_class=[2, 0])
-        assert mi_mean_missing(t, W0) == 0.0
+        assert moments_with_missing(t, W0).mean == 0.0
 
 
 class TestVarianceMissing:
     def test_complete_case_reduction(self):
         t = ContingencyTable([[8, 2], [4, 16]])
-        mom = mi_moments(PosteriorCounts.from_grid([[8, 2], [4, 16]]))
-        mm = mi_variance_missing(t, W0)
+        mom = mi_moments(PosteriorCounts([[8, 2], [4, 16]]))
+        mm = moments_with_missing(t, W0)
         assert mm.variance == pytest.approx((mom.k_term - mom.j_term**2) / 30.0, abs=1e-12)
         assert mm.q_bar == pytest.approx(1.0, abs=1e-12)
         assert mm.p_bar == 0.0
@@ -114,12 +104,12 @@ class TestVarianceMissing:
         assert mm.j_bar == pytest.approx(mom.j_term, abs=1e-12)
 
     def test_rank_one_fill_gives_zero_variance(self):
-        mm = mi_variance_missing(ContingencyTable([[1, 1], [1, 1]], missing_class=[2, 0]), W0)
+        mm = moments_with_missing(ContingencyTable([[1, 1], [1, 1]], missing_class=[2, 0]), W0)
         assert mm.k_bar == 0.0 and mm.j_bar == 0.0
         assert mm.variance == 0.0
 
     def test_against_plain_loop_transcription(self):
-        mm = mi_variance_missing(ContingencyTable([[8, 2], [4, 16]], missing_class=[3, 5]), W0)
+        mm = moments_with_missing(ContingencyTable([[8, 2], [4, 16]], missing_class=[3, 5]), W0)
         assert mm.variance == pytest.approx(transcribed_variance([[8, 2], [4, 16]], [3, 5]), abs=1e-12)
 
     def test_randomised_against_transcription(self):
@@ -128,19 +118,19 @@ class TestVarianceMissing:
             r, s = rng.integers(2, 5, size=2)
             counts = rng.integers(1, 25, size=(r, s))
             unlabeled = rng.integers(0, 8, size=r)
-            mm = mi_variance_missing(ContingencyTable(counts, missing_class=unlabeled), W0)
+            mm = moments_with_missing(ContingencyTable(counts, missing_class=unlabeled), W0)
             expected = transcribed_variance(counts.tolist(), unlabeled.tolist())
             assert mm.variance == pytest.approx(max(0.0, expected), abs=1e-12)
 
     def test_sentinel_for_rows_without_unlabeled_mass(self):
-        mm = mi_variance_missing(ContingencyTable([[3, 1], [2, 4]], missing_class=[2, 0]), W0)
+        mm = moments_with_missing(ContingencyTable([[3, 1], [2, 4]], missing_class=[2, 0]), W0)
         assert math.isinf(mm.rho_missing[1])
         assert mm.q_bar_i[1] == 1.0
         assert 0.0 < mm.q_bar_i[0] < 1.0
 
     def test_continuous_at_vanishing_unlabeled_mass(self):
-        complete = mi_variance_missing(ContingencyTable([[8, 2], [4, 16]]), W0)
-        tiny = mi_variance_missing(
+        complete = moments_with_missing(ContingencyTable([[8, 2], [4, 16]]), W0)
+        tiny = moments_with_missing(
             ContingencyTable([[8, 2], [4, 16]], missing_class=[1e-9, 0.0]), W0
         )
         assert tiny.variance == pytest.approx(complete.variance, abs=1e-9)
@@ -148,14 +138,14 @@ class TestVarianceMissing:
 
     def test_prior_extrapolation_flag(self):
         t = ContingencyTable([[3, 1], [2, 4]], missing_class=[1, 0])
-        assert not mi_variance_missing(t, PriorSpec("uniform")).prior_extrapolation
-        assert mi_variance_missing(t, PriorSpec("jeffreys")).prior_extrapolation
+        assert not moments_with_missing(t, PriorSpec("uniform")).prior_extrapolation
+        assert moments_with_missing(t, PriorSpec("jeffreys")).prior_extrapolation
 
 
 class TestDispatch:
     def test_feature_axis_routes_through_transpose(self):
         t = ContingencyTable([[8, 2], [4, 16]], missing_feature=[3, 5])
-        direct = mi_variance_missing(
+        direct = moments_with_missing(
             ContingencyTable(np.array([[8, 2], [4, 16]]).T, missing_class=[3, 5]), W0
         )
         routed = moments_with_missing(t, W0)
@@ -167,6 +157,10 @@ class TestDispatch:
         t = ContingencyTable([[1, 1], [1, 1]], missing_class=[1, 0], missing_feature=[0, 1])
         with pytest.raises(InputError):
             moments_with_missing(t, W0)
+
+    def test_table_without_mass_rejected(self):
+        with pytest.raises(InputError, match="no mass"):
+            moments_with_missing(ContingencyTable([[0, 0], [0, 0]]), W0)
 
     def test_complete_table_allowed(self):
         t = ContingencyTable([[3, 1], [2, 4]])
@@ -188,7 +182,7 @@ class TestDispatch:
 @settings(max_examples=60)
 def test_q_bar_i_in_unit_interval(payload):
     counts, unlabeled = payload
-    mm = mi_variance_missing(ContingencyTable(counts, missing_class=unlabeled), W0)
+    mm = moments_with_missing(ContingencyTable(counts, missing_class=unlabeled), W0)
     for q_i, u in zip(mm.q_bar_i, unlabeled):
         assert 0.0 < q_i <= 1.0
         if u == 0:

@@ -6,12 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midist.errors import InputError
-from midist.nb import NaiveBayesModel
+from midist.nb import NaiveBayesModel, encode, score_subsets
+
+
+def learn(model, instance, class_index):
+    """Absorb one labelled instance."""
+    model.absorb(*encode([instance], model.vocab_sizes), np.array([class_index]))
+
+
+def classify(model, instance, selected):
+    """Most probable class and the posterior, scoring only the ``selected`` attributes."""
+    mask = [a in selected for a in range(len(model.vocab_sizes))]
+    predicted, posteriors = classify_subsets(model, instance, [mask])
+    return int(predicted[0]), posteriors[0]
+
+
+def classify_subsets(model, instance, masks):
+    """Most probable class and posterior under each row of an (F, attributes) mask."""
+    values, observed = encode([instance], model.vocab_sizes)
+    value_counts = model.cond_counts[np.arange(len(model.vocab_sizes)), values[0]]
+    selected = np.asarray(masks, dtype=bool) & observed
+    predicted, log_scores = score_subsets(value_counts, model.class_counts, model.vocab_sizes, selected)
+    weights = np.exp(log_scores)
+    return predicted, weights / weights.sum(axis=1, keepdims=True)
 
 
 def test_empty_model_gives_uniform_posterior_and_class_zero():
     model = NaiveBayesModel([2, 3], 2)
-    predicted, posterior = model.predict([0, 1], [])
+    predicted, posterior = classify(model, [0, 1], [])
     assert predicted == 0
     assert np.allclose(posterior, [0.5, 0.5])
 
@@ -21,8 +43,8 @@ def test_hand_worked_single_attribute():
     # value 0 is 4/5 vs 1/2, so the posterior for class 0 is 0.64/0.74
     model = NaiveBayesModel([2], 2)
     for _ in range(3):
-        model.update([0], 0)
-    predicted, posterior = model.predict([0], [0])
+        learn(model, [0], 0)
+    predicted, posterior = classify(model, [0], [0])
     assert predicted == 0
     assert posterior[0] == pytest.approx(0.64 / 0.74, abs=1e-12)
 
@@ -30,8 +52,8 @@ def test_hand_worked_single_attribute():
 def test_empty_selection_uses_smoothed_class_frequencies_only():
     model = NaiveBayesModel([2], 3)
     for cls in (0, 0, 1):
-        model.update([0], cls)
-    _, posterior = model.predict([1], [])
+        learn(model, [0], cls)
+    _, posterior = classify(model, [1], [])
     assert np.allclose(posterior, [3 / 6, 2 / 6, 1 / 6])
 
 
@@ -39,8 +61,8 @@ def test_update_counts_conserved():
     rng = np.random.default_rng(0)
     model = NaiveBayesModel([3, 2], 4)
     for _ in range(100):
-        model.update([int(rng.integers(3)), int(rng.integers(2))], int(rng.integers(4)))
-    assert model.seen == 100
+        learn(model, [int(rng.integers(3)), int(rng.integers(2))], int(rng.integers(4)))
+    assert model.class_counts.sum() == 100
     assert model.class_counts.sum() == 100
     for a in range(2):
         assert np.array_equal(model.cond_counts[a].sum(axis=0), model.class_counts)
@@ -48,8 +70,8 @@ def test_update_counts_conserved():
 
 def test_posterior_positive_and_normalised():
     model = NaiveBayesModel([4, 4], 3)
-    model.update([0, 1], 2)
-    _, posterior = model.predict([3, 3], [0, 1])
+    learn(model, [0, 1], 2)
+    _, posterior = classify(model, [3, 3], [0, 1])
     assert posterior.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(posterior > 0)
 
@@ -60,32 +82,30 @@ def test_update_strictly_raises_own_class_posterior():
     for _ in range(50):
         instance = [int(rng.integers(v)) for v in (3, 2, 4)]
         cls = int(rng.integers(3))
-        _, before = model.predict(instance, [0, 1, 2])
-        model.update(instance, cls)
-        _, after = model.predict(instance, [0, 1, 2])
+        _, before = classify(model, instance, [0, 1, 2])
+        learn(model, instance, cls)
+        _, after = classify(model, instance, [0, 1, 2])
         assert after[cls] > before[cls]
 
 
 def test_missing_cells_skipped():
     model = NaiveBayesModel([2, 2], 2)
-    model.update([0, None], 0)
-    model.update([None, 1], 1)
+    learn(model, [0, None], 0)
+    learn(model, [None, 1], 1)
     assert model.class_counts.tolist() == [1, 1]
     assert model.cond_counts[0].sum() == 1 and model.cond_counts[1].sum() == 1
-    predicted, _ = model.predict([None, None], [0, 1])
+    predicted, _ = classify(model, [None, None], [0, 1])
     assert predicted == 0  # falls back to the class prior, tie to low index
 
 
 def test_input_validation():
     model = NaiveBayesModel([2], 2)
     with pytest.raises(InputError):
-        model.predict([5], [0])
+        classify(model, [5], [0])
     with pytest.raises(InputError):
-        model.predict([0, 1], [0])
+        classify(model, [0, 1], [0])
     with pytest.raises(InputError):
-        model.predict([0], [3])
-    with pytest.raises(InputError):
-        model.update([0], 7)
+        learn(model, [0], 7)
 
 
 @given(
@@ -103,9 +123,9 @@ def test_order_insensitive_tallies(rows, rnd):
     a = NaiveBayesModel([2, 3], 2)
     b = NaiveBayesModel([2, 3], 2)
     for v0, v1, cls in rows:
-        a.update([v0, v1], cls)
+        learn(a, [v0, v1], cls)
     for v0, v1, cls in shuffled:
-        b.update([v0, v1], cls)
+        learn(b, [v0, v1], cls)
     assert np.array_equal(a.class_counts, b.class_counts)
     assert all(np.array_equal(x, y) for x, y in zip(a.cond_counts, b.cond_counts))
 
@@ -114,7 +134,7 @@ def _exact_rational_argmax(model, instance, selected):
     s = model.class_count
     scores = []
     for j in range(s):
-        score = Fraction(int(model.class_counts[j]) + 1, model.seen + s)
+        score = Fraction(int(model.class_counts[j]) + 1, model.class_counts.sum() + s)
         for a in selected:
             v = instance[a]
             score *= Fraction(
@@ -134,8 +154,8 @@ def _exact_rational_argmax(model, instance, selected):
 def test_log_space_argmax_matches_exact_arithmetic(rows, query):
     model = NaiveBayesModel([2], 2)
     for v, cls in rows:
-        model.update([v], cls)
-    predicted, _ = model.predict([query[0]], [0])
+        learn(model, [v], cls)
+    predicted, _ = classify(model, [query[0]], [0])
     assert predicted == _exact_rational_argmax(model, [query[0]], [0])
 
 
@@ -143,9 +163,9 @@ def test_mathematically_equal_scores_tie_to_the_lowest_class():
     # class 0 scores 2/4 * 2/3 * 1/4 and class 1 scores 2/4 * 1/3 * 2/4: both
     # 1/12 from different terms, so their log sums may round either way
     model = NaiveBayesModel([2, 3], 2)
-    model.update([1, 1], 0)
-    model.update([0, 0], 1)
-    predicted, posterior = model.predict([1, 0], [0, 1])
+    learn(model, [1, 1], 0)
+    learn(model, [0, 0], 1)
+    predicted, posterior = classify(model, [1, 0], [0, 1])
     assert predicted == _exact_rational_argmax(model, [1, 0], [0, 1]) == 0
     assert posterior == pytest.approx([0.5, 0.5], abs=1e-12)
 
@@ -157,17 +177,25 @@ def test_mathematically_equal_scores_tie_to_the_lowest_class():
 )
 @settings(max_examples=60)
 def test_subset_scoring_equals_predict_per_subset(rows, query, masks):
+    # every mask row scores as it would alone
     model = NaiveBayesModel([4, 2, 2], 3)
     for v0, v1, cls in rows:
-        model.update([v0, v1, None if cls == 2 else v0 % 2], cls)
-    predicted, posteriors = model.predict_subsets(query, masks)
+        learn(model, [v0, v1, None if cls == 2 else v0 % 2], cls)
+    predicted, posteriors = classify_subsets(model, query, masks)
     for mask, guess, posterior in zip(masks, predicted, posteriors):
-        alone, expected = model.predict(query, [a for a, on in enumerate(mask) if on])
+        alone, expected = classify(model, query, [a for a, on in enumerate(mask) if on])
         assert guess == alone
         assert np.array_equal(posterior, expected)
 
 
-def test_subset_mask_shape_checked():
-    model = NaiveBayesModel([2, 2], 2)
-    with pytest.raises(InputError):
-        model.predict_subsets([0, 1], [[True]])
+@pytest.mark.parametrize(
+    "instances, message",
+    [
+        ([("2",)], "instance 0: attribute 0: value index '2' is a string"),
+        ([(0, 1), (None, b"1")], "instance 1: attribute 1: value index b'1' is a string"),
+        ([(1, np.str_("0"))], "instance 0: attribute 1: value index .*'0'.* is a string"),  # repr varies by numpy
+    ],
+)
+def test_text_cells_rejected_even_when_numeric(instances, message):
+    with pytest.raises(InputError, match=message):
+        encode(instances, [3, 3][: len(instances[0])])
