@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
-"""Compare the three approximation families against the sampler.
+"""Compare the fitted approximation families against the sampler.
 
 For each reference count vector (and optional scalings of the first one)
-the script fits normal, gamma and beta approximations to the analytic
-moments and reports the KS distance of each fit to a large set of
-posterior draws, the analytic moments, and the 5%/95% credible bounds of
-the beta fit.
+the script fits every family of ``FIT_FAMILIES`` to the analytic moments
+and reports the KS distance of each fit to a large set of posterior
+draws, the analytic moments, and the 5%/95% credible bounds of the beta
+fit.
 """
 
 import argparse
 
 import numpy as np
 
-from midist.dist import fit
+from midist.dist import FIT_FAMILIES, fit
 from midist.mc import ks_distance, sample_mi
 from midist.moments import mi_moments
 from midist.tables import PosteriorCounts
@@ -35,20 +35,20 @@ def main() -> None:
     for scale in [int(c) for c in args.scales.split(",") if int(c) != 1]:
         rows.append((f"{scale}x(40,10,20,80)", scale * VECTORS["(40,10,20,80)"]))
 
-    print(f"{'counts':>18s} {'mean':>9s} {'sd':>9s} {'ks_norm':>8s} {'ks_gam':>8s} {'ks_beta':>8s} {'q05':>8s} {'q95':>8s}")
+    ks_header = "".join(f" {'ks_' + family:>9s}" for family in FIT_FAMILIES)
+    print(f"{'counts':>18s} {'mean':>9s} {'sd':>9s}{ks_header} {'q05':>8s} {'q95':>8s}")
     for name, counts in rows:
         pc = PosteriorCounts(counts + 1.0)
         moments = mi_moments(pc)
         summary = sample_mi(pc, args.samples, seed=args.seed)
-        distances = {}
-        for family in ("normal", "gamma", "beta"):
-            d = fit(family, moments.mean, moments.variance, summary.i_max)
-            distances[family] = ks_distance(summary, d)
+        distances = [
+            ks_distance(summary, fit(family, moments.mean, moments.variance, summary.i_max)) for family in FIT_FAMILIES
+        ]
         beta = fit("beta", moments.mean, moments.variance, summary.i_max)
         print(
-            f"{name:>18s} {moments.mean:9.5f} {moments.variance**0.5:9.5f} "
-            f"{distances['normal']:8.5f} {distances['gamma']:8.5f} {distances['beta']:8.5f} "
-            f"{beta.quantile(0.05):8.5f} {beta.quantile(0.95):8.5f}"
+            f"{name:>18s} {moments.mean:9.5f} {moments.variance**0.5:9.5f}"
+            + "".join(f" {distance:9.5f}" for distance in distances)
+            + f" {beta.quantile(0.05):8.5f} {beta.quantile(0.95):8.5f}"
         )
 
 

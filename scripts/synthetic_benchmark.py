@@ -10,9 +10,9 @@ report of the last seed for plotting.
 
 import argparse
 
-from midist.filters import FilterConfig
+from midist.dist import FIT_FAMILIES
+from midist.filters import FILTERS, FilterConfig
 from midist.harness import prepare, run_incremental, synthetic_dataset, write_report
-from midist.tables import PriorSpec
 
 
 def main() -> None:
@@ -22,14 +22,15 @@ def main() -> None:
     parser.add_argument("--noise", type=int, default=5)
     parser.add_argument("--flip", type=float, default=0.2)
     parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--epsilon", type=float, default=0.003)
-    parser.add_argument("--p", type=float, default=0.95)
-    parser.add_argument("--family", default="beta", choices=("normal", "gamma", "beta"))
+    defaults = FilterConfig()
+    parser.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    parser.add_argument("--p", type=float, default=defaults.p_level)
+    parser.add_argument("--family", default=defaults.family, choices=FIT_FAMILIES)
     parser.add_argument("--out", default=None, help="write the last seed's report (json)")
     args = parser.parse_args()
 
-    cfg = FilterConfig(epsilon=args.epsilon, p_level=args.p, family=args.family, prior=PriorSpec())
-    totals = {f: {"accuracy": 0.0, "selected": 0.0} for f in ("f", "ff", "bf")}
+    cfg = FilterConfig(epsilon=args.epsilon, p_level=args.p, family=args.family)
+    totals = {f: {"accuracy": 0.0, "selected": 0.0} for f in FILTERS}
     report = None
     for seed in range(args.seeds):
         ds = synthetic_dataset(
@@ -38,7 +39,7 @@ def main() -> None:
         )
         report = run_incremental(prepare(ds, seed=seed), cfg)
         row = []
-        for f in ("f", "ff", "bf"):
+        for f in FILTERS:
             run = report.runs[f]
             totals[f]["accuracy"] += run.final_accuracy
             totals[f]["selected"] += run.mean_selected
@@ -46,7 +47,7 @@ def main() -> None:
         print(f"seed {seed:3d}  " + "   ".join(row))
 
     print("\naverages over seeds:")
-    for f in ("f", "ff", "bf"):
+    for f in FILTERS:
         print(
             f"  {f:>2s}: accuracy {totals[f]['accuracy'] / args.seeds:.4f}"
             f"  selected {totals[f]['selected'] / args.seeds:6.2f}"

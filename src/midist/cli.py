@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 from . import harness
 from .core import mi_upper_bound
-from .dist import fit_with_fallback
+from .dist import FIT_FAMILIES, fit_with_fallback
 from .errors import ConfigurationError, InputError, NumericalError
 from .filters import FILTERS, FilterConfig, FilterDecision, decide, decide_tables
 from .mc import ks_distance, sample_mi
@@ -32,13 +32,17 @@ def _prior(args) -> PriorSpec:
     return PriorSpec(args.prior, args.prior_weight)  # a named prior rejects a weight
 
 
-def _load_table(path):
+def _config(args) -> FilterConfig:
+    return FilterConfig(epsilon=args.epsilon, p_level=args.p, family=args.family, prior=_prior(args))
+
+
+def _read_json(path):
+    """The decoded JSON file at ``path``; text that does not decode is an ``InputError`` naming the file."""
     try:
         with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    return table_from_json(payload)
 
 
 def _dataset(args) -> harness.Dataset:
@@ -60,8 +64,17 @@ def _add_dataset_options(parser) -> None:
 
 
 def _add_prior_options(parser) -> None:
-    parser.add_argument("--prior", default="uniform", choices=PRIOR_KINDS)
+    parser.add_argument("--prior", default=PriorSpec().kind, choices=PRIOR_KINDS)
     parser.add_argument("--prior-weight", type=float, default=None, help="per-cell weight for --prior custom")
+
+
+def _add_filter_options(parser) -> None:
+    """The options ``_config`` reads, defaulting to ``FilterConfig()``'s fields."""
+    defaults = FilterConfig()
+    parser.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    parser.add_argument("--p", type=float, default=defaults.p_level)
+    parser.add_argument("--family", default=defaults.family, choices=FIT_FAMILIES)
+    _add_prior_options(parser)
 
 
 def _posterior(table: ContingencyTable, prior: PriorSpec, **settings) -> FilterDecision:
@@ -70,7 +83,7 @@ def _posterior(table: ContingencyTable, prior: PriorSpec, **settings) -> FilterD
 
 
 def cmd_mi(args) -> int:
-    table = _load_table(args.table)
+    table = table_from_json(_read_json(args.table))
     prior = _prior(args)
     d = _posterior(table, prior, epsilon=args.epsilon)
     margin = "feature" if table.missing_feature.any() else "class"
@@ -93,7 +106,7 @@ def cmd_mi(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    table = _load_table(args.table)
+    table = table_from_json(_read_json(args.table))
     prior = _prior(args)
     if table.has_missing():
         raise InputError("the sampler needs a complete table (no partial margins)")
@@ -125,7 +138,7 @@ def cmd_mc(args) -> int:
 
 def cmd_select(args) -> int:
     dataset = _dataset(args)
-    cfg = FilterConfig(epsilon=args.epsilon, p_level=args.p, family=args.family, prior=_prior(args))
+    cfg = _config(args)
     tables = harness.attribute_tables(dataset)
     kept, decisions = decide_tables(tables, cfg, args.filter)
     for decision in decisions:
@@ -137,7 +150,7 @@ def cmd_select(args) -> int:
 def cmd_run(args) -> int:
     dataset = _dataset(args)
     filters = [f.strip() for f in args.filters.split(",") if f.strip()]
-    cfg = FilterConfig(epsilon=args.epsilon, p_level=args.p, family=args.family, prior=_prior(args))
+    cfg = _config(args)
     prepared = harness.prepare(dataset, mode=f"{args.missing}_missing", seed=args.seed)
     report = harness.run_incremental(prepared, cfg, filters)
     harness.write_report(report, args.out, format=args.format)
@@ -156,7 +169,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_ttest(args) -> int:
-    report = harness.load_report(args.report)
+    report = harness.report_from_dict(_read_json(args.report))
     names = [p.strip() for p in args.pair.split(",")]
     if len(names) != 2:
         raise InputError("--pair needs two comma-separated filter names, e.g. ff,f")
@@ -200,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mi", help="posterior information moments of one table")
     p.add_argument("--table", required=True, help="JSON table literal file")
     _add_prior_options(p)
-    p.add_argument("--dist", default=None, choices=("normal", "gamma", "beta"))
-    p.add_argument("--epsilon", type=float, default=0.003)
+    p.add_argument("--dist", default=None, choices=FIT_FAMILIES)
+    p.add_argument("--epsilon", type=float, default=FilterConfig().epsilon)
     p.set_defaults(func=cmd_mi)
 
     p = sub.add_parser("mc", help="Monte Carlo summary of the information posterior")
@@ -209,26 +222,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prior_options(p)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fit", default=None, choices=("normal", "gamma", "beta"))
+    p.add_argument("--fit", default=None, choices=FIT_FAMILIES)
     p.add_argument("--dump", default=None, help="write raw draws as little-endian float64")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("select", help="filter attributes of a CSV dataset")
     _add_dataset_options(p)
     p.add_argument("--filter", required=True, choices=FILTERS)
-    p.add_argument("--epsilon", type=float, default=0.003)
-    p.add_argument("--p", type=float, default=0.95)
-    p.add_argument("--family", default="beta", choices=("normal", "gamma", "beta"))
-    _add_prior_options(p)
+    _add_filter_options(p)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("run", help="incremental classify-then-update experiment")
     _add_dataset_options(p)
-    p.add_argument("--filters", default="f,ff,bf")
-    p.add_argument("--epsilon", type=float, default=0.003)
-    p.add_argument("--p", type=float, default=0.95)
-    p.add_argument("--family", default="beta", choices=("normal", "gamma", "beta"))
-    _add_prior_options(p)
+    p.add_argument("--filters", default=",".join(FILTERS))
+    _add_filter_options(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--missing", default="drop", choices=("drop", "keep"))
     p.add_argument("--out", required=True)

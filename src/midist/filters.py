@@ -24,7 +24,6 @@ from .moments import moments_batch
 from .tables import ContingencyTable, PriorSpec, add_prior
 
 FILTERS = ("f", "ff", "bf")
-_FLAG_NAMES = {"f": "keep_f", "ff": "keep_ff", "bf": "keep_bf"}
 
 
 @dataclass(frozen=True)
@@ -44,14 +43,17 @@ class FilterConfig:
         if self.family not in FIT_FAMILIES:
             raise ConfigurationError(f"family must be one of {FIT_FAMILIES}")
 
-    def require_credible_threshold(self) -> None:
-        """The credible filters need epsilon > 0.
+    def check_filters(self, names) -> None:
+        """Reject a name outside ``FILTERS``, and epsilon = 0 when ff or bf is named.
 
         The posterior puts probability one on strictly positive
         information, so a zero threshold could never separate anything;
         only the plug-in filter tolerates epsilon = 0.
         """
-        if self.epsilon == 0.0:
+        for name in names:
+            if name not in FILTERS:
+                raise InputError(f"unknown filter {name!r}; expected one of {FILTERS}")
+        if self.epsilon == 0.0 and any(name != "f" for name in names):
             raise ConfigurationError(
                 "epsilon = 0 is rejected for the credible filters: exact "
                 "independence has posterior probability zero, so every "
@@ -147,10 +149,7 @@ def decide_tables(tables: dict, cfg: FilterConfig, which: str = "f") -> tuple[li
     class; all tables must agree on the class cardinality.  Returns the ids
     that filter ``which`` keeps, in input order, and every decision.
     """
-    if which not in FILTERS:
-        raise InputError(f"unknown filter {which!r}; expected one of {FILTERS}")
-    if which != "f":
-        cfg.require_credible_threshold()
+    cfg.check_filters([which])
     cardinalities = {t.s for t in tables.values()}
     if len(cardinalities) > 1:
         raise InputError(
@@ -168,7 +167,7 @@ def decide_tables(tables: dict, cfg: FilterConfig, which: str = "f") -> tuple[li
     columns = {f.name: getattr(batch, f.name).tolist() for f in fields(FilterDecision)[1:]}
     columns["fit_fallback"] = ["gamma" if fell_back else None for fell_back in columns["fit_fallback"]]
     decisions = [FilterDecision(aid, *(column[k] for column in columns.values())) for k, aid in enumerate(tables)]
-    return [d.attribute for d in decisions if getattr(d, _FLAG_NAMES[which])], decisions
+    return [d.attribute for d in decisions if getattr(d, f"keep_{which}")], decisions
 
 
 def decide(table: ContingencyTable, cfg: FilterConfig, attribute=None) -> FilterDecision:

@@ -23,7 +23,7 @@ from scipy import special
 
 from .core import ordered_sum
 from .errors import InputError
-from .filters import _FLAG_NAMES, FILTERS, FilterConfig, decide_batch
+from .filters import FILTERS, FilterConfig, decide_batch
 from .nb import NaiveBayesModel, encode, score_subsets
 from .tables import ContingencyTable
 
@@ -67,11 +67,14 @@ def read_rows(path, delimiter: str = ",", header: bool = True, class_column=None
     ``class_column`` is a name or a 0-based index, by default the last column.
     """
     raw: list[tuple[int, list[str]]] = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            raw.append((lineno, [cell.strip() for cell in row]))
+    try:
+        with open(path, newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+                if not row or all(cell.strip() == "" for cell in row):
+                    continue
+                raw.append((lineno, [cell.strip() for cell in row]))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid text: {exc}") from None
     if not raw:
         raise InputError(f"{path}: empty file")
     names, data = (raw[0][1], raw[1:]) if header else ([f"col_{i}" for i in range(len(raw[0][1]))], raw)
@@ -276,11 +279,7 @@ def run_incremental(
     filters = list(filters)
     if not filters or len(set(filters)) != len(filters):
         raise InputError("filters must be a non-empty list without duplicates")
-    for f in filters:
-        if f not in FILTERS:
-            raise InputError(f"unknown filter {f!r}; expected one of {FILTERS}")
-    if any(f != "f" for f in filters):
-        cfg.require_credible_threshold()
+    cfg.check_filters(filters)
     if len(dataset) < 1:
         raise InputError("run needs at least one instance")
     if any(cls is None for _, cls in dataset.instances):
@@ -290,7 +289,7 @@ def run_incremental(
     classes = np.array([cls for _, cls in dataset.instances], dtype=np.int64)
     model = NaiveBayesModel(dataset.vocab_sizes, dataset.class_count)
     rows = np.array(dataset.vocab_sizes, dtype=np.int64)
-    flags = [_FLAG_NAMES[f] for f in filters]
+    flags = [f"keep_{f}" for f in filters]
     keep, predicted = [], []  # per chunk: (T, F, A) keep masks and (T, F) predictions
     for chunk in _chunks(len(classes), len(rows)):
         prefix, class_prefix = model.absorb(values[chunk], observed[chunk], classes[chunk])
@@ -344,20 +343,21 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def report_from_dict(payload: dict) -> RunReport:
-    runs = {name: FilterRun(**body) for name, body in payload["runs"].items()}
-    return RunReport(
-        config=payload["config"],
-        filters=list(payload["filters"]),
-        instance_count=int(payload["instance_count"]),
-        order_hash=payload["order_hash"],
-        runs=runs,
-        pair_tests=payload["pair_tests"],
-    )
-
-
-def load_report(path) -> RunReport:
-    with open(path) as fh:
-        return report_from_dict(json.load(fh))
+    """The report ``report_to_dict`` gave ``payload``; a missing key or a mistyped field is an ``InputError``."""
+    try:
+        runs = {name: FilterRun(**body) for name, body in payload["runs"].items()}
+        return RunReport(
+            config=payload["config"],
+            filters=list(payload["filters"]),
+            instance_count=int(payload["instance_count"]),
+            order_hash=payload["order_hash"],
+            runs=runs,
+            pair_tests=payload["pair_tests"],
+        )
+    except KeyError as exc:
+        raise InputError(f"report is missing {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed report: {exc}") from None
 
 
 def write_report(report: RunReport, path, format: str = "csv") -> None:

@@ -8,7 +8,6 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,14 +24,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _numbers(values, name: str) -> np.ndarray:
-    """``values`` as a float array; a ragged nesting, text or a non-number is an ``InputError``."""
+    """``values`` as a float array; ragged nesting, text, a non-number and a negative
+    or non-finite entry are each an ``InputError``."""
     try:
         out = np.asarray(values)
         if out.dtype.kind in "SU":  # astype would parse "2" as 2.0
             raise TypeError
-        return out.astype(float)
+        out = out.astype(float)
     except (TypeError, ValueError):
         raise InputError(f"{name} must be a regular array of numbers") from None
+    if not np.all(np.isfinite(out)) or np.any(out < 0):
+        raise InputError(f"{name} entries must be finite and non-negative")
+    return out
 
 
 def _as_margin(vec, length: int, name: str) -> np.ndarray:
@@ -41,8 +44,6 @@ def _as_margin(vec, length: int, name: str) -> np.ndarray:
     out = _numbers(vec, name)
     if out.shape != (length,):
         raise InputError(f"{name} must have length {length}, got shape {out.shape}")
-    if not np.all(np.isfinite(out)) or np.any(out < 0):
-        raise InputError(f"{name} entries must be finite and non-negative")
     return out
 
 
@@ -63,10 +64,6 @@ class ContingencyTable:
         as_float = _numbers(self.counts, "counts")
         if as_float.ndim != 2 or as_float.shape[0] < 1 or as_float.shape[1] < 1:
             raise InputError("counts must be an r x s grid with r >= 1 and s >= 1")
-        if not np.all(np.isfinite(as_float)):
-            raise InputError("counts must be finite")
-        if np.any(as_float < 0):
-            raise InputError("counts must be non-negative")
         if np.any(np.mod(as_float, 1.0) != 0):
             raise InputError("observed counts must be integral")
         r, s = as_float.shape
@@ -136,11 +133,9 @@ class PosteriorCounts:
     total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        n = np.array(self.n, dtype=float)
+        n = _numbers(self.n, "posterior grid")
         if n.ndim != 2 or n.shape[0] < 1 or n.shape[1] < 1:
             raise InputError("posterior grid must be an r x s array")
-        if not np.all(np.isfinite(n)) or np.any(n < 0):
-            raise InputError("posterior cells must be finite and non-negative")
         rows = n.sum(axis=1)
         object.__setattr__(self, "n", _readonly(n))
         object.__setattr__(self, "row_marginals", _readonly(rows))
@@ -184,15 +179,10 @@ def apply_prior(table: ContingencyTable, prior: PriorSpec) -> PosteriorCounts:
 
 
 def table_from_json(obj) -> ContingencyTable:
-    """Build a table from the JSON literal {"r", "s", "counts", ...}.
+    """Build a table from a decoded JSON literal {"r", "s", "counts", ...}.
 
     The missing-count vectors are optional and default to zero.
     """
-    if isinstance(obj, (str, bytes)):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid table JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("table literal must be a JSON object")
     for key in ("r", "s", "counts"):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import json
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 import midist
-from midist.cli import main
-from midist.filters import FilterConfig, decide, decide_batch
+from midist.cli import build_parser, main
+from midist.dist import FIT_FAMILIES
+from midist.filters import FILTERS, FilterConfig, decide, decide_batch
 
 
 @pytest.fixture
@@ -321,6 +323,35 @@ def test_prior_weight_with_a_named_prior_is_rejected(capsys, table_file, csv_fil
     assert code == 1 and out == "" and "determines its own weight" in err
 
 
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("ttest", b"{not json", "{path}: invalid JSON"),
+        ("ttest", b'{"filters": ["f"]}', "report is missing 'runs'"),
+        ("ttest", b"[]", "malformed report"),
+        ("mi", b'{"r": 1, "s": 1, "counts": [[\x81]]}', "{path}: invalid JSON"),
+        ("select", b"a,cls\n\x81,1\n", "{path}: not valid text"),
+        ("run", b"a,cls\n\x81,1\n", "{path}: not valid text"),
+        ("discretize", b"a,cls\n\x81,1\n", "{path}: not valid text"),
+    ],
+    ids=["report-not-json", "report-without-runs", "report-not-an-object", "table-not-utf8", "select-csv-not-utf8",
+         "run-csv-not-utf8", "discretize-csv-not-utf8"],
+)
+def test_malformed_input_file_is_an_input_error(capsys, tmp_path, command, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    source = {
+        "ttest": ["--report", str(path), "--pair", "ff,f"],
+        "mi": ["--table", str(path)],
+        "select": ["--data", str(path), "--filter", "f"],
+        "run": ["--data", str(path), "--out", str(tmp_path / "report.csv")],
+        "discretize": ["--data", str(path), "--bins", "2", "--out", str(tmp_path / "binned.csv")],
+    }[command]
+    code, out, err = run_cli(capsys, command, *source)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message.format(path=path) in err
+
+
 class TestDiscretize:
     def test_numeric_columns_binned(self, capsys, tmp_path):
         src = tmp_path / "numeric.csv"
@@ -354,3 +385,22 @@ def test_public_names_resolve_and_cover_the_readme_quick_start():
     for node in imports:
         module = importlib.import_module(node.module)
         assert all(hasattr(module, alias.name) for alias in node.names), node.module
+
+
+def test_options_take_filter_defaults_and_names_from_the_library():
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        (name, opt): action
+        for name, sub in subcommands.choices.items()
+        for action in sub._actions
+        for opt in action.option_strings
+    }
+    families = {key: action.choices for key, action in options.items() if key[1] in ("--family", "--dist", "--fit")}
+    assert set(families) == {("mi", "--dist"), ("mc", "--fit"), ("select", "--family"), ("run", "--family")}
+    assert all(choices == FIT_FAMILIES for choices in families.values()), families
+    cfg = FilterConfig()
+    fields = {"--epsilon": cfg.epsilon, "--p": cfg.p_level, "--family": cfg.family, "--prior": cfg.prior.kind}
+    defaults = {key: action.default for key, action in options.items() if key[1] in fields}
+    assert len(defaults) == 11  # --epsilon in mi, select, run; --p and --family in select, run; --prior in four
+    assert all(default == fields[opt] for (_, opt), default in defaults.items()), defaults
+    assert options["run", "--filters"].default == ",".join(FILTERS)

@@ -37,7 +37,7 @@ class TestConfig:
     def test_zero_epsilon_allowed_but_rejected_for_credible_filters(self):
         cfg = FilterConfig(epsilon=0.0)
         with pytest.raises(ConfigurationError, match="epsilon"):
-            cfg.require_credible_threshold()
+            cfg.check_filters(["ff"])
 
 
 class TestDecide:

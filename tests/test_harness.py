@@ -17,7 +17,6 @@ from midist.harness import (
     attribute_tables,
     discretize_equal_frequency,
     load_dataset,
-    load_report,
     paired_t_test,
     prepare,
     report_from_dict,
@@ -458,7 +457,7 @@ class TestReports:
         report = self.make_report()
         path = tmp_path / "report.json"
         write_report(report, path, format="json")
-        assert load_report(path) == report
+        assert report_from_dict(json.loads(path.read_text())) == report
 
     def test_dict_round_trip_via_json_text(self):
         report = self.make_report()

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +79,13 @@ class TestPosteriorCountsValidation:
         with pytest.raises(InputError):
             PosteriorCounts([[1, -1], [1, 1]])
 
+    @pytest.mark.parametrize("grid", [[[1, 2], [3]], [["1", "2"]], [["a", "b"]]])
+    def test_grid_read_as_contingency_table_counts_are(self, grid):
+        with pytest.raises(InputError, match="posterior grid must be a regular array of numbers"):
+            PosteriorCounts(grid)
+        with pytest.raises(InputError, match="counts must be a regular array of numbers"):
+            ContingencyTable(grid)
+
 
 class TestTableValidation:
     def test_non_integral_counts_rejected(self):
@@ -139,7 +144,7 @@ class TestJsonLiteral:
         assert t.missing_class[0] == 1 and t.missing_feature[1] == 2
 
     def test_missing_vectors_default_to_zero(self):
-        t = table_from_json(json.dumps({"r": 1, "s": 3, "counts": [[1, 2, 3]]}))
+        t = table_from_json({"r": 1, "s": 3, "counts": [[1, 2, 3]]})
         assert not t.has_missing()
 
     def test_shape_mismatch(self):
