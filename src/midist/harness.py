@@ -66,6 +66,8 @@ def read_rows(path, delimiter: str = ",", header: bool = True, class_column=None
     Blank lines are skipped; without a header the names are col_0, col_1, ...
     ``class_column`` is a name or a 0-based index, by default the last column.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise InputError(f"delimiter must be one character, got {delimiter!r}")
     raw: list[tuple[int, list[str]]] = []
     try:
         with open(path, newline="") as fh:
@@ -253,9 +255,13 @@ def paired_t_test(correct_a: Sequence[int], correct_b: Sequence[int], k: int) ->
         raise InputError("paired t test needs k >= 2")
     if len(correct_a) < k or len(correct_b) < k:
         raise InputError(f"both sequences must have at least k = {k} entries")
-    pairs = np.asarray([correct_a[:k], correct_b[:k]], dtype=float)
+    message = "paired t test needs integer entries, such as 0/1 correctness flags"
+    try:
+        pairs = np.asarray([correct_a[:k], correct_b[:k]], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{message}: {exc}") from None
     if not np.all(np.isfinite(pairs) & (pairs == np.round(pairs))):
-        raise InputError("paired t test needs integer entries, such as 0/1 correctness flags")
+        raise InputError(message)
     t, significant = _paired_t_curve(pairs[0], pairs[1], _t_critical(k))
     return t[-1], significant[-1]
 

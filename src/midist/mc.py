@@ -4,7 +4,13 @@ Chance matrices are drawn from the Dirichlet posterior by normalising
 independent unit-scale gamma variates (one per cell, shape = posterior
 count) and the information value is evaluated exactly on each draw.  Every
 fixed-size chunk of draws owns its own seed-derived substream, so results
-are bit-identical for a given seed and chunk size.
+are bit-identical for a given seed, chunk size and block size.
+Each chunk is drawn from its generator in consecutive blocks of at most
+BLOCK_CELLS cells, and every block is normalised and reduced to information
+values before the next is drawn, so the working set besides the stored
+values no longer grows with the grid.  Consecutive gamma calls continue one
+generator's stream, so the blocks hold the same draws as one call for the
+whole chunk; only the last bits of the margin product depend on the block size.
 The information kernel takes each draw's margins from one product with a
 0/1 indicator matrix; that changes only the order of its sums, never a draw.
 ``ks_distance`` skips every block of KS_BLOCK draws whose monotone bound on
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +31,7 @@ from .errors import ConfigurationError, InputError, InsufficientDataError, ZeroC
 from .tables import PosteriorCounts
 
 CHUNK_DRAWS = 1 << 15
+BLOCK_CELLS = 1 << 16  # cells per block of draws (512 KiB per float64 temporary), chosen from timings
 SORTED_SAMPLE_LIMIT = 10_000_000
 HISTOGRAM_BINS = 10_000
 SAMPLE_BUDGET = 1_000_000_000
@@ -57,7 +65,18 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 def _chance_draws(shapes: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` simplex points from the Dirichlet with the given shapes."""
     g = rng.standard_gamma(shapes, size=(count, shapes.size))
-    return g / g.sum(axis=1, keepdims=True)
+    g /= g.sum(axis=1, keepdims=True)
+    return g
+
+
+def _chunk_blocks(shapes: np.ndarray, count: int, rng: np.random.Generator):
+    """Yield (first row, draws) over one chunk's ``count`` draws, at most BLOCK_CELLS cells a block.
+
+    A draw wider than BLOCK_CELLS cells makes a block of its own.
+    """
+    rows = max(1, BLOCK_CELLS // shapes.size)
+    for first in range(0, count, rows):
+        yield first, _chance_draws(shapes, min(rows, count - first), rng)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -66,18 +85,24 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return np.multiply(out, x, out=out)
 
 
+@lru_cache(maxsize=16)
+def _margin_indicator(r: int, s: int) -> np.ndarray:
+    """The 0/1 (r s, r + s) matrix that maps cell (i, j) to row margin i and column margin r + j."""
+    return np.hstack([np.kron(np.eye(r), np.ones((s, 1))), np.tile(np.eye(s), (r, 1))])
+
+
 def _information_of(pi: np.ndarray, r: int, s: int) -> np.ndarray:
     """Σ p ln p - Σ row ln row - Σ col ln col per draw, all r + s margins from one product."""
-    margin = np.hstack([np.kron(np.eye(r), np.ones((s, 1))), np.tile(np.eye(s), (r, 1))])  # cell (i, j) -> i, r + j
-    return _xlogx(pi) @ np.ones(r * s) - _xlogx(pi @ margin) @ np.ones(r + s)
+    return _xlogx(pi) @ np.ones(r * s) - _xlogx(pi @ _margin_indicator(r, s)) @ np.ones(r + s)
 
 
-def _information_chunks(pc: PosteriorCounts, sample_count: int, seed: int, upper: float):
-    """Yield (first draw index, information values clipped to [0, upper]) per chunk of draws."""
+def _information_blocks(pc: PosteriorCounts, sample_count: int, seed: int, upper: float):
+    """Yield (first draw index, information values clipped to [0, upper]) per block of draws."""
     shapes = np.asarray(pc.n, dtype=float).reshape(-1)
     for k, start in enumerate(range(0, sample_count, CHUNK_DRAWS)):
-        pi = _chance_draws(shapes, min(CHUNK_DRAWS, sample_count - start), _chunk_rng(seed, k))
-        yield start, np.clip(_information_of(pi, pc.r, pc.s), 0.0, upper)
+        count = min(CHUNK_DRAWS, sample_count - start)
+        for first, pi in _chunk_blocks(shapes, count, _chunk_rng(seed, k)):
+            yield start + first, np.clip(_information_of(pi, pc.r, pc.s), 0.0, upper)
 
 
 def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
@@ -90,12 +115,14 @@ def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
         raise ConfigurationError(
             f"sample_count {sample_count} exceeds the storage budget {SAMPLE_BUDGET}"
         )
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     upper = mi_upper_bound(pc.r, pc.s)
-    chunks = _information_chunks(pc, sample_count, seed, upper)
+    blocks = _information_blocks(pc, sample_count, seed, upper)
     samples = histogram = None
     if sample_count <= SORTED_SAMPLE_LIMIT:
         samples = np.empty(sample_count)
-        for start, values in chunks:
+        for start, values in blocks:
             samples[start : start + len(values)] = values
         mean = float(samples.mean())
         variance = float(samples.var(ddof=1)) if sample_count > 1 else 0.0
@@ -105,7 +132,7 @@ def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
         edges = np.linspace(0.0, upper if upper > 0 else 1.0, HISTOGRAM_BINS + 1)
         counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
         total = total_sq = 0.0
-        for _, values in chunks:
+        for _, values in blocks:
             counts += np.histogram(values, bins=edges)[0]
             total += float(values.sum())
             total_sq += float((values**2).sum())

@@ -352,6 +352,38 @@ def test_malformed_input_file_is_an_input_error(capsys, tmp_path, command, conte
     assert err.startswith("error: ") and message.format(path=path) in err
 
 
+def assert_one_error_line(code, out, err, message):
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_negative_seed_is_an_input_error(capsys, table_file):
+    code, out, err = run_cli(capsys, "mc", "--table", table_file, "--samples", "1000", "--seed", "-1")
+    assert_one_error_line(code, out, err, "seed must be a non-negative integer, got -1")
+
+
+def test_text_in_a_report_correct_list_is_an_input_error(capsys, csv_file, tmp_path):
+    report = tmp_path / "report.json"
+    run_cli(capsys, "run", "--data", csv_file, "--filters", "ff,f", "--out", str(report), "--format", "json")
+    payload = json.loads(report.read_text())
+    payload["runs"]["f"]["correct"][3] = "x"
+    report.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "ttest", "--report", str(report), "--pair", "ff,f")
+    assert_one_error_line(code, out, err, "paired t test needs integer entries")
+
+
+@pytest.mark.parametrize("command", ["select", "run", "discretize"])
+def test_delimiter_longer_than_one_character_is_an_input_error(capsys, csv_file, tmp_path, command):
+    extra = {
+        "select": ["--filter", "f"],
+        "run": ["--out", str(tmp_path / "report.csv")],
+        "discretize": ["--bins", "2", "--out", str(tmp_path / "binned.csv")],
+    }[command]
+    code, out, err = run_cli(capsys, command, "--data", csv_file, *extra, "--delimiter", ";;")
+    assert_one_error_line(code, out, err, "delimiter must be one character, got ';;'")
+
+
 class TestDiscretize:
     def test_numeric_columns_binned(self, capsys, tmp_path):
         src = tmp_path / "numeric.csv"

@@ -100,6 +100,15 @@ class TestSampleMi:
         with pytest.raises(ConfigurationError):
             sample_mi(ONES, mc.SAMPLE_BUDGET + 1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InputError, match="seed must be a non-negative integer"):
+            sample_mi(ONES, 100, seed=seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        a = sample_mi(ONES, 100, seed=np.int64(5))
+        assert np.array_equal(a.samples, sample_mi(ONES, 100, seed=5).samples)
+
     def test_histogram_mode_beyond_sorted_budget(self, monkeypatch):
         monkeypatch.setattr(mc, "SORTED_SAMPLE_LIMIT", 1000)
         s = sample_mi(ONES, 5_000, seed=4)
@@ -109,6 +118,50 @@ class TestSampleMi:
         assert edges[0] == 0.0 and edges[-1] == pytest.approx(s.i_max)
         reference = sample_mi(ONES, 5_000, seed=4)  # patched too, same path
         assert s.mean == reference.mean
+
+
+def _grid(r, s, seed):
+    rng = np.random.default_rng(seed)
+    return PosteriorCounts(rng.integers(0, 6, size=(r, s)) + 1.0 / (r * s))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("shapes", [np.asarray(UPPER.n).reshape(-1), np.linspace(0.01, 3.0, 12)])
+    def test_blocks_continue_the_chunk_stream(self, monkeypatch, shapes):
+        # 5000 draws a block split the 32768-draw chunk unevenly; shapes below 1
+        # take numpy's rejection sampler, which uses a varying share of the stream
+        monkeypatch.setattr(mc, "BLOCK_CELLS", 5000 * shapes.size + shapes.size - 1)
+        blocks = list(mc._chunk_blocks(shapes, CHUNK_DRAWS, _chunk_rng(9, 0)))
+        assert [first for first, _ in blocks] == list(range(0, CHUNK_DRAWS, 5000))
+        assert blocks[-1][1].shape == (CHUNK_DRAWS % 5000, shapes.size)
+        whole = _chance_draws(shapes, CHUNK_DRAWS, _chunk_rng(9, 0))
+        assert np.array_equal(np.vstack([pi for _, pi in blocks]), whole)
+
+    @pytest.mark.parametrize("r, s", [(2, 2), (10, 5), (20, 10)])
+    def test_block_size_moves_only_the_last_bits(self, monkeypatch, r, s):
+        pc = _grid(r, s, seed=r * s)
+        count = CHUNK_DRAWS + 7_000  # one full chunk and one partial chunk
+        blocked = sample_mi(pc, count, seed=11)
+        monkeypatch.setattr(mc, "BLOCK_CELLS", CHUNK_DRAWS * r * s)  # one block per chunk
+        whole = sample_mi(pc, count, seed=11)
+        assert np.max(np.abs(blocked.samples - whole.samples)) <= 1e-14
+        assert blocked.mean == pytest.approx(whole.mean, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("sorted_limit", [mc.SORTED_SAMPLE_LIMIT, 1000])
+    def test_no_block_exceeds_block_cells(self, monkeypatch, sorted_limit):
+        monkeypatch.setattr(mc, "SORTED_SAMPLE_LIMIT", sorted_limit)  # 1000: the histogram path
+        drawn = []
+
+        def recording(shapes, count, rng):
+            drawn.append((count, shapes.size))
+            return _chance_draws(shapes, count, rng)
+
+        monkeypatch.setattr(mc, "_chance_draws", recording)
+        for r, s in [(2, 2), (10, 5), (20, 10)]:
+            drawn.clear()
+            sample_mi(_grid(r, s, seed=1), CHUNK_DRAWS + 5, seed=2)
+            assert sum(count for count, _ in drawn) == CHUNK_DRAWS + 5
+            assert max(count * cells for count, cells in drawn) <= mc.BLOCK_CELLS
 
 
 def _information_xlogy(pi, r, s):
