@@ -1,16 +1,16 @@
 """Monte Carlo ground truth for the information posterior.
 
-Chance matrices are drawn from the Dirichlet posterior by normalising
-independent unit-scale gamma variates (one per cell, shape = posterior
-count) and the information value is evaluated exactly on each draw.  Every
+Chance matrices are drawn from the Dirichlet posterior with
+``Generator.dirichlet`` (shape = posterior count) and the information value
+is evaluated exactly on each draw.  While some shape is at least 0.1 numpy
+normalises one unit-scale gamma per cell, the ``standard_gamma`` stream;
+when all are below 0.1 it breaks sticks, which cannot end in 0/0.  Every
 fixed-size chunk of draws owns its own seed-derived substream, so results
-are bit-identical for a given seed, chunk size and block size.
-Each chunk is drawn from its generator in consecutive blocks of at most
-BLOCK_CELLS cells, and every block is normalised and reduced to information
-values before the next is drawn, so the working set besides the stored
-values no longer grows with the grid.  Consecutive gamma calls continue one
-generator's stream, so the blocks hold the same draws as one call for the
-whole chunk; only the last bits of the margin product depend on the block size.
+are bit-identical for a given seed, chunk size and block size.  Each chunk
+is drawn in consecutive blocks of at most BLOCK_CELLS cells, each reduced
+to information values before the next, so the working set does not grow
+with the grid; the blocks continue one generator's stream, so they hold the
+whole chunk's draws and only the margin product's last bits depend on them.
 The information kernel takes each draw's margins from one product with a
 0/1 indicator matrix; that changes only the order of its sums, never a draw.
 ``ks_distance`` skips every block of KS_BLOCK draws whose monotone bound on
@@ -63,10 +63,8 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _chance_draws(shapes: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` simplex points from the Dirichlet with the given shapes."""
-    g = rng.standard_gamma(shapes, size=(count, shapes.size))
-    g /= g.sum(axis=1, keepdims=True)
-    return g
+    """``count`` Dirichlet simplex points: the ``standard_gamma`` stream unless every shape is below 0.1."""
+    return rng.dirichlet(shapes, size=count)
 
 
 def _chunk_blocks(shapes: np.ndarray, count: int, rng: np.random.Generator):
@@ -80,7 +78,7 @@ def _chunk_blocks(shapes: np.ndarray, count: int, rng: np.random.Generator):
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
-    """x ln x, 0 at x = 0 (gamma variates of tiny shape can underflow to 0)."""
+    """x ln x, 0 at x = 0 (chances of tiny shape can underflow to 0)."""
     out = np.log(x, out=np.zeros_like(x), where=x > 0)
     return np.multiply(out, x, out=out)
 
@@ -109,12 +107,10 @@ def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
     """Draw chance matrices from the posterior and summarise their information."""
     if np.any(pc.n <= 0):
         raise ZeroCellError("sampling needs every posterior cell positive")
-    if sample_count < 1:
-        raise InputError("sample_count must be >= 1")
+    if isinstance(sample_count, bool) or not isinstance(sample_count, (int, np.integer)) or sample_count < 1:
+        raise InputError(f"sample_count must be a positive integer, got {sample_count!r}")
     if sample_count > SAMPLE_BUDGET:
-        raise ConfigurationError(
-            f"sample_count {sample_count} exceeds the storage budget {SAMPLE_BUDGET}"
-        )
+        raise ConfigurationError(f"sample_count {sample_count} exceeds the storage budget {SAMPLE_BUDGET}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     upper = mi_upper_bound(pc.r, pc.s)
@@ -140,7 +136,7 @@ def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
         variance = max(0.0, (total_sq - total**2 / sample_count) / (sample_count - 1))
         histogram = (counts, edges)
     return McSummary(
-        sample_count=sample_count,
+        sample_count=int(sample_count),
         mean=mean,
         variance=variance,
         mean_std_error=math.sqrt(variance / sample_count),
@@ -191,6 +187,8 @@ def tail_slope(summary: McSummary, side: str, window: tuple[float, float], bins:
     with high at most 0.2.  The density comes from a log-spaced histogram
     of the in-window draws; the slope is its least-squares fit.
     """
+    if bins < 2:
+        raise InputError(f"bins must be at least 2, got {bins}")
     if side not in ("lower", "upper"):
         raise InputError(f"side must be 'lower' or 'upper', got {side!r}")
     lo, hi = window

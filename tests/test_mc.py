@@ -100,6 +100,22 @@ class TestSampleMi:
         with pytest.raises(ConfigurationError):
             sample_mi(ONES, mc.SAMPLE_BUDGET + 1, seed=0)
 
+    @pytest.mark.parametrize("count", [1000.0, True, "10", None, -5])
+    def test_sample_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(InputError, match="sample_count must be a positive integer"):
+            sample_mi(ONES, count, seed=0)
+
+    def test_numpy_integer_sample_count_is_stored_as_int(self):
+        s = sample_mi(ONES, np.int64(50), seed=3)
+        assert type(s.sample_count) is int and s.sample_count == 50
+        assert np.array_equal(s.samples, sample_mi(ONES, 50, seed=3).samples)
+
+    def test_all_tiny_shapes_give_no_nan_draw(self):
+        # an empty 2x2 under a 0.001 prior: all four gammas of a normalised draw can underflow to 0
+        s = sample_mi(PosteriorCounts(np.full((2, 2), 0.001)), 10_000, seed=1)
+        assert not np.isnan(s.samples).any()
+        assert math.isfinite(s.mean) and math.isfinite(s.variance)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(InputError, match="seed must be a non-negative integer"):
@@ -125,11 +141,24 @@ def _grid(r, s, seed):
     return PosteriorCounts(rng.integers(0, 6, size=(r, s)) + 1.0 / (r * s))
 
 
+SHAPE_CASES = [np.asarray(UPPER.n).reshape(-1), np.linspace(0.01, 3.0, 12), 1.0 + (np.arange(50) % 7 == 0)]
+
+
+class TestDraws:
+    @pytest.mark.parametrize("shapes", SHAPE_CASES)
+    def test_dirichlet_is_the_normalised_gamma_stream(self, shapes):
+        # shapes below 1 take numpy's rejection sampler; the last is a sparse 10x5 grid of ones and twos
+        gamma = _chunk_rng(4, 0).standard_gamma(shapes, size=(5000, shapes.size))
+        got = _chance_draws(shapes, 5000, _chunk_rng(4, 0))
+        assert np.max(np.abs(got - gamma / gamma.sum(axis=1, keepdims=True))) <= 4.4e-16
+
+
 class TestBlocks:
-    @pytest.mark.parametrize("shapes", [np.asarray(UPPER.n).reshape(-1), np.linspace(0.01, 3.0, 12)])
+    @pytest.mark.parametrize("shapes", [*SHAPE_CASES[:2], np.full(12, 0.05)])
     def test_blocks_continue_the_chunk_stream(self, monkeypatch, shapes):
         # 5000 draws a block split the 32768-draw chunk unevenly; shapes below 1
-        # take numpy's rejection sampler, which uses a varying share of the stream
+        # take numpy's rejection sampler, which uses a varying share of the stream,
+        # and shapes all below 0.1 its stick-breaking path
         monkeypatch.setattr(mc, "BLOCK_CELLS", 5000 * shapes.size + shapes.size - 1)
         blocks = list(mc._chunk_blocks(shapes, CHUNK_DRAWS, _chunk_rng(9, 0)))
         assert [first for first, _ in blocks] == list(range(0, CHUNK_DRAWS, 5000))
@@ -318,6 +347,12 @@ class TestTailSlope:
             tail_slope(s, "lower", (0.01, 0.5))
         with pytest.raises(InputError):
             tail_slope(s, "middle", (0.01, 0.1))
+
+    @pytest.mark.parametrize("bins", [0, 1])
+    def test_bins_below_two_rejected(self, bins):
+        s = sample_mi(ONES, 100_000, seed=1)
+        with pytest.raises(InputError, match="bins must be at least 2"):
+            tail_slope(s, "lower", (0.001, 0.05), bins=bins)
 
     def test_needs_enough_draws(self):
         s = sample_mi(ONES, 10_000, seed=1)
