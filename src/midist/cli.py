@@ -86,10 +86,8 @@ def cmd_mi(args) -> int:
     table = table_from_json(_read_json(args.table))
     prior = _prior(args)
     d = _posterior(table, prior, epsilon=args.epsilon)
-    margin = "feature" if table.missing_feature.any() else "class"
-    mode = "degenerate" if d.degenerate else f"missing_{margin}" if d.used_missing else "complete"
-    out = {"mode": mode, "j": d.j, "mean": d.mean, "variance": d.variance}
-    if d.used_missing:  # the incomplete-sample moments are derived under the uniform prior
+    out = {"mode": d.route, "j": d.j, "mean": d.mean, "variance": d.variance}
+    if d.route.startswith("missing_"):  # the incomplete-sample moments are derived under the uniform prior
         out["prior_extrapolation"] = prior.kind != "uniform"
     if args.dist:
         approx, fallback = fit_with_fallback(args.dist, d.mean, d.variance, mi_upper_bound(table.r, table.s))

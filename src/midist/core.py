@@ -25,6 +25,12 @@ def mi_upper_bound(r: int, s: int) -> float:
     return min(math.log(r), math.log(s))
 
 
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise ``InputError`` unless ``value`` is a non-bool integer at or above ``minimum`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InputError(f"{name} must be a {'positive' if minimum else 'non-negative'} integer, got {value!r}")
+
+
 def digamma(x):
     """Digamma psi(x) for x > 0, scalar or array, from ``scipy.special``."""
     if not np.all(np.asarray(x) > 0):

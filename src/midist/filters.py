@@ -24,6 +24,7 @@ from .moments import moments_batch
 from .tables import ContingencyTable, PriorSpec, add_prior
 
 FILTERS = ("f", "ff", "bf")
+ROUTES = ("complete", "missing_class", "missing_feature", "degenerate")
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,8 @@ class FilterConfig:
 class FilterDecision:
     """Per-attribute outcome of all three keep rules.
 
-    ``decide_batch`` returns the same fields as length-B arrays, with no
-    attribute and ``fit_fallback`` as the mask of beta fits that fell back.
+    ``route`` is one of ``ROUTES``, ``fit_fallback`` the family a beta fit fell back to or None.
+    ``decide_batch`` returns the same fields as length-B arrays, with no attribute.
     """
 
     attribute: object
@@ -77,21 +78,20 @@ class FilterDecision:
     keep_f: bool
     keep_ff: bool
     keep_bf: bool
-    degenerate: bool = False
-    fit_fallback: str | None = None
-    used_missing: bool = False
-    variance_clamped: bool = False
+    route: str
+    fit_fallback: str | None
+    variance_clamped: bool
 
 
 def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=None, rows=None) -> FilterDecision:
     """Evaluate every keep rule for a (B, R, s) stack of attribute-against-class tables.
 
     Table b owns rows ``[0, rows[b])`` (all R by default); padded rows, and
-    their ``missing_class`` entries, must be zero.  In one pass, complete
-    tables take the exact moments, tables with mass on one partial margin
-    (``missing_class`` (B, R) or ``missing_feature`` (B, s)) the
-    incomplete-sample moments, and all the same tail.  Single-valued
-    attributes (information range 0) are degenerate: every rule discards them.
+    their ``missing_class`` entries, must be zero.  In one pass, each table
+    takes one of ``ROUTES``: complete tables the exact moments, tables with
+    mass on one partial margin (``missing_class`` (B, R) or ``missing_feature``
+    (B, s)) the incomplete-sample moments, and all the same tail.
+    Single-valued attributes (information range 0) are degenerate: every rule discards them.
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.dtype.kind not in "iu" or (counts.size and counts.min() < 0):
@@ -106,14 +106,14 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     if counts[padding].any() or missing_class[padding].any():
         raise InputError("padded rows must stay zero")
     upper = np.array([mi_upper_bound(r, s) for r in range(1, height + 1)])[rows - 1]
+    class_gap, feature_gap = ordered_sum(missing_class.T) > 0, ordered_sum(missing_feature.T) > 0
     live = upper > 0.0
-    class_gap = live & (ordered_sum(missing_class.T) > 0)
-    feature_gap = live & (ordered_sum(missing_feature.T) > 0)
-    if (class_gap & feature_gap).any():
+    if (live & class_gap & feature_gap).any():
         raise InputError(BOTH_MARGINS)
+    route = np.where(live, class_gap + 2 * feature_gap, 3)  # index into ROUTES
     grid = add_prior(counts, cfg.prior, rows)
     j, mean, variance, clamped = np.zeros(size), np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool)
-    complete = live & ~class_gap & ~feature_gap
+    complete = route == 0
     if complete.any():
         mom = moments_batch(grid[complete], rows[complete])
         # j_term is the plug-in value itself; clamp mirrors empirical_mi
@@ -121,7 +121,7 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
         variance[complete], clamped[complete] = mom.variance, mom.variance_clamped
     # a feature-margin gap is a class-margin gap of the transposed table
     transposed = grid.swapaxes(1, 2)
-    for gap, stack, unlabeled in ((class_gap, grid, missing_class), (feature_gap, transposed, missing_feature)):
+    for gap, stack, unlabeled in ((route == 1, grid, missing_class), (route == 2, transposed, missing_feature)):
         if gap.any():
             mm = missing_batch(stack[gap], unlabeled[gap])
             j[gap], mean[gap], variance[gap], clamped[gap] = mm.mean, mm.mean, mm.variance, mm.variance_clamped
@@ -135,10 +135,9 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
         keep_f=j > cfg.epsilon,
         keep_ff=prob > cfg.p_level,
         keep_bf=prob > 1.0 - cfg.p_level,
-        fit_fallback=fallback,
-        used_missing=class_gap | feature_gap,
+        route=np.array(ROUTES, dtype=object)[route],
+        fit_fallback=np.where(fallback, "gamma", None),
         variance_clamped=clamped,
-        degenerate=~live,
     )
 
 
@@ -152,9 +151,7 @@ def decide_tables(tables: dict, cfg: FilterConfig, which: str = "f") -> tuple[li
     cfg.check_filters([which])
     cardinalities = {t.s for t in tables.values()}
     if len(cardinalities) > 1:
-        raise InputError(
-            f"attributes disagree on the class cardinality: {sorted(cardinalities)}"
-        )
+        raise InputError(f"attributes disagree on the class cardinality: {sorted(cardinalities)}")
     if not tables:
         return [], []
     rows = np.array([t.r for t in tables.values()])
@@ -164,9 +161,8 @@ def decide_tables(tables: dict, cfg: FilterConfig, which: str = "f") -> tuple[li
         counts[k, : t.r], missing_class[k, : t.r] = t.counts, t.missing_class
     missing_feature = np.stack([t.missing_feature for t in tables.values()])
     batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
-    columns = {f.name: getattr(batch, f.name).tolist() for f in fields(FilterDecision)[1:]}
-    columns["fit_fallback"] = ["gamma" if fell_back else None for fell_back in columns["fit_fallback"]]
-    decisions = [FilterDecision(aid, *(column[k] for column in columns.values())) for k, aid in enumerate(tables)]
+    columns = [getattr(batch, f.name).tolist() for f in fields(FilterDecision)[1:]]
+    decisions = [FilterDecision(aid, *row) for aid, row in zip(tables, zip(*columns))]
     return [d.attribute for d in decisions if getattr(d, f"keep_{which}")], decisions
 
 

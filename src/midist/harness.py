@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .core import ordered_sum
+from .core import check_integer, ordered_sum
 from .errors import InputError
 from .filters import FILTERS, FilterConfig, decide_batch
 from .nb import NaiveBayesModel, encode, score_subsets
@@ -153,6 +153,7 @@ def prepare(dataset: Dataset, mode: str = "drop_missing", seed: int = 0) -> Data
     """
     if mode not in ("drop_missing", "keep_missing"):
         raise InputError(f"mode must be drop_missing or keep_missing, got {mode!r}")
+    check_integer("seed", seed, 0)
     keep_partial = mode == "keep_missing"
     kept = [row for row in dataset.instances if row[1] is not None and (keep_partial or None not in row[0])]
     order = np.random.default_rng(seed).permutation(len(kept))

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import mi_upper_bound
+from .core import check_integer, mi_upper_bound
 from .dist import DistApprox
 from .errors import ConfigurationError, InputError, InsufficientDataError, ZeroCellError
 from .tables import PosteriorCounts
@@ -107,12 +107,10 @@ def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
     """Draw chance matrices from the posterior and summarise their information."""
     if np.any(pc.n <= 0):
         raise ZeroCellError("sampling needs every posterior cell positive")
-    if isinstance(sample_count, bool) or not isinstance(sample_count, (int, np.integer)) or sample_count < 1:
-        raise InputError(f"sample_count must be a positive integer, got {sample_count!r}")
+    check_integer("sample_count", sample_count, 1)
     if sample_count > SAMPLE_BUDGET:
         raise ConfigurationError(f"sample_count {sample_count} exceeds the storage budget {SAMPLE_BUDGET}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    check_integer("seed", seed, 0)
     upper = mi_upper_bound(pc.r, pc.s)
     blocks = _information_blocks(pc, sample_count, seed, upper)
     samples = histogram = None

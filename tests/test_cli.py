@@ -123,7 +123,7 @@ class TestMi:
         assert payload["dist"]["prob_exceeds_epsilon"] == 0.0
         spec = midist.PriorSpec(prior, 0.25 if prior == "custom" else None)
         decision = decide(midist.ContingencyTable(counts), FilterConfig(prior=spec))
-        assert decision.degenerate and decision.j == decision.mean == decision.variance == 0.0
+        assert decision.route == "degenerate" and decision.j == decision.mean == decision.variance == 0.0
 
     @pytest.mark.parametrize("prior", ["uniform", "jeffreys", "perks"])
     @pytest.mark.parametrize(
@@ -132,6 +132,7 @@ class TestMi:
             ({"r": 2, "s": 2, "counts": [[40, 10], [20, 80]]}, "complete"),
             ({"r": 2, "s": 2, "counts": [[8, 2], [4, 16]], "missing_class": [3, 5]}, "missing_class"),
             ({"r": 2, "s": 3, "counts": [[3, 1, 0], [2, 5, 7]], "missing_feature": [2, 0, 4]}, "missing_feature"),
+            ({"r": 1, "s": 3, "counts": [[4, 0, 2]], "missing_feature": [1, 0, 0]}, "degenerate"),
         ],
     )
     def test_moments_are_decides_bit_for_bit(self, capsys, tmp_path, literal, mode, prior):
@@ -141,7 +142,7 @@ class TestMi:
         payload = json.loads(out)
         table = midist.table_from_json(literal)
         decision = decide(table, FilterConfig(prior=midist.PriorSpec(prior)))
-        assert code == 0 and payload["mode"] == mode
+        assert code == 0 and payload["mode"] == mode == decision.route
         assert (payload["j"], payload["mean"], payload["variance"]) == (decision.j, decision.mean, decision.variance)
 
     def test_missing_file(self, capsys):
@@ -213,6 +214,19 @@ class TestSelect:
         # same-shape tables need no padding, so the batch equals each table decided alone
         expected = [json.dumps(asdict(decide(table, cfg, attribute=name))) for name, table in tables.items()]
         assert out.strip().splitlines()[:-1] == expected
+
+    def test_each_record_names_its_route(self, capsys, tmp_path):
+        # a constant column is single-valued, "?" cells put mass on the feature margin
+        path = tmp_path / "routes.csv"
+        path.write_text("const,gappy,full,cls\n0,0,0,0\n0,1,1,1\n0,?,0,0\n0,1,1,1\n0,0,0,0\n0,?,1,1\n")
+        code, out, _ = run_cli(capsys, "select", "--data", str(path), "--filter", "f")
+        records = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert code == 0
+        assert [(r["attribute"], r["route"]) for r in records] == [
+            ("const", "degenerate"),
+            ("gappy", "missing_feature"),
+            ("full", "complete"),
+        ]
 
     def test_fallback_prints_gamma_and_warns_once(self, capsys, tmp_path):
         # values 1-3 occur only in unlabelled rows: under Perks the table
@@ -358,8 +372,13 @@ def assert_one_error_line(code, out, err, message):
     assert "Traceback" not in err
 
 
-def test_negative_seed_is_an_input_error(capsys, table_file):
-    code, out, err = run_cli(capsys, "mc", "--table", table_file, "--samples", "1000", "--seed", "-1")
+@pytest.mark.parametrize("command", ["mc", "run"])
+def test_negative_seed_is_an_input_error(capsys, table_file, csv_file, tmp_path, command):
+    source = {
+        "mc": ["--table", table_file, "--samples", "1000"],
+        "run": ["--data", csv_file, "--out", str(tmp_path / "report.csv")],
+    }[command]
+    code, out, err = run_cli(capsys, command, *source, "--seed", "-1")
     assert_one_error_line(code, out, err, "seed must be a non-negative integer, got -1")
 
 

@@ -49,7 +49,7 @@ class TestDecide:
 
     def test_constant_attribute_is_degenerate(self):
         d = decide(ContingencyTable([[3, 5]]), CFG)
-        assert d.degenerate
+        assert d.route == "degenerate"
         assert not (d.keep_f or d.keep_ff or d.keep_bf)
         assert d.j == 0.0 and d.prob_exceeds_eps == 0.0
 
@@ -61,7 +61,7 @@ class TestDecide:
         t = ContingencyTable([[8, 2], [4, 16]], missing_feature=[3, 5])
         d = decide(t, CFG)
         mm = moments_with_missing(t, CFG.prior)
-        assert d.used_missing
+        assert d.route == "missing_feature"
         assert d.mean == mm.mean and d.variance == mm.variance
 
     def test_flags_recomputable_from_fields(self):
@@ -217,10 +217,9 @@ def assert_batch_matches_single_tables(counts, missing_class, missing_feature, r
             )
             for name in ("j", "mean", "variance", "prob_exceeds_eps"):
                 assert abs(getattr(batch, name)[k] - getattr(d, name)) <= 1e-12, name
-            assert bool(batch.fit_fallback[k]) == (d.fit_fallback is not None)
-            for name in ("used_missing", "variance_clamped", "degenerate"):
-                assert bool(getattr(batch, name)[k]) == getattr(d, name), name
-            if not d.degenerate:
+            assert batch.route[k] == d.route and batch.fit_fallback[k] == d.fit_fallback
+            assert bool(batch.variance_clamped[k]) == d.variance_clamped
+            if d.route != "degenerate":
                 approx, _ = fit_with_fallback(cfg.family, d.mean, d.variance, mi_upper_bound(rows[k], counts.shape[2]))
                 assert abs(approx.prob_exceeds(cfg.epsilon) - d.prob_exceeds_eps) <= 1e-12
             else:
@@ -297,7 +296,7 @@ def test_batch_covers_point_mass_and_fallback(family):
         warnings.simplefilter("always")
         batch = decide_batch(counts, cfg)
     assert batch.variance[1] == 0.0
-    assert list(batch.fit_fallback) == [False, False, family == "beta"]
+    assert list(batch.fit_fallback) == [None, None, "gamma" if family == "beta" else None]
     assert len(caught) == (family == "beta")  # one warning per batch, with the count
     assert_batch_matches_single_tables(counts, np.zeros((3, 4)), np.zeros((3, 2)), np.full(3, 4), cfg)
 

@@ -297,7 +297,7 @@ class TestBatchedDecisions:
             for f in ("f", "ff", "bf"):
                 expected = [a for a, d in enumerate(decisions) if getattr(d, f"keep_{f}")]
                 assert report.runs[f].selected_sets[step] == expected, (f, step)
-        assert any(d.used_missing for d in decisions)
+        assert any(d.route == "missing_feature" for d in decisions)
 
     def test_in_run_decisions_equal_decide_on_own_tallies_bit_for_bit(self, monkeypatch):
         batches = []
