@@ -21,7 +21,7 @@ from .dist import FIT_FAMILIES, prob_exceeds_batch
 from .errors import ConfigurationError, InputError
 from .missing import BOTH_MARGINS, missing_batch
 from .moments import moments_batch
-from .tables import ContingencyTable, PriorSpec, add_prior
+from .tables import ContingencyTable, PriorSpec
 
 FILTERS = ("f", "ff", "bf")
 ROUTES = ("complete", "missing_class", "missing_feature", "degenerate")
@@ -87,10 +87,12 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     """Evaluate every keep rule for a (B, R, s) stack of attribute-against-class tables.
 
     Table b owns rows ``[0, rows[b])`` (all R by default); padded rows, and
-    their ``missing_class`` entries, must be zero.  In one pass, each table
-    takes one of ``ROUTES``: complete tables the exact moments, tables with
+    their ``missing_class`` entries, must be zero; no other function knows the
+    padding.  Each table takes one of ``ROUTES``: complete tables the exact
+    moments, one kernel call per row count on the unpadded rows; tables with
     mass on one partial margin (``missing_class`` (B, R) or ``missing_feature``
-    (B, s)) the incomplete-sample moments, and all the same tail.
+    (B, s)) the incomplete-sample moments, one call per margin whose padded
+    cells count as empty; and all the same tail.
     Single-valued attributes (information range 0) are degenerate: every rule discards them.
     """
     counts = np.asarray(counts)
@@ -111,14 +113,15 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     if (live & class_gap & feature_gap).any():
         raise InputError(BOTH_MARGINS)
     route = np.where(live, class_gap + 2 * feature_gap, 3)  # index into ROUTES
-    grid = add_prior(counts, cfg.prior, rows)
+    grid = np.where(padding[:, :, None], 0.0, counts + np.reshape(cfg.prior.cell_weight(rows, s), (-1, 1, 1)))
     j, mean, variance, clamped = np.zeros(size), np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool)
     complete = route == 0
-    if complete.any():
-        mom = moments_batch(grid[complete], rows[complete])
+    for r in np.unique(rows[complete]):
+        sel = complete & (rows == r)
+        mom = moments_batch(grid[sel, :r])
         # j_term is the plug-in value itself; clamp mirrors empirical_mi
-        j[complete], mean[complete] = np.maximum(mom.j_term, 0.0), mom.mean
-        variance[complete], clamped[complete] = mom.variance, mom.variance_clamped
+        j[sel], mean[sel] = np.maximum(mom.j_term, 0.0), mom.mean
+        variance[sel], clamped[sel] = mom.variance, mom.variance_clamped
     # a feature-margin gap is a class-margin gap of the transposed table
     transposed = grid.swapaxes(1, 2)
     for gap, stack, unlabeled in ((route == 1, grid, missing_class), (route == 2, transposed, missing_feature)):

@@ -46,7 +46,7 @@ import numpy as np
 
 from .core import _information_terms, ordered_sum
 from .errors import InputError, UndefinedFillError
-from .tables import ContingencyTable, PriorSpec, add_prior
+from .tables import ContingencyTable, PriorSpec
 
 BOTH_MARGINS = "instances missing the feature and instances missing the class cannot be combined in a single table"
 
@@ -137,7 +137,7 @@ def moments_with_missing(table: ContingencyTable, prior: PriorSpec = PriorSpec()
         if table.missing_class.sum() > 0:
             raise InputError(BOTH_MARGINS)
         axis, counts, unlabeled = "feature", table.counts.T, table.missing_feature
-    stack = missing_batch(add_prior(counts[None], prior, [counts.shape[0]]), unlabeled[None])
+    stack = missing_batch((counts + prior.cell_weight(*counts.shape))[None], unlabeled[None])
     values = {f.name: getattr(stack, f.name)[0] for f in fields(MissingMoments)[:-2]}
     values = {name: v.item() if v.ndim == 0 else v for name, v in values.items()}
     if axis == "feature":

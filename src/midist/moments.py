@@ -19,12 +19,11 @@ with the double-sum intermediates
 
 The intermediates are exposed so tests can pin each one separately.  Cost
 is O(r*s) per table; only double sums appear.  One kernel evaluates a whole
-stack of grids at once, padded to a common row count; a single grid is a
-stack of one.  The kernel works batch last, on (R, s, B), and adds every
-per-table sum in index order (``core.ordered_sum``): a few passes over
-length-B vectors, not B tiny loops, and never numpy's pairwise grouping,
-which depends on the term count; so a table's floats are the same alone as
-in any padded stack.
+stack of same-shape grids at once; a single grid is a stack of one.  The
+kernel works batch last, on (r, s, B), and adds every per-table sum in index
+order (``core.ordered_sum``): a few passes over length-B vectors, not B tiny
+loops, and never numpy's pairwise grouping, which depends on the term count;
+so a table's floats are the same alone as in any stack.
 """
 
 from __future__ import annotations
@@ -55,23 +54,16 @@ class MiMoments:
     variance_clamped: bool = False
 
 
-def moments_batch(n, rows=None) -> MiMoments:
-    """Exact mean and second-order variance of every grid in a (B, R, s) stack.
+def moments_batch(n) -> MiMoments:
+    """Exact mean and second-order variance of every grid in a (B, r, s) stack.
 
-    Grid b owns rows ``[0, rows[b])`` (all R by default); its padded rows
-    must be zero and contribute exactly 0.  A negative raw variance
-    (possible deep in the near-independence, small-count corner of the
-    expansion) is clamped to zero and flagged rather than raised, so
-    downstream distribution fits stay defined.
+    A negative raw variance (possible deep in the near-independence,
+    small-count corner of the expansion) is clamped to zero and flagged
+    rather than raised, so downstream distribution fits stay defined.
     """
-    n = np.ascontiguousarray(np.asarray(n, dtype=float).transpose(1, 2, 0))  # (R, s, B)
-    height, s, size = n.shape
-    rows = np.full(size, height) if rows is None else np.asarray(rows)
-    real_rows = np.arange(height)[:, None] < rows
-    # padded cells and rows divide, take logs and enter digamma through a stand-in of 1 (their
-    # weight n is 0); a where= mask on a scipy.special ufunc gave wrong values, then a segfault
-    cell = np.where(real_rows[:, None, :], n, 1.0)
-    if cell.min() <= 0:
+    n = np.ascontiguousarray(np.asarray(n, dtype=float).transpose(1, 2, 0))  # (r, s, B)
+    r, s = n.shape[:2]
+    if n.min() <= 0:
         raise ZeroCellError(
             "zero-cell posterior: the moment formulas need every posterior "
             "cell positive; apply a positive-weight prior first"
@@ -79,22 +71,21 @@ def moments_batch(n, rows=None) -> MiMoments:
     row_sums = ordered_sum(n, axis=1)
     cols = ordered_sum(n)
     total = ordered_sum(row_sums)
-    row_sums = np.where(real_rows, row_sums, 1.0)
     bracket = (
-        special.digamma(cell + 1.0)
+        special.digamma(n + 1.0)
         - special.digamma(row_sums + 1.0)[:, None, :]
         - special.digamma(cols + 1.0)
         + special.digamma(total + 1.0)
     )
     outer = row_sums[:, None, :] * cols
-    log_ratio = np.log(cell * total) - np.log(outer)
+    log_ratio = np.log(n * total) - np.log(outer)
     p = n / total
     j = ordered_sum(p * log_ratio, axis=(0, 1))
     k = ordered_sum(p * log_ratio**2, axis=(0, 1))
-    spread = 1.0 / cell - (1.0 / row_sums)[:, None, :] - 1.0 / cols + 1.0 / total
+    spread = 1.0 / n - (1.0 / row_sums)[:, None, :] - 1.0 / cols + 1.0 / total
     m = ordered_sum(spread * n * log_ratio, axis=(0, 1))
     q = 1.0 - ordered_sum(n * n / outer, axis=(0, 1))
-    raw = (k - j * j) / (total + 1.0) + (m + (rows - 1) * (s - 1) * (0.5 - j) - q) / (
+    raw = (k - j * j) / (total + 1.0) + (m + (r - 1) * (s - 1) * (0.5 - j) - q) / (
         (total + 1.0) * (total + 2.0)
     )
     return MiMoments(

@@ -66,6 +66,8 @@ class ContingencyTable:
             raise InputError("counts must be an r x s grid with r >= 1 and s >= 1")
         if np.any(np.mod(as_float, 1.0) != 0):
             raise InputError("observed counts must be integral")
+        if np.any(as_float >= 2.0**63):
+            raise InputError("observed counts must be below 2**63, the int64 limit")
         r, s = as_float.shape
         mc = _as_margin(self.missing_class, r, "missing_class")
         mf = _as_margin(self.missing_feature, s, "missing_feature")
@@ -151,25 +153,13 @@ class PosteriorCounts:
         return int(self.n.shape[1])
 
 
-def add_prior(counts, prior: PriorSpec, rows) -> np.ndarray:
-    """A (B, R, s) stack of counts plus the prior pseudo-count on its real cells.
-
-    Table b owns rows ``[0, rows[b])``; its padded rows stay exactly zero.
-    Each table takes its own weight (Perks is 1/(rows[b]*s)).
-    """
-    height, s = counts.shape[1:]
-    rows = np.asarray(rows)
-    weight = np.where(np.arange(height) < rows[:, None], np.reshape(prior.cell_weight(rows, s), (-1, 1)), 0.0)
-    return counts + weight[:, :, None]
-
-
 def apply_prior(table: ContingencyTable, prior: PriorSpec) -> PosteriorCounts:
     """Add the prior pseudo-count to every cell and recompute marginals.
 
     A weight of zero is rejected whenever the table has empty cells, since
     the downstream moment formulas divide by every cell.
     """
-    grid = add_prior(table.counts[None], prior, [table.r])[0]
+    grid = table.counts + prior.cell_weight(table.r, table.s)
     if not grid.all():
         raise ZeroCellError(
             "zero-cell posterior: prior weight 0 leaves empty cells that the "

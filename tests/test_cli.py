@@ -94,6 +94,7 @@ class TestMi:
             ({"r": 1, "s": 2, "counts": [[1, 2]], "missing_class": ["a"]}, "missing_class must be a regular"),
             ({"r": "x", "s": 2, "counts": [[1, 2]]}, "does not match r=x"),
             ({"r": 1.5, "s": 2, "counts": [[1, 2]]}, "does not match r=1.5"),
+            ({"r": 2, "s": 2, "counts": [[10**19, 1], [2, 3]]}, "counts must be below 2**63"),
         ],
     )
     def test_malformed_literal_is_an_input_error(self, capsys, tmp_path, literal, message):
@@ -101,7 +102,7 @@ class TestMi:
         path.write_text(json.dumps(literal))
         code, out, err = run_cli(capsys, "mi", "--table", str(path))
         assert (code, out) == (1, "")
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
     def test_numerical_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "zero.json"

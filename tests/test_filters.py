@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import midist.filters
 from midist.core import mi_upper_bound
 from midist.dist import FIT_FAMILIES, fit_with_fallback
 from midist.errors import ConfigurationError, InputError, NumericalError, ZeroCellError
@@ -299,6 +300,34 @@ def test_batch_covers_point_mass_and_fallback(family):
     assert list(batch.fit_fallback) == [None, None, "gamma" if family == "beta" else None]
     assert len(caught) == (family == "beta")  # one warning per batch, with the count
     assert_batch_matches_single_tables(counts, np.zeros((3, 4)), np.zeros((3, 2)), np.full(3, 4), cfg)
+
+
+def test_one_moments_call_per_complete_height_and_one_call_per_partial_route(monkeypatch):
+    # the complete route runs unpadded, one kernel call per row count; grouping the partial
+    # routes by height too was slower, since their cost is mostly fixed per call
+    shapes = {"moments_batch": [], "missing_batch": []}
+
+    def counting(name, kernel):
+        def wrapped(grid, *rest):
+            shapes[name].append(np.shape(grid))
+            return kernel(grid, *rest)
+
+        return wrapped
+
+    for name in shapes:
+        monkeypatch.setattr(midist.filters, name, counting(name, getattr(midist.filters, name)))
+    rows = np.array([2, 3, 4, 2, 3, 4, 2, 4, 3, 4])
+    counts = np.zeros((10, 4, 3), dtype=np.int64)
+    for k, r in enumerate(rows):
+        counts[k, :r] = np.random.default_rng(k).integers(1, 9, size=(r, 3))
+    missing_class, missing_feature = np.zeros((10, 4)), np.zeros((10, 3))
+    missing_class[6, :2], missing_class[7] = 1, 2
+    missing_feature[8], missing_feature[9] = [1, 0, 2], [0, 3, 1]
+    cfg = FilterConfig(family="normal", prior=PriorSpec("perks"))
+    batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
+    assert list(batch.route) == ["complete"] * 6 + ["missing_class"] * 2 + ["missing_feature"] * 2
+    assert sorted(shapes["moments_batch"]) == [(2, 2, 3), (2, 3, 3), (2, 4, 3)]
+    assert sorted(shapes["missing_batch"]) == [(2, 3, 4), (2, 4, 3)]
 
 
 def test_padding_and_row_counts_validated():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from midist.core import empirical_mi, mi_upper_bound
 from midist.errors import ZeroCellError
-from midist.moments import mi_mean, mi_moments
-from midist.tables import PosteriorCounts
+from midist.moments import MiMoments, mi_mean, mi_moments, moments_batch
+from midist.tables import PosteriorCounts, PriorSpec
 
 
 def positive_grids():
@@ -154,3 +155,21 @@ def test_concentration_with_growing_counts():
         variances.append(mom.variance)
     assert gaps == sorted(gaps, reverse=True)
     assert variances == sorted(variances, reverse=True)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "jeffreys", "haldane", "perks"])
+@pytest.mark.parametrize("r, s", [(r, s) for r in range(1, 5) for s in range(1, 4)])
+def test_stack_of_one_shape_matches_each_grid_alone(kind, r, s):
+    # bit for bit: every per-grid sum runs in index order, whatever the stack size
+    rng = np.random.default_rng(10 * r + s)
+    for size in range(1, 7):
+        # Haldane adds nothing, so its counts start at 1 to keep every cell positive
+        grids = rng.integers(kind == "haldane", 9, size=(size, r, s)) + PriorSpec(kind).cell_weight(r, s)
+        stack = moments_batch(grids)
+        for b, grid in enumerate(grids):
+            alone = mi_moments(PosteriorCounts(grid))
+            for f in fields(MiMoments):
+                assert getattr(stack, f.name)[b] == getattr(alone, f.name), (f.name, size, b)
+        grids[-1, -1, -1] = 0.0
+        with pytest.raises(ZeroCellError):
+            moments_batch(grids)

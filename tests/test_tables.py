@@ -96,6 +96,15 @@ class TestTableValidation:
         with pytest.raises(InputError):
             ContingencyTable(np.array([[1, -2], [0, 1]]))
 
+    @pytest.mark.parametrize("big", [1e19, 2**63, 2.0**63])
+    def test_counts_past_int64_rejected(self, big):
+        with pytest.raises(InputError, match=r"below 2\*\*63"):
+            ContingencyTable([[big, 1], [2, 3]])
+
+    def test_largest_float_below_int64_limit_kept_exactly(self):
+        t = ContingencyTable([[2.0**63 - 1024, 1], [2, 3]])
+        assert t.counts[0, 0] == 2**63 - 1024
+
     def test_margin_length_checked(self):
         with pytest.raises(InputError, match="missing_class"):
             ContingencyTable([[1, 0], [0, 1]], missing_class=[1, 2, 3])
