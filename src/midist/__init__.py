@@ -8,7 +8,7 @@ sampler, and applies the result to robust feature selection with
 credible-interval filters driving an incremental naive Bayes harness.
 """
 
-from .core import EULER_GAMMA, digamma, empirical_mi, mi_upper_bound
+from .core import empirical_mi, mi_upper_bound
 from .errors import (
     ConfigurationError,
     InfeasibleFitError,
@@ -50,7 +50,6 @@ __all__ = [
     "ContingencyTable",
     "Dataset",
     "DistApprox",
-    "EULER_GAMMA",
     "FILTERS",
     "FilterConfig",
     "FilterDecision",
@@ -70,7 +69,6 @@ __all__ = [
     "ZeroCellError",
     "apply_prior",
     "decide",
-    "digamma",
     "discretize_equal_frequency",
     "empirical_mi",
     "fit",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -192,6 +193,9 @@ def cmd_discretize(args) -> int:
             numeric = [float(cell) for _, cell in observed]
         except ValueError:
             continue  # categorical column, pass through
+        for (_, cell), value in zip(observed, numeric):
+            if not math.isfinite(value):
+                raise InputError(f"{args.data}: column {names[idx]!r} has the non-finite cell {cell!r}")
         labels = harness.discretize_equal_frequency(numeric, args.bins)
         for (pos, _), label in zip(observed, labels):
             column[pos] = label

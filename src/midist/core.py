@@ -1,4 +1,4 @@
-"""Pointwise information quantities, the information range and digamma.
+"""Plug-in mutual information, the information range and shared numeric helpers.
 
 Every logarithm in the package is natural; information values are in nats.
 All functions here are pure and callable from any number of threads.
@@ -10,12 +10,9 @@ import math
 from functools import reduce
 
 import numpy as np
-from scipy import special
 
 from .errors import InputError
 from .tables import PosteriorCounts
-
-EULER_GAMMA = 0.5772156649015329
 
 
 def mi_upper_bound(r: int, s: int) -> float:
@@ -29,13 +26,6 @@ def check_integer(name: str, value, minimum: int) -> None:
     """Raise ``InputError`` unless ``value`` is a non-bool integer at or above ``minimum`` (0 or 1)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise InputError(f"{name} must be a {'positive' if minimum else 'non-negative'} integer, got {value!r}")
-
-
-def digamma(x):
-    """Digamma psi(x) for x > 0, scalar or array, from ``scipy.special``."""
-    if not np.all(np.asarray(x) > 0):
-        raise InputError(f"digamma needs x > 0, got {x}")
-    return special.digamma(x)
 
 
 def ordered_sum(x, axis=0):
@@ -52,33 +42,6 @@ def ordered_sum(x, axis=0):
     return reduce(np.add, np.moveaxis(x, axis, 0))
 
 
-def _information_terms(grid, rows, cols, total) -> np.ndarray:
-    """Per-cell contributions to sum p*log(p / (p_row * p_col)).
-
-    Empty cells contribute zero (the 0*log 0 convention).  Works for raw
-    counts with their marginals as well as for chance grids with total 1,
-    and for a (B, r, s) stack of grids with (B, r) and (B, s) marginals.
-    The logarithms are split so that extreme cell magnitudes cannot
-    underflow inside a product.
-    """
-    g = np.asarray(grid, dtype=float)
-    rows = np.asarray(rows, dtype=float)
-    cols = np.asarray(cols, dtype=float)
-    out = np.zeros_like(g)
-    mask = g > 0
-    if not mask.any():
-        return out
-    log_rows = np.zeros_like(rows)
-    np.log(rows, out=log_rows, where=rows > 0)
-    log_cols = np.zeros_like(cols)
-    np.log(cols, out=log_cols, where=cols > 0)
-    log_g = np.zeros_like(g)
-    np.log(g, out=log_g, where=mask)
-    ratio = log_g + math.log(total) - log_rows[..., :, None] - log_cols[..., None, :]
-    out[mask] = g[mask] / total * ratio[mask]
-    return out
-
-
 def empirical_mi(pc: PosteriorCounts) -> float:
     """Plug-in mutual information of the grid's relative frequencies, in nats.
 
@@ -87,5 +50,10 @@ def empirical_mi(pc: PosteriorCounts) -> float:
     """
     if pc.total <= 0:
         raise InputError("empirical mutual information needs a positive total count")
-    value = float(_information_terms(pc.n, pc.row_marginals, pc.col_marginals, pc.total).sum())
-    return max(0.0, value)
+    n, rows, cols = pc.n, pc.row_marginals, pc.col_marginals
+    mask = n > 0
+    # the logs are split so that extreme cell magnitudes cannot underflow inside a product
+    ratio = np.log(n, out=np.zeros_like(n), where=mask) + math.log(pc.total)
+    ratio -= np.log(rows, out=np.zeros_like(rows), where=rows > 0)[:, None]
+    ratio -= np.log(cols, out=np.zeros_like(cols), where=cols > 0)
+    return max(0.0, float(np.where(mask, n / pc.total * ratio, 0.0).sum()))

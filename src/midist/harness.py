@@ -57,6 +57,10 @@ class Dataset:
 
     @property
     def vocab_sizes(self) -> list[int]:
+        """Each attribute's vocabulary size; an attribute with no observed value is an ``InputError``."""
+        for name, vocab in zip(self.attributes, self.attribute_vocabs):
+            if not vocab:
+                raise InputError(f"{self.provenance.get('path', 'dataset')}: attribute {name!r} has no observed value")
         return [len(v) for v in self.attribute_vocabs]
 
 

@@ -7,8 +7,8 @@ over the row's observed class frequencies:
 
     pi_ij = (n_i+ + u_i) / N * n_ij / n_i+
 
-The plug-in information of that grid is the leading-order mean, and the
-leading 1/N variance is
+The plug-in information of that grid, summed with split logarithms, is the
+leading-order mean, and the leading 1/N variance is
 
     variance = (Kbar - Jbar^2 / Qbar - Pbar) / N
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import _information_terms, ordered_sum
+from .core import ordered_sum
 from .errors import InputError, UndefinedFillError
 from .tables import ContingencyTable, PriorSpec
 
@@ -97,8 +97,8 @@ def missing_batch(grid, unlabeled) -> MissingMoments:
     pi_cols = ordered_sum(pi)
 
     mask = pi > 0
-    log_ratio = np.log(pi, out=np.zeros_like(pi), where=mask)
-    log_ratio -= np.log(pi_rows[:, None, :] * pi_cols, out=np.zeros_like(pi), where=mask)
+    log_pi = np.log(pi, out=np.zeros_like(pi), where=mask)
+    log_ratio = log_pi - np.log(pi_rows[:, None, :] * pi_cols, out=np.zeros_like(pi), where=mask)
 
     cell = grid > 0
     rho = np.divide(total * pi**2, grid, out=np.zeros_like(grid), where=cell)
@@ -117,8 +117,10 @@ def missing_batch(grid, unlabeled) -> MissingMoments:
     j_bar = ordered_sum(j_bar_rows * q_bar_i)
     p_bar = ordered_sum(j_bar_rows**2 * q_bar_i / rho_missing)  # division by inf -> 0
 
-    terms = _information_terms(np.moveaxis(pi, -1, 0), pi_rows.T, pi_cols.T, 1.0)  # stack axis first
-    mean = np.maximum(0.0, ordered_sum(np.moveaxis(terms, 0, -1), axis=(0, 1)))
+    # split logs, so extreme magnitudes cannot underflow inside a product (log_ratio keeps its product form)
+    split = log_pi - np.log(pi_rows, out=np.zeros_like(pi_rows), where=pi_rows > 0)[:, None, :]
+    split -= np.log(pi_cols, out=np.zeros_like(pi_cols), where=pi_cols > 0)
+    mean = np.maximum(0.0, ordered_sum(np.where(mask, pi * split, 0.0), axis=(0, 1)))
     raw = (k_bar - j_bar**2 / q_bar - p_bar) / total
     variance, clamped = np.maximum(raw, 0.0), raw < 0.0
     leading = (np.moveaxis(a, -1, 0) for a in (pi, rho_missing, q_bar_i))  # the fields lead with the stack axis

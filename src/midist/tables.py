@@ -83,11 +83,6 @@ class ContingencyTable:
     def s(self) -> int:
         return int(self.counts.shape[1])
 
-    @property
-    def total(self) -> float:
-        """All contributing instances, complete pairs plus both partial margins."""
-        return float(self.counts.sum() + self.missing_class.sum() + self.missing_feature.sum())
-
     def has_missing(self) -> bool:
         return bool(self.missing_class.sum() > 0 or self.missing_feature.sum() > 0)
 

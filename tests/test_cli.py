@@ -404,6 +404,26 @@ def test_delimiter_longer_than_one_character_is_an_input_error(capsys, csv_file,
     assert_one_error_line(code, out, err, "delimiter must be one character, got ';;'")
 
 
+@pytest.mark.parametrize("command", ["select", "run"])
+def test_attribute_without_an_observed_value_is_named(capsys, tmp_path, command):
+    path = tmp_path / "m.csv"
+    path.write_text("a,b,cls\n?,1,x\n?,2,y\n?,1,x\n")
+    extra = {
+        "select": ["--filter", "ff"],
+        "run": ["--missing", "keep", "--out", str(tmp_path / "report.csv")],
+    }[command]
+    code, out, err = run_cli(capsys, command, "--data", str(path), *extra)
+    assert_one_error_line(code, out, err, f"{path}: attribute 'a' has no observed value")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_discretize_names_a_non_finite_cell(capsys, tmp_path, cell):
+    path = tmp_path / "n.csv"
+    path.write_text(f"x,cls\n{cell},a\n1,b\n2,a\n")
+    code, out, err = run_cli(capsys, "discretize", "--data", str(path), "--bins", "2", "--out", str(tmp_path / "d.csv"))
+    assert_one_error_line(code, out, err, f"{path}: column 'x' has the non-finite cell '{cell}'")
+
+
 class TestDiscretize:
     def test_numeric_columns_binned(self, capsys, tmp_path):
         src = tmp_path / "numeric.csv"

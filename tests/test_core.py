@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
-from midist.core import EULER_GAMMA, digamma, empirical_mi, mi_upper_bound, ordered_sum
+from midist.core import empirical_mi, mi_upper_bound, ordered_sum
 from midist.errors import InputError
 from midist.tables import PosteriorCounts
 
@@ -16,8 +16,10 @@ J_8_2_4_16 = 0.1726092434710685
 
 
 class TestDigamma:
+    """The identities of scipy's digamma that the exact mean rests on, on every supported scipy."""
+
     def test_at_one_is_minus_euler_gamma(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
+        assert digamma(1.0) == pytest.approx(-np.euler_gamma, abs=1e-13)
 
     def test_recurrence_step(self):
         assert digamma(2.0) == pytest.approx(digamma(1.0) + 1.0, abs=1e-13)
@@ -26,29 +28,11 @@ class TestDigamma:
         # psi(m+1) = -gamma + H_m with H_m from exact rational arithmetic
         for m in (1, 2, 5, 10, 25):
             harmonic = float(sum(Fraction(1, k) for k in range(1, m + 1)))
-            assert digamma(m + 1.0) == pytest.approx(-EULER_GAMMA + harmonic, abs=1e-12)
+            assert digamma(m + 1.0) == pytest.approx(-np.euler_gamma + harmonic, abs=1e-12)
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.5, 10.0, 1000.0])
     def test_recurrence_identity(self, x):
         assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x, abs=1e-12)
-
-    def test_against_scipy(self):
-        xs = np.concatenate([np.linspace(0.01, 30, 400), [123.456, 1e4, 1e8]])
-        ours = np.array([digamma(float(x)) for x in xs])
-        assert np.max(np.abs(ours - scipy.special.digamma(xs))) < 1e-12
-
-    def test_grid_matches_scalar_on_integers_and_fractions(self):
-        xs = np.array([[1.0, 2.0, 17.0], [0.25, 8.5, 4096.0]])
-        expected = np.vectorize(digamma)(xs)
-        assert np.allclose(digamma(xs), expected, atol=1e-13, rtol=0)
-
-    def test_domain_error(self):
-        with pytest.raises(InputError):
-            digamma(0.0)
-        with pytest.raises(InputError):
-            digamma(-3.0)
-        with pytest.raises(InputError):
-            digamma(np.array([1.0, 0.0]))
 
 
 class TestUpperBound:

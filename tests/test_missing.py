@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from midist.core import empirical_mi
 from midist.errors import InputError, UndefinedFillError
-from midist.missing import moments_with_missing
+from midist.missing import missing_batch, moments_with_missing
 from midist.moments import mi_moments
 from midist.tables import ContingencyTable, PosteriorCounts, PriorSpec
 
@@ -190,3 +191,23 @@ def test_q_bar_i_in_unit_interval(payload):
         else:
             assert q_i < 1.0
     assert mm.pi_hat.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@given(
+    st.tuples(st.integers(1, 6), st.integers(2, 8), st.integers(2, 4)).flatmap(
+        lambda shape: st.tuples(
+            arrays(np.int64, shape, elements=st.integers(0, 20)),
+            arrays(np.int64, shape[:2], elements=st.integers(0, 6)),
+        )
+    ),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+@settings(max_examples=100)
+def test_batch_mean_is_the_plug_in_value_of_each_filled_grid(payload, weight):
+    # missing_batch and empirical_mi each hold a copy of the split-log plug-in formula
+    counts, unlabeled = payload
+    grid = counts + weight
+    assume(np.all(grid.sum(axis=(1, 2)) > 0))
+    mm = missing_batch(grid, np.where(grid.sum(axis=2) > 0, unlabeled, 0))
+    for b, mean in enumerate(mm.mean):
+        assert abs(mean - empirical_mi(PosteriorCounts(mm.pi_hat[b]))) <= 1e-14
