@@ -18,7 +18,7 @@ from .errors import (
     UndefinedFillError,
     ZeroCellError,
 )
-from .filters import FILTERS, FilterConfig, FilterDecision, decide, select_features
+from .filters import FILTERS, FilterConfig, FilterDecision, decide
 from .harness import (
     Dataset,
     RunReport,
@@ -31,7 +31,7 @@ from .harness import (
     write_report,
 )
 from .mc import McSummary, ks_distance, sample_mi, tail_slope
-from .missing import MissingMoments, moments_with_missing
+from .missing import MissingMoments
 from .moments import MiMoments, mi_mean, mi_moments
 from .nb import NaiveBayesModel
 from .dist import DistApprox, TailExponents, fit, fit_with_fallback, tail_exponents
@@ -78,12 +78,10 @@ __all__ = [
     "mi_mean",
     "mi_moments",
     "mi_upper_bound",
-    "moments_with_missing",
     "paired_t_test",
     "prepare",
     "run_incremental",
     "sample_mi",
-    "select_features",
     "synthetic_dataset",
     "table_from_json",
     "tail_exponents",

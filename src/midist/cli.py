@@ -11,13 +11,14 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 
 from . import harness
 from .core import mi_upper_bound
 from .dist import FIT_FAMILIES, fit_with_fallback
 from .errors import ConfigurationError, InputError, NumericalError
-from .filters import FILTERS, FilterConfig, FilterDecision, decide, decide_tables
+from .filters import FILTERS, FilterConfig, FilterDecision, decide
 from .mc import ks_distance, sample_mi
 from .tables import PRIOR_KINDS, ContingencyTable, PriorSpec, apply_prior, table_from_json
 
@@ -138,10 +139,11 @@ def cmd_mc(args) -> int:
 def cmd_select(args) -> int:
     dataset = _dataset(args)
     cfg = _config(args)
-    tables = harness.attribute_tables(dataset)
-    kept, decisions = decide_tables(tables, cfg, args.filter)
+    cfg.check_filters([args.filter])
+    decisions = harness.decide_attributes(dataset, cfg)
     for decision in decisions:
         print(json.dumps(asdict(decision)))
+    kept = [d.attribute for d in decisions if getattr(d, f"keep_{args.filter}")]
     print(json.dumps({"filter": args.filter, "kept": kept}))
     return 0
 
@@ -193,6 +195,8 @@ def cmd_discretize(args) -> int:
             numeric = [float(cell) for _, cell in observed]
         except ValueError:
             continue  # categorical column, pass through
+        if not numeric:
+            continue  # no observed cell, nothing to bin
         for (_, cell), value in zip(observed, numeric):
             if not math.isfinite(value):
                 raise InputError(f"{args.data}: column {names[idx]!r} has the non-finite cell {cell!r}")
@@ -259,8 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
@@ -276,6 +285,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -144,37 +144,13 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     )
 
 
-def decide_tables(tables: dict, cfg: FilterConfig, which: str = "f") -> tuple[list, list[FilterDecision]]:
-    """Evaluate every keep rule for every attribute in one ``decide_batch`` call.
-
-    ``tables`` maps attribute id to that attribute's table against the
-    class; all tables must agree on the class cardinality.  Returns the ids
-    that filter ``which`` keeps, in input order, and every decision.
-    """
-    cfg.check_filters([which])
-    cardinalities = {t.s for t in tables.values()}
-    if len(cardinalities) > 1:
-        raise InputError(f"attributes disagree on the class cardinality: {sorted(cardinalities)}")
-    if not tables:
-        return [], []
-    rows = np.array([t.r for t in tables.values()])
-    counts = np.zeros((len(rows), rows.max(), cardinalities.pop()), dtype=np.int64)
-    missing_class = np.zeros(counts.shape[:2])
-    for k, t in enumerate(tables.values()):
-        counts[k, : t.r], missing_class[k, : t.r] = t.counts, t.missing_class
-    missing_feature = np.stack([t.missing_feature for t in tables.values()])
-    batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
+def records(batch: FilterDecision, attributes) -> list[FilterDecision]:
+    """One ``FilterDecision`` per row of a ``decide_batch`` result, named by ``attributes`` in order."""
     columns = [getattr(batch, f.name).tolist() for f in fields(FilterDecision)[1:]]
-    decisions = [FilterDecision(aid, *row) for aid, row in zip(tables, zip(*columns))]
-    return [d.attribute for d in decisions if getattr(d, f"keep_{which}")], decisions
+    return [FilterDecision(attribute, *row) for attribute, row in zip(attributes, zip(*columns))]
 
 
 def decide(table: ContingencyTable, cfg: FilterConfig, attribute=None) -> FilterDecision:
-    """Evaluate every keep rule for one table: ``decide_tables`` on a single attribute."""
-    _, (decision,) = decide_tables({attribute: table}, cfg)
-    return decision
-
-
-def select_features(tables: dict, cfg: FilterConfig, which: str) -> list:
-    """Apply one filter across attributes; the ids ``decide_tables`` keeps, in input order."""
-    return decide_tables(tables, cfg, which)[0]
+    """Evaluate every keep rule for one table: ``decide_batch`` on a stack of one."""
+    batch = decide_batch(table.counts[None], cfg, table.missing_class[None], table.missing_feature[None])
+    return records(batch, [attribute])[0]

@@ -23,9 +23,8 @@ from scipy import special
 
 from .core import check_integer, ordered_sum
 from .errors import InputError
-from .filters import FILTERS, FilterConfig, decide_batch
+from .filters import FILTERS, FilterConfig, FilterDecision, decide_batch, records
 from .nb import NaiveBayesModel, encode, score_subsets
-from .tables import ContingencyTable
 
 DEFAULT_MISSING_TOKEN = "?"
 # attribute tables per decide_batch call: a 2000-step, 200-attribute run then
@@ -170,8 +169,8 @@ def prepare(dataset: Dataset, mode: str = "drop_missing", seed: int = 0) -> Data
     )
 
 
-def attribute_tables(dataset: Dataset) -> dict[str, ContingencyTable]:
-    """Full-dataset contingency tables, one per attribute against the class.
+def decide_attributes(dataset: Dataset, cfg: FilterConfig) -> list[FilterDecision]:
+    """Every keep rule for every attribute, decided on the full dataset's tally in one ``decide_batch`` call.
 
     Rows without a class label are skipped; a missing attribute value in a
     labelled row counts into that attribute's partial margin.
@@ -183,10 +182,8 @@ def attribute_tables(dataset: Dataset) -> dict[str, ContingencyTable]:
     for chunk in _chunks(len(classes), len(dataset.attributes)):
         model.absorb(values[chunk], observed[chunk], classes[chunk])
     missing = model.class_counts - model.cond_counts.sum(axis=1)  # per attribute: labelled, value unobserved
-    return {
-        name: ContingencyTable(model.cond_counts[a, :v], missing_feature=missing[a])
-        for a, (name, v) in enumerate(zip(dataset.attributes, dataset.vocab_sizes))
-    }
+    rows = np.array(dataset.vocab_sizes, dtype=np.int64)
+    return records(decide_batch(model.cond_counts, cfg, missing_feature=missing, rows=rows), dataset.attributes)
 
 
 def _chunks(steps: int, attributes: int) -> list[slice]:

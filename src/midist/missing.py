@@ -27,26 +27,23 @@ With no unlabeled mass everything reduces to the complete-case values:
 pi_ij = n_ij/N, Qbar = 1, Pbar = 0 and the variance becomes (K - J^2)/N.
 The mirror case (class observed, feature value missing) is handled by
 transposing.  Cost is O(r*s).  ``missing_batch`` evaluates a (B, r, s) stack
-at once, as ``decide_batch`` does for every table with a partial margin;
-``moments_with_missing`` adds the prior to one table and evaluates it as a
-stack of one.
+at once, as ``decide_batch`` does for every table with a partial margin.
 
 As in ``moments``, the kernel works batch last, on (r, s, B), and adds every
 per-table sum in index order, so a table's floats do not depend on its batch.
 
-The derivation assumes the uniform prior; other priors are accepted but
-the result carries ``prior_extrapolation=True``.
+The derivation assumes the uniform prior; other priors are accepted, and
+``midist mi`` marks their result with ``prior_extrapolation: true``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ordered_sum
 from .errors import InputError, UndefinedFillError
-from .tables import ContingencyTable, PriorSpec
 
 BOTH_MARGINS = "instances missing the feature and instances missing the class cannot be combined in a single table"
 
@@ -58,7 +55,7 @@ class MissingMoments:
     ``rho_missing`` uses ``inf`` as the sentinel for rows without unlabeled
     mass; the dependent quantities resolve that limit to the complete-case
     values.  The vectors are indexed by the fully observed variable, which
-    is the original table's columns when ``missing_axis == "feature"``.
+    is the original table's columns for mass on the feature margin.
     ``missing_batch`` returns the per-table fields with a leading stack axis.
     """
 
@@ -71,9 +68,7 @@ class MissingMoments:
     p_bar: float
     mean: float
     variance: float
-    variance_clamped: bool = False
-    prior_extrapolation: bool = False
-    missing_axis: str = "class"
+    variance_clamped: bool
 
 
 def missing_batch(grid, unlabeled) -> MissingMoments:
@@ -125,23 +120,3 @@ def missing_batch(grid, unlabeled) -> MissingMoments:
     variance, clamped = np.maximum(raw, 0.0), raw < 0.0
     leading = (np.moveaxis(a, -1, 0) for a in (pi, rho_missing, q_bar_i))  # the fields lead with the stack axis
     return MissingMoments(*leading, q_bar, k_bar, j_bar, p_bar, mean, variance, clamped)
-
-
-def moments_with_missing(table: ContingencyTable, prior: PriorSpec = PriorSpec()) -> MissingMoments:
-    """Leading 1/N moments of one table with unlabeled mass on either margin, or none.
-
-    Mass on the feature margin is handled by transposing, evaluating, and
-    transposing the filled grid back.  Mass on both margins at once is out of
-    scope here (joint missingness needs an iterative estimator).
-    """
-    axis, counts, unlabeled = "class", table.counts, table.missing_class
-    if table.missing_feature.sum() > 0:
-        if table.missing_class.sum() > 0:
-            raise InputError(BOTH_MARGINS)
-        axis, counts, unlabeled = "feature", table.counts.T, table.missing_feature
-    stack = missing_batch((counts + prior.cell_weight(*counts.shape))[None], unlabeled[None])
-    values = {f.name: getattr(stack, f.name)[0] for f in fields(MissingMoments)[:-2]}
-    values = {name: v.item() if v.ndim == 0 else v for name, v in values.items()}
-    if axis == "feature":
-        values["pi_hat"] = values["pi_hat"].T
-    return MissingMoments(**values, prior_extrapolation=prior.kind != "uniform", missing_axis=axis)

@@ -23,9 +23,9 @@ from midist.harness import (
     synthetic_dataset,
 )
 from midist.mc import ks_distance, sample_mi, tail_slope
-from midist.missing import moments_with_missing
+from midist.missing import missing_batch
 from midist.moments import mi_mean, mi_moments
-from midist.tables import ContingencyTable, PosteriorCounts, PriorSpec
+from midist.tables import ContingencyTable, PosteriorCounts
 
 SEED = 20260809
 DRAWS = 1_000_000
@@ -149,17 +149,15 @@ def test_04_distribution_fits(fig_references, scaled_references):
 def test_05_missing_data_complete_case_consistency():
     start = time.perf_counter()
     rng = np.random.default_rng(3)
-    zero_weight = PriorSpec("custom", 0.0)
     worst_mean = worst_var = 0.0
     for _ in range(50):
         r, s = rng.integers(2, 5, size=2)
         counts = rng.integers(1, 40, size=(r, s))
-        table = ContingencyTable(counts)
         pc = PosteriorCounts(counts.astype(float))
         moments = mi_moments(pc)
-        incomplete = moments_with_missing(table, zero_weight)
-        mean_gap = abs(incomplete.mean - empirical_mi(pc))
-        var_gap = abs(incomplete.variance - (moments.k_term - moments.j_term**2) / pc.total)
+        incomplete = missing_batch(counts[None], np.zeros((1, r)))
+        mean_gap = abs(incomplete.mean[0] - empirical_mi(pc))
+        var_gap = abs(incomplete.variance[0] - (moments.k_term - moments.j_term**2) / pc.total)
         worst_mean = max(worst_mean, mean_gap)
         worst_var = max(worst_var, var_gap)
     elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@ import argparse
 import ast
 import importlib
 import json
+import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -41,6 +42,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_showing_warnings(capsys, *argv):
+    """``run_cli`` with every warning written to stderr through ``warnings.formatwarning``, as outside pytest."""
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        return run_cli(capsys, *argv)
+
+
 class TestMi:
     def test_complete_table(self, capsys, table_file):
         code, out, _ = run_cli(capsys, "mi", "--table", table_file, "--prior", "uniform")
@@ -70,6 +83,17 @@ class TestMi:
         code, out, _ = run_cli(capsys, "mi", "--table", str(path), "--prior", "uniform")
         assert code == 0
         assert json.loads(out)["mode"] == "missing_class"
+
+    def test_prior_extrapolation_key(self, capsys, tmp_path, table_file):
+        # the incomplete-sample moments are derived under the uniform prior alone
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({"r": 2, "s": 2, "counts": [[3, 1], [2, 4]], "missing_feature": [1, 0]}))
+        for prior, flag in (("uniform", False), ("jeffreys", True)):
+            code, out, _ = run_cli(capsys, "mi", "--table", str(path), "--prior", prior)
+            payload = json.loads(out)
+            assert code == 0 and payload["mode"] == "missing_feature" and payload["prior_extrapolation"] is flag
+        code, out, _ = run_cli(capsys, "mi", "--table", table_file, "--prior", "jeffreys")
+        assert code == 0 and "prior_extrapolation" not in json.loads(out)
 
     @pytest.mark.parametrize("epsilon", ["nan", "-1"])
     def test_invalid_epsilon_rejected_as_select_rejects_it(self, capsys, table_file, csv_file, epsilon):
@@ -206,14 +230,18 @@ class TestSelect:
             sizes.append(len(args[0]))
             return decide_batch(*args, **kwargs)
 
-        monkeypatch.setattr(midist.filters, "decide_batch", counting)
+        monkeypatch.setattr(midist.harness, "decide_batch", counting)
         code, out, _ = run_cli(capsys, "select", "--data", csv_file, "--filter", "ff", "--family", "gamma")
         assert code == 0
         assert sizes == [2]
-        tables = midist.harness.attribute_tables(midist.load_dataset(csv_file))
+        dataset = midist.load_dataset(csv_file)
         cfg = FilterConfig(family="gamma")
-        # same-shape tables need no padding, so the batch equals each table decided alone
-        expected = [json.dumps(asdict(decide(table, cfg, attribute=name))) for name, table in tables.items()]
+        expected = []
+        for a, name in enumerate(dataset.attributes):  # each attribute's own 2x2 tally, decided alone
+            counts = np.zeros((2, 2), dtype=np.int64)
+            for values, cls in dataset.instances:
+                counts[values[a], cls] += 1
+            expected.append(json.dumps(asdict(decide(midist.ContingencyTable(counts), cfg, attribute=name))))
         assert out.strip().splitlines()[:-1] == expected
 
     def test_each_record_names_its_route(self, capsys, tmp_path):
@@ -240,6 +268,15 @@ class TestSelect:
         assert [str(w.message) for w in caught] == ["1 beta moment pair(s) infeasible; falling back to the gamma family"]
         record = json.loads(out.splitlines()[0])
         assert code == 0 and record["attribute"] == "a" and record["fit_fallback"] == "gamma"
+
+    def test_fallback_warning_is_one_line(self, capsys, tmp_path):
+        path = tmp_path / "sparse.csv"
+        path.write_text("a,cls\n0,0\n0,1\n1,?\n2,?\n3,?\n")
+        code, _, err = run_cli_showing_warnings(
+            capsys, "select", "--data", str(path), "--filter", "bf", "--prior", "perks"
+        )
+        assert code == 0
+        assert err == "warning: 1 beta moment pair(s) infeasible; falling back to the gamma family\n"
 
     def test_zero_epsilon_rejected_for_ff(self, capsys, csv_file):
         code, _, err = run_cli(
@@ -440,6 +477,23 @@ class TestDiscretize:
         assert {c[0] for c in cells} == {"bin_0", "bin_1", "bin_2", "bin_3"}
         assert {c[1] for c in cells} == {"m", "n"}  # categorical untouched
         assert {c[2] for c in cells} == {"0", "1"}  # class column untouched
+
+    def test_all_missing_column_passes_through(self, capsys, tmp_path):
+        src = tmp_path / "gaps.csv"
+        src.write_text("x,cls\n?,a\n?,b\n?,a\n")
+        out_path = tmp_path / "binned.csv"
+        code, _, err = run_cli(capsys, "discretize", "--data", str(src), "--bins", "2", "--out", str(out_path))
+        assert (code, err) == (0, "")
+        assert out_path.read_text().splitlines() == ["x,cls", "?,a", "?,b", "?,a"]
+
+    def test_few_distinct_values_warn_on_one_line(self, capsys, tmp_path):
+        src = tmp_path / "flat.csv"
+        src.write_text("x,cls\n1,a\n1,b\n1,a\n")
+        code, _, err = run_cli_showing_warnings(
+            capsys, "discretize", "--data", str(src), "--bins", "2", "--out", str(tmp_path / "binned.csv")
+        )
+        assert code == 0
+        assert err == "warning: only 1 distinct values for 2 bins; using one bin per value\n"
 
 
 def test_no_command_prints_usage(capsys):

@@ -9,9 +9,9 @@ import midist.filters
 from midist.core import mi_upper_bound
 from midist.dist import FIT_FAMILIES, fit_with_fallback
 from midist.errors import ConfigurationError, InputError, NumericalError, ZeroCellError
-from midist.filters import FilterConfig, decide, decide_batch, select_features
-from midist.harness import attribute_tables, synthetic_dataset
-from midist.missing import moments_with_missing
+from midist.filters import FilterConfig, decide, decide_batch
+from midist.harness import Dataset, decide_attributes, synthetic_dataset
+from midist.missing import missing_batch
 from midist.tables import ContingencyTable, PriorSpec
 
 CFG = FilterConfig()
@@ -61,9 +61,9 @@ class TestDecide:
     def test_missing_margin_routes_to_incomplete_moments(self):
         t = ContingencyTable([[8, 2], [4, 16]], missing_feature=[3, 5])
         d = decide(t, CFG)
-        mm = moments_with_missing(t, CFG.prior)
+        mm = missing_batch((t.counts + CFG.prior.cell_weight(2, 2)).T[None], t.missing_feature[None])
         assert d.route == "missing_feature"
-        assert d.mean == mm.mean and d.variance == mm.variance
+        assert d.mean == mm.mean[0] and d.variance == mm.variance[0]
 
     def test_flags_recomputable_from_fields(self):
         rng = np.random.default_rng(2)
@@ -74,44 +74,43 @@ class TestDecide:
             assert d.keep_bf == (d.prob_exceeds_eps > 1.0 - CFG.p_level)
 
 
+def kept(dataset, cfg, which):
+    """The attributes ``midist select --filter which`` keeps: the filter is checked, then every attribute decided."""
+    cfg.check_filters([which])
+    return [d.attribute for d in decide_attributes(dataset, cfg) if getattr(d, f"keep_{which}")]
+
+
 class TestSelectFeatures:
+    NO_ATTRIBUTES = Dataset([], [], ["0", "1"], [((), 0), ((), 1)])
+
     def test_empty_input(self):
-        assert select_features({}, CFG, "ff") == []
+        assert kept(self.NO_ATTRIBUTES, CFG, "ff") == []
 
     def test_ff_subset_of_bf(self):
         ds = synthetic_dataset(150, informative=3, noise=3, seed=5)
-        tables = attribute_tables(ds)
-        assert set(select_features(tables, CFG, "ff")) <= set(select_features(tables, CFG, "bf"))
-
-    def test_mixed_class_cardinalities_rejected(self):
-        tables = {
-            "a": ContingencyTable([[1, 2], [3, 4]]),
-            "b": ContingencyTable([[1, 2, 3], [4, 5, 6]]),
-        }
-        with pytest.raises(InputError, match="cardinality"):
-            select_features(tables, CFG, "f")
+        assert set(kept(ds, CFG, "ff")) <= set(kept(ds, CFG, "bf"))
 
     def test_unknown_filter(self):
         with pytest.raises(InputError):
-            select_features({}, CFG, "forward")
+            kept(self.NO_ATTRIBUTES, CFG, "forward")
 
     def test_zero_epsilon_rejected_for_credible_filters_only(self):
         cfg = FilterConfig(epsilon=0.0)
-        tables = attribute_tables(synthetic_dataset(60, informative=1, noise=1, seed=0))
-        assert select_features(tables, cfg, "f")  # plug-in filter tolerates 0
+        ds = synthetic_dataset(60, informative=1, noise=1, seed=0)
+        assert kept(ds, cfg, "f")  # plug-in filter tolerates 0
         for which in ("ff", "bf"):
             with pytest.raises(ConfigurationError):
-                select_features(tables, cfg, which)
+                kept(ds, cfg, which)
 
     def test_subset_chain_across_seeds(self):
         # informative plus noise attributes: ff keeps a subset of f keeps a
         # subset of bf in at least 95 of 100 seeded draws
         hits = 0
         for seed in range(100):
-            tables = attribute_tables(synthetic_dataset(200, informative=5, noise=5, seed=seed))
-            ff = set(select_features(tables, CFG, "ff"))
-            f = set(select_features(tables, CFG, "f"))
-            bf = set(select_features(tables, CFG, "bf"))
+            ds = synthetic_dataset(200, informative=5, noise=5, seed=seed)
+            ff = set(kept(ds, CFG, "ff"))
+            f = set(kept(ds, CFG, "f"))
+            bf = set(kept(ds, CFG, "bf"))
             if ff <= f <= bf:
                 hits += 1
         assert hits >= 95

@@ -14,7 +14,7 @@ from midist.errors import InfeasibleFitError, InputError
 from midist.filters import FILTERS, FilterConfig, decide, decide_batch
 from midist.harness import (
     Dataset,
-    attribute_tables,
+    decide_attributes,
     discretize_equal_frequency,
     load_dataset,
     paired_t_test,
@@ -393,12 +393,14 @@ class TestBatchedDecisions:
             "2 beta moment pair(s) infeasible; falling back to the gamma family"
         ]
 
-    def test_attribute_tables_count_every_labelled_instance(self):
+    def test_decide_attributes_equals_decide_on_own_tally(self):
+        # vocabularies 1 to 6 padded into one stack, "?" cells, and an unlabelled row that no table counts
         ds = mixed_dataset(4)
-        tables = attribute_tables(ds)
-        for a, table in enumerate(tables.values()):
-            assert table.counts.sum() + table.missing_feature.sum() == len(ds)
-            assert table.counts.shape == (ds.vocab_sizes[a], 3)
+        ds.instances.append(((0, 1, 2, 3, 5, 1, 2, 5), None))
+        tables = _tally(ds.instances[:-1], ds.vocab_sizes, ds.class_count)
+        for cfg in (FilterConfig(prior=PriorSpec("perks"), family="normal"), FilterConfig(family="normal")):
+            expected = [decide(table, cfg, attribute=name) for name, table in zip(ds.attributes, tables)]
+            assert decide_attributes(ds, cfg) == expected
 
     def test_zero_mean_partial_table_still_raises_under_beta(self):
         # the known library defect: an independent partial-margin table gets

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,13 +9,23 @@ from hypothesis.extra.numpy import arrays
 
 from midist.core import empirical_mi
 from midist.errors import InputError, UndefinedFillError
-from midist.missing import missing_batch, moments_with_missing
+from midist.filters import FilterConfig, decide
+from midist.missing import MissingMoments, missing_batch
 from midist.moments import mi_moments
 from midist.tables import ContingencyTable, PosteriorCounts, PriorSpec
 
 # All worked examples are stated on the post-prior grid, so they are
-# reproduced with a zero-weight prior on all-positive observed counts.
+# reproduced with a zero-weight prior on all-positive observed counts:
+# ``first`` takes the counts as that grid, ``decide`` adds W0.
 W0 = PriorSpec("custom", 0.0)
+
+
+def first(grid, unlabeled=None) -> MissingMoments:
+    """Row 0 of ``missing_batch`` on a stack of one grid; no unlabeled mass by default."""
+    grid = np.asarray(grid, dtype=float)
+    unlabeled = np.zeros(len(grid)) if unlabeled is None else np.asarray(unlabeled, dtype=float)
+    mm = missing_batch(grid[None], unlabeled[None])
+    return MissingMoments(*(getattr(mm, f.name)[0] for f in fields(MissingMoments)))
 
 
 def transcribed_variance(counts, unlabeled):
@@ -62,42 +73,35 @@ def transcribed_variance(counts, unlabeled):
 
 class TestFillEstimate:
     def test_spreads_unlabeled_mass_proportionally(self):
-        t = ContingencyTable([[1, 1], [1, 1]], missing_class=[2, 0])
-        pi = moments_with_missing(t, W0).pi_hat
+        pi = first([[1, 1], [1, 1]], [2, 0]).pi_hat
         assert np.allclose(pi, [[1 / 3, 1 / 3], [1 / 6, 1 / 6]], atol=1e-15)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_complete_case_gives_relative_frequencies(self):
-        t = ContingencyTable([[8, 2], [4, 16]])
-        assert np.allclose(moments_with_missing(t, W0).pi_hat, np.array([[8, 2], [4, 16]]) / 30.0)
+        assert np.allclose(first([[8, 2], [4, 16]]).pi_hat, np.array([[8, 2], [4, 16]]) / 30.0)
 
     def test_diagonal(self):
-        t = ContingencyTable([[4, 0], [0, 4]], missing_class=[0, 0])
-        assert np.allclose(moments_with_missing(t, W0).pi_hat, [[0.5, 0], [0, 0.5]])
+        assert np.allclose(first([[4, 0], [0, 4]], [0, 0]).pi_hat, [[0.5, 0], [0, 0.5]])
 
     def test_unobserved_row_with_unlabeled_mass_rejected(self):
-        t = ContingencyTable([[0, 0], [1, 1]], missing_class=[3, 0])
         with pytest.raises(UndefinedFillError, match="row 0"):
-            moments_with_missing(t, W0)
+            first([[0, 0], [1, 1]], [3, 0])
 
 
 class TestMeanMissing:
     def test_complete_case_equals_plugin_value(self):
-        t = ContingencyTable([[8, 2], [4, 16]])
         expected = empirical_mi(PosteriorCounts([[8, 2], [4, 16]]))
-        assert moments_with_missing(t, W0).mean == pytest.approx(expected, abs=1e-12)
+        assert first([[8, 2], [4, 16]]).mean == pytest.approx(expected, abs=1e-12)
 
     def test_rank_one_fill_is_zero(self):
         # the filled grid ((1/3,1/3),(1/6,1/6)) has proportional rows
-        t = ContingencyTable([[1, 1], [1, 1]], missing_class=[2, 0])
-        assert moments_with_missing(t, W0).mean == 0.0
+        assert first([[1, 1], [1, 1]], [2, 0]).mean == 0.0
 
 
 class TestVarianceMissing:
     def test_complete_case_reduction(self):
-        t = ContingencyTable([[8, 2], [4, 16]])
         mom = mi_moments(PosteriorCounts([[8, 2], [4, 16]]))
-        mm = moments_with_missing(t, W0)
+        mm = first([[8, 2], [4, 16]])
         assert mm.variance == pytest.approx((mom.k_term - mom.j_term**2) / 30.0, abs=1e-12)
         assert mm.q_bar == pytest.approx(1.0, abs=1e-12)
         assert mm.p_bar == 0.0
@@ -105,12 +109,12 @@ class TestVarianceMissing:
         assert mm.j_bar == pytest.approx(mom.j_term, abs=1e-12)
 
     def test_rank_one_fill_gives_zero_variance(self):
-        mm = moments_with_missing(ContingencyTable([[1, 1], [1, 1]], missing_class=[2, 0]), W0)
+        mm = first([[1, 1], [1, 1]], [2, 0])
         assert mm.k_bar == 0.0 and mm.j_bar == 0.0
         assert mm.variance == 0.0
 
     def test_against_plain_loop_transcription(self):
-        mm = moments_with_missing(ContingencyTable([[8, 2], [4, 16]], missing_class=[3, 5]), W0)
+        mm = first([[8, 2], [4, 16]], [3, 5])
         assert mm.variance == pytest.approx(transcribed_variance([[8, 2], [4, 16]], [3, 5]), abs=1e-12)
 
     def test_randomised_against_transcription(self):
@@ -119,53 +123,45 @@ class TestVarianceMissing:
             r, s = rng.integers(2, 5, size=2)
             counts = rng.integers(1, 25, size=(r, s))
             unlabeled = rng.integers(0, 8, size=r)
-            mm = moments_with_missing(ContingencyTable(counts, missing_class=unlabeled), W0)
+            mm = first(counts, unlabeled)
             expected = transcribed_variance(counts.tolist(), unlabeled.tolist())
             assert mm.variance == pytest.approx(max(0.0, expected), abs=1e-12)
 
     def test_sentinel_for_rows_without_unlabeled_mass(self):
-        mm = moments_with_missing(ContingencyTable([[3, 1], [2, 4]], missing_class=[2, 0]), W0)
+        mm = first([[3, 1], [2, 4]], [2, 0])
         assert math.isinf(mm.rho_missing[1])
         assert mm.q_bar_i[1] == 1.0
         assert 0.0 < mm.q_bar_i[0] < 1.0
 
     def test_continuous_at_vanishing_unlabeled_mass(self):
-        complete = moments_with_missing(ContingencyTable([[8, 2], [4, 16]]), W0)
-        tiny = moments_with_missing(
-            ContingencyTable([[8, 2], [4, 16]], missing_class=[1e-9, 0.0]), W0
-        )
+        complete = first([[8, 2], [4, 16]])
+        tiny = first([[8, 2], [4, 16]], [1e-9, 0.0])
         assert tiny.variance == pytest.approx(complete.variance, abs=1e-9)
         assert tiny.mean == pytest.approx(complete.mean, abs=1e-9)
 
-    def test_prior_extrapolation_flag(self):
-        t = ContingencyTable([[3, 1], [2, 4]], missing_class=[1, 0])
-        assert not moments_with_missing(t, PriorSpec("uniform")).prior_extrapolation
-        assert moments_with_missing(t, PriorSpec("jeffreys")).prior_extrapolation
-
 
 class TestDispatch:
+    # decide routes each table; the normal family fits every moment pair
+    CFG = FilterConfig(family="normal", prior=W0)
+
     def test_feature_axis_routes_through_transpose(self):
         t = ContingencyTable([[8, 2], [4, 16]], missing_feature=[3, 5])
-        direct = moments_with_missing(
-            ContingencyTable(np.array([[8, 2], [4, 16]]).T, missing_class=[3, 5]), W0
-        )
-        routed = moments_with_missing(t, W0)
-        assert routed.missing_axis == "feature"
-        assert routed.variance == direct.variance
-        assert np.array_equal(routed.pi_hat, direct.pi_hat.T)
+        direct = missing_batch(np.array([[[8.0, 2.0], [4.0, 16.0]]]).swapaxes(1, 2), [[3.0, 5.0]])
+        routed = decide(t, self.CFG)
+        assert routed.route == "missing_feature"
+        assert routed.mean == direct.mean[0] and routed.variance == direct.variance[0]
 
     def test_both_margins_rejected(self):
         t = ContingencyTable([[1, 1], [1, 1]], missing_class=[1, 0], missing_feature=[0, 1])
         with pytest.raises(InputError):
-            moments_with_missing(t, W0)
+            decide(t, self.CFG)
 
     def test_table_without_mass_rejected(self):
         with pytest.raises(InputError, match="no mass"):
-            moments_with_missing(ContingencyTable([[0, 0], [0, 0]]), W0)
+            missing_batch(np.zeros((1, 2, 2)), np.zeros((1, 2)))
 
     def test_complete_table_allowed(self):
-        t = ContingencyTable([[3, 1], [2, 4]])
-        assert moments_with_missing(t, W0).missing_axis == "class"
+        assert decide(ContingencyTable([[3, 1], [2, 4]]), self.CFG).route == "complete"
 
 
 @given(
@@ -183,7 +179,7 @@ class TestDispatch:
 @settings(max_examples=60)
 def test_q_bar_i_in_unit_interval(payload):
     counts, unlabeled = payload
-    mm = moments_with_missing(ContingencyTable(counts, missing_class=unlabeled), W0)
+    mm = first(counts, unlabeled)
     for q_i, u in zip(mm.q_bar_i, unlabeled):
         assert 0.0 < q_i <= 1.0
         if u == 0:
