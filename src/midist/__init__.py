@@ -34,7 +34,7 @@ from .mc import McSummary, ks_distance, sample_mi, tail_slope
 from .missing import MissingMoments
 from .moments import MiMoments, mi_mean, mi_moments
 from .nb import NaiveBayesModel
-from .dist import DistApprox, TailExponents, fit, fit_with_fallback, tail_exponents
+from .dist import DistApprox, TailExponents, fit, tail_exponents
 from .tables import (
     ContingencyTable,
     PosteriorCounts,
@@ -72,7 +72,6 @@ __all__ = [
     "discretize_equal_frequency",
     "empirical_mi",
     "fit",
-    "fit_with_fallback",
     "ks_distance",
     "load_dataset",
     "mi_mean",

@@ -16,11 +16,11 @@ from dataclasses import asdict
 
 from . import harness
 from .core import mi_upper_bound
-from .dist import FIT_FAMILIES, fit_with_fallback
+from .dist import FIT_FAMILIES, fit
 from .errors import ConfigurationError, InputError, NumericalError
-from .filters import FILTERS, FilterConfig, FilterDecision, decide
+from .filters import FILTERS, FilterConfig, decide
 from .mc import ks_distance, sample_mi
-from .tables import PRIOR_KINDS, ContingencyTable, PriorSpec, apply_prior, table_from_json
+from .tables import PRIOR_KINDS, PriorSpec, apply_prior, table_from_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,24 +79,19 @@ def _add_filter_options(parser) -> None:
     _add_prior_options(parser)
 
 
-def _posterior(table: ContingencyTable, prior: PriorSpec, **settings) -> FilterDecision:
-    """One table's ``decide`` under the normal family, which fits every moment pair without warning."""
-    return decide(table, FilterConfig(family="normal", prior=prior, **settings))
-
-
 def cmd_mi(args) -> int:
     table = table_from_json(_read_json(args.table))
     prior = _prior(args)
-    d = _posterior(table, prior, epsilon=args.epsilon)
+    d = decide(table, FilterConfig(epsilon=args.epsilon, family=args.dist or "normal", prior=prior))
     out = {"mode": d.route, "j": d.j, "mean": d.mean, "variance": d.variance}
     if d.route.startswith("missing_"):  # the incomplete-sample moments are derived under the uniform prior
         out["prior_extrapolation"] = prior.kind != "uniform"
     if args.dist:
-        approx, fallback = fit_with_fallback(args.dist, d.mean, d.variance, mi_upper_bound(table.r, table.s))
+        approx = fit(d.fit_fallback or args.dist, d.mean, d.variance, mi_upper_bound(table.r, table.s))
         out["dist"] = {
             "family": approx.family,
             "params": approx.params,
-            "fallback": fallback,
+            "fallback": d.fit_fallback,
             "prob_exceeds_epsilon": approx.prob_exceeds(args.epsilon),
             "quantile_05": approx.quantile(0.05),
             "quantile_95": approx.quantile(0.95),
@@ -122,9 +117,9 @@ def cmd_mc(args) -> int:
         "storage": "samples" if summary.samples is not None else "histogram",
     }
     if args.fit:
-        d = _posterior(table, prior)
-        approx, fallback = fit_with_fallback(args.fit, d.mean, d.variance, summary.i_max)
-        out["fit"] = {"family": approx.family, "params": approx.params, "fallback": fallback}
+        d = decide(table, FilterConfig(family=args.fit, prior=prior))
+        approx = fit(d.fit_fallback or args.fit, d.mean, d.variance, summary.i_max)
+        out["fit"] = {"family": approx.family, "params": approx.params, "fallback": d.fit_fallback}
         out["ks_distance"] = ks_distance(summary, approx)
     if args.dump:
         if summary.samples is None:

@@ -5,7 +5,8 @@ queryable for probabilities and quantiles.  The beta family lives on the
 rescaled variable I / i_max so its support matches the information range;
 the normal keeps its unbounded support (it is only asymptotically
 concentrated inside the range).  An infeasible moment pair raises from the
-strict ``fit`` and degrades to the gamma family in ``fit_with_fallback``.
+strict ``fit``; ``prob_exceeds_batch`` alone decides when an infeasible beta
+pair degrades to the gamma family, and callers fit the family it reports.
 """
 
 from __future__ import annotations
@@ -171,42 +172,26 @@ def fit(family: str, mean: float, variance: float, i_max: float) -> DistApprox:
     return DistApprox(family, params, support[family])
 
 
-def _fallback(family: str, mean, variance, i_max):
-    """Mask of the beta pairs that degrade to gamma; warns once, with the count, when any do."""
-    point, _ = _point_mass(mean, variance, i_max)
-    fallback = np.logical_not(point | _feasible(family, mean, variance, i_max)[0]) & (family == "beta")
-    if np.any(fallback):
-        warnings.warn(
-            f"{int(np.sum(fallback))} beta moment pair(s) infeasible; falling back to the gamma family",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return fallback
-
-
-def fit_with_fallback(family: str, mean: float, variance: float, i_max: float):
-    """``fit``, except an infeasible beta pair degrades to gamma with a warning.
-
-    Returns (approximation, fallback family name or None).
-    """
-    _check_moments(family, mean, variance, i_max)
-    if _fallback(family, mean, variance, i_max):
-        return fit("gamma", mean, variance, i_max), "gamma"
-    return fit(family, mean, variance, i_max), None
-
-
 def prob_exceeds_batch(family: str, mean, variance, i_max, epsilon: float):
-    """P(I > epsilon) under ``fit_with_fallback(family, mean[k], variance[k], i_max[k])`` for every k.
+    """P(I > epsilon) under ``fit(family, mean[k], variance[k], i_max[k])`` for every k.
 
-    Returns the probabilities and the mask of beta pairs that fell back to
-    gamma.  The batch warns once, with the count, when any pair falls back.
+    A beta pair that ``fit`` rejects (and no point mass) falls back to gamma.
+    Returns the probabilities and the mask of pairs that fell back; the batch
+    warns once, with the count, when any pair falls back.
     """
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
     i_max = np.asarray(i_max, dtype=float)
     _check_moments(family, mean, variance, i_max)
     point, location = _point_mass(mean, variance, i_max)
-    fallback = _fallback(family, mean, variance, i_max)
+    # _feasible gives the bool True for normal and gamma, so not `~`
+    fallback = np.logical_not(point | _feasible(family, mean, variance, i_max)[0]) & (family == "beta")
+    if fallback.any():
+        warnings.warn(
+            f"{int(fallback.sum())} beta moment pair(s) infeasible; falling back to the gamma family",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     prob = np.empty(mean.shape)
     prob[point] = 1.0 - _cdf("point_mass", {"location": location[point]}, epsilon)
     for fam, mask in ((family, ~point & ~fallback), ("gamma", fallback)):

@@ -52,6 +52,9 @@ class Dataset:
 
     @property
     def class_count(self) -> int:
+        """The class vocabulary size; a class column with no observed value is an ``InputError``."""
+        if not self.class_vocab:
+            raise InputError(f"{self.provenance.get('path', 'dataset')}: the class column has no observed value")
         return len(self.class_vocab)
 
     @property

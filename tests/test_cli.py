@@ -36,6 +36,11 @@ def csv_file(tmp_path):
     return str(path)
 
 
+# under Perks this table's moment pair is one the beta family cannot match
+FALLBACK_TABLE = {"r": 4, "s": 2, "counts": [[1, 1], [0, 0], [0, 0], [0, 0]]}
+FALLBACK_WARNING = "1 beta moment pair(s) infeasible; falling back to the gamma family"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -170,6 +175,23 @@ class TestMi:
         assert code == 0 and payload["mode"] == mode == decision.route
         assert (payload["j"], payload["mean"], payload["variance"]) == (decision.j, decision.mean, decision.variance)
 
+    def test_dist_fits_the_decisions_fallback_family(self, capsys, tmp_path):
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(FALLBACK_TABLE))
+        code, out, err = run_cli_showing_warnings(capsys, "mi", "--table", str(path), "--prior", "perks", "--dist", "beta")
+        dist = json.loads(out)["dist"]
+        assert code == 0 and dist["family"] == "gamma" and dist["fallback"] == "gamma"
+        assert err == f"warning: {FALLBACK_WARNING}\n"
+
+    def test_zero_mean_partial_table_warns_then_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "zero_mean.json"
+        path.write_text(json.dumps({"r": 2, "s": 3, "counts": [[0, 0, 0], [0, 0, 0]], "missing_feature": [1, 0, 0]}))
+        code, out, err = run_cli_showing_warnings(capsys, "mi", "--table", str(path), "--prior", "perks", "--dist", "beta")
+        lines = err.splitlines()
+        assert (code, out, len(lines)) == (2, "", 2)
+        assert lines[0] == f"warning: {FALLBACK_WARNING}"
+        assert lines[1].startswith("numerical error: gamma needs mean > 0")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "mi", "--table", "/nonexistent.json")
         assert code == 1
@@ -191,6 +213,16 @@ class TestMc:
         assert payload["sample_count"] == 20000
         assert payload["mean"] == pytest.approx(0.166, abs=0.01)
         assert 0.0 <= payload["ks_distance"] <= 0.05
+
+    def test_fit_takes_the_decisions_fallback_family(self, capsys, tmp_path):
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(FALLBACK_TABLE))
+        code, out, err = run_cli_showing_warnings(
+            capsys, "mc", "--table", str(path), "--prior", "perks", "--samples", "2000", "--fit", "beta"
+        )
+        fit = json.loads(out)["fit"]
+        assert code == 0 and fit["family"] == "gamma" and fit["fallback"] == "gamma"
+        assert err == f"warning: {FALLBACK_WARNING}\n"
 
     def test_deterministic_across_invocations(self, capsys, table_file):
         args = ["mc", "--table", table_file, "--prior", "uniform", "--samples", "5000", "--seed", "3"]
@@ -451,6 +483,13 @@ def test_attribute_without_an_observed_value_is_named(capsys, tmp_path, command)
     }[command]
     code, out, err = run_cli(capsys, command, "--data", str(path), *extra)
     assert_one_error_line(code, out, err, f"{path}: attribute 'a' has no observed value")
+
+
+def test_select_names_a_class_column_without_a_label(capsys, tmp_path):
+    path = tmp_path / "unlabelled.csv"
+    path.write_text("a,cls\n1,?\n2,?\n")
+    code, out, err = run_cli(capsys, "select", "--data", str(path), "--filter", "ff")
+    assert_one_error_line(code, out, err, f"{path}: the class column has no observed value")
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

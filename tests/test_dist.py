@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midist.dist import DistApprox, fit, fit_with_fallback, prob_exceeds_batch, tail_exponents
+from midist.dist import DistApprox, fit, prob_exceeds_batch, tail_exponents
 from midist.errors import InfeasibleFitError, InputError
 
 
@@ -49,14 +49,23 @@ class TestFit:
             fit("cauchy", 0.1, 0.01, 1.0)
 
     def test_fallback_degrades_beta_to_gamma(self):
-        with pytest.warns(RuntimeWarning, match="gamma"):
-            d, fallback = fit_with_fallback("beta", 0.5, 0.3, 1.0)
-        assert d.family == "gamma" and fallback == "gamma"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prob, fallback = prob_exceeds_batch("beta", [0.5], [0.3], [1.0], 0.1)
+        assert fallback.tolist() == [True]
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "1 beta moment pair(s) infeasible; falling back to the gamma family")
+        ]
+        d = fit("gamma", 0.5, 0.3, 1.0)
+        assert prob[0] == pytest.approx(d.prob_exceeds(0.1), abs=1e-12)
         assert d.moments() == (pytest.approx(0.5), pytest.approx(0.3))
 
     def test_fallback_passes_feasible_fit_through(self):
-        d, fallback = fit_with_fallback("beta", 0.25, 0.01, 1.0)
-        assert d.family == "beta" and fallback is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob, fallback = prob_exceeds_batch("beta", [0.25], [0.01], [1.0], 0.1)
+        assert fallback.tolist() == [False]
+        assert prob[0] == pytest.approx(fit("beta", 0.25, 0.01, 1.0).prob_exceeds(0.1), abs=1e-12)
 
 
 @given(

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 import midist.filters
 from midist.core import mi_upper_bound
-from midist.dist import FIT_FAMILIES, fit_with_fallback
-from midist.errors import ConfigurationError, InputError, NumericalError, ZeroCellError
+from midist.dist import FIT_FAMILIES, fit
+from midist.errors import ConfigurationError, InfeasibleFitError, InputError, NumericalError, ZeroCellError
 from midist.filters import FilterConfig, decide, decide_batch
 from midist.harness import Dataset, decide_attributes, synthetic_dataset
 from midist.missing import missing_batch
@@ -220,7 +221,15 @@ def assert_batch_matches_single_tables(counts, missing_class, missing_feature, r
             assert batch.route[k] == d.route and batch.fit_fallback[k] == d.fit_fallback
             assert bool(batch.variance_clamped[k]) == d.variance_clamped
             if d.route != "degenerate":
-                approx, _ = fit_with_fallback(cfg.family, d.mean, d.variance, mi_upper_bound(rows[k], counts.shape[2]))
+                # the fallback rule, applied independently: beta that fit rejects becomes gamma
+                i_max = mi_upper_bound(rows[k], counts.shape[2])
+                try:
+                    approx, fallback = fit(cfg.family, d.mean, d.variance, i_max), None
+                except InfeasibleFitError:
+                    if cfg.family != "beta":
+                        raise
+                    approx, fallback = fit("gamma", d.mean, d.variance, i_max), "gamma"
+                assert d.fit_fallback == fallback
                 assert abs(approx.prob_exceeds(cfg.epsilon) - d.prob_exceeds_eps) <= 1e-12
             else:
                 assert d.j == d.mean == d.variance == 0.0 and not (d.keep_f or d.keep_ff or d.keep_bf)
@@ -299,6 +308,15 @@ def test_batch_covers_point_mass_and_fallback(family):
     assert list(batch.fit_fallback) == [None, None, "gamma" if family == "beta" else None]
     assert len(caught) == (family == "beta")  # one warning per batch, with the count
     assert_batch_matches_single_tables(counts, np.zeros((3, 4)), np.zeros((3, 2)), np.full(3, 4), cfg)
+
+
+def test_fallback_warning_is_attributed_to_the_filters_module():
+    # Python's default filter shows a warning once per location, so the location is part of the behaviour
+    table = ContingencyTable([[1, 1], [0, 0], [0, 0], [0, 0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        decide(table, FilterConfig(prior=PriorSpec("perks")))
+    assert [Path(w.filename).name for w in caught] == ["filters.py"]
 
 
 def test_one_moments_call_per_complete_height_and_one_call_per_partial_route(monkeypatch):
