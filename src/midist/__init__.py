@@ -33,7 +33,6 @@ from .harness import (
 from .mc import McSummary, ks_distance, sample_mi, tail_slope
 from .missing import MissingMoments
 from .moments import MiMoments, mi_mean, mi_moments
-from .nb import NaiveBayesModel
 from .dist import DistApprox, TailExponents, fit, tail_exponents
 from .tables import (
     ContingencyTable,
@@ -59,7 +58,6 @@ __all__ = [
     "McSummary",
     "MiMoments",
     "MissingMoments",
-    "NaiveBayesModel",
     "NumericalError",
     "PosteriorCounts",
     "PriorSpec",

@@ -87,8 +87,8 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     """Evaluate every keep rule for a (B, R, s) stack of attribute-against-class tables.
 
     Table b owns rows ``[0, rows[b])`` (all R by default); padded rows, and
-    their ``missing_class`` entries, must be zero; no other function knows the
-    padding.  Each table takes one of ``ROUTES``: complete tables the exact
+    their ``missing_class`` entries, must be zero, as in the harness's padded
+    tally.  Each table takes one of ``ROUTES``: complete tables the exact
     moments, one kernel call per row count on the unpadded rows; tables with
     mass on one partial margin (``missing_class`` (B, R) or ``missing_feature``
     (B, s)) the incomplete-sample moments, one call per margin whose padded

@@ -21,10 +21,10 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .core import check_integer, ordered_sum
+from .core import check_integer
 from .errors import InputError
 from .filters import FILTERS, FilterConfig, FilterDecision, decide_batch, records
-from .nb import NaiveBayesModel, encode, score_subsets
+from .nb import absorb, encode, score_subsets
 
 DEFAULT_MISSING_TOKEN = "?"
 # attribute tables per decide_batch call: a 2000-step, 200-attribute run then
@@ -181,12 +181,18 @@ def decide_attributes(dataset: Dataset, cfg: FilterConfig) -> list[FilterDecisio
     labelled = [row for row in dataset.instances if row[1] is not None]
     values, observed = encode([row[0] for row in labelled], dataset.vocab_sizes)
     classes = np.array([cls for _, cls in labelled], dtype=np.int64)
-    model = NaiveBayesModel(dataset.vocab_sizes, dataset.class_count)  # its counts are the tables
-    for chunk in _chunks(len(classes), len(dataset.attributes)):
-        model.absorb(values[chunk], observed[chunk], classes[chunk])
-    missing = model.class_counts - model.cond_counts.sum(axis=1)  # per attribute: labelled, value unobserved
+    counts, class_counts, rows = _zero_tally(dataset)  # the counts are the tables
+    for chunk in _chunks(len(classes), len(rows)):
+        absorb(counts, class_counts, values[chunk], observed[chunk], classes[chunk])
+    missing = class_counts - counts.sum(axis=1)  # per attribute: labelled, value unobserved
+    return records(decide_batch(counts, cfg, missing_feature=missing, rows=rows), dataset.attributes)
+
+
+def _zero_tally(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero (A, R, s) counts padded to the largest vocabulary R, zero (s) class counts, and each attribute's rows."""
     rows = np.array(dataset.vocab_sizes, dtype=np.int64)
-    return records(decide_batch(model.cond_counts, cfg, missing_feature=missing, rows=rows), dataset.attributes)
+    shape = (len(rows), max(rows, default=1), dataset.class_count)
+    return np.zeros(shape, dtype=np.int64), np.zeros(shape[-1], dtype=np.int64), rows
 
 
 def _chunks(steps: int, attributes: int) -> list[slice]:
@@ -298,14 +304,13 @@ def run_incremental(
 
     values, observed = encode([row[0] for row in dataset.instances], dataset.vocab_sizes)
     classes = np.array([cls for _, cls in dataset.instances], dtype=np.int64)
-    model = NaiveBayesModel(dataset.vocab_sizes, dataset.class_count)
-    rows = np.array(dataset.vocab_sizes, dtype=np.int64)
+    counts, class_counts, rows = _zero_tally(dataset)
     flags = [f"keep_{f}" for f in filters]
     keep, predicted = [], []  # per chunk: (T, F, A) keep masks and (T, F) predictions
     for chunk in _chunks(len(classes), len(rows)):
-        prefix, class_prefix = model.absorb(values[chunk], observed[chunk], classes[chunk])
+        prefix, class_prefix = absorb(counts, class_counts, values[chunk], observed[chunk], classes[chunk])
         steps, attributes, height, s = prefix.shape
-        missing = (class_prefix[:, None, :] - ordered_sum(prefix.transpose(2, 0, 1, 3))).reshape(-1, s)
+        missing = (class_prefix[:, None, :] - prefix.sum(axis=2)).reshape(-1, s)
         batch = decide_batch(prefix.reshape(-1, height, s), cfg, missing_feature=missing, rows=np.tile(rows, steps))
         keep.append(np.stack([getattr(batch, flag).reshape(steps, attributes) for flag in flags], axis=1))
         value_counts = prefix[np.arange(steps)[:, None], np.arange(attributes), values[chunk]]

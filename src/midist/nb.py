@@ -1,4 +1,9 @@
-"""Incremental naive Bayes with add-one smoothing on every estimate."""
+"""Incremental naive Bayes with add-one smoothing, tallied in two int64 arrays.
+
+(A, R, s) ``counts[a, v, j]`` counts class j with value v of attribute a, padded
+to the largest vocabulary R (rows past a's vocabulary stay zero), and (s)
+``class_counts[j]`` counts class j.  ``absorb`` advances both in place.
+"""
 
 from __future__ import annotations
 
@@ -37,9 +42,14 @@ def score_subsets(value_counts, class_counts, vocab_sizes, selected) -> tuple[np
     """Most probable class under each row of a (..., F, A) mask, from counts alone.
 
     ``value_counts`` (..., A, s) holds the class counts of the instance's value
-    of each attribute, ``class_counts`` (..., s) the class counts.  Log-scores
-    within ``TIE_TOLERANCE * max(1, |best|)`` of the best tie to the lowest
-    class.  Returns (..., F) classes and (..., F, s) log-scores less the best.
+    of each attribute, ``class_counts`` (..., s) the class counts.  Scores sum
+    the logs of the smoothed posterior-mean estimates, seen being ``class_counts.sum()``:
+
+        P(class j)            = (count_j + 1) / (seen + s)
+        P(value v | class j)  = (count_vj + 1) / (count_j + vocab size)
+
+    The mask leaves out unobserved cells.  Log-scores within ``TIE_TOLERANCE * max(1, |best|)``
+    of the best tie to the lowest class.  Returns (..., F) classes and (..., F, s) log-scores less the best.
     """
     s = class_counts.shape[-1]
     seen = class_counts.sum(axis=-1)
@@ -54,47 +64,20 @@ def score_subsets(value_counts, class_counts, vocab_sizes, selected) -> tuple[np
     return np.argmax(tied, axis=-1), log_scores - best
 
 
-class NaiveBayesModel:
-    """Categorical naive Bayes counts, learned from labelled instances in order.
+def absorb(counts, class_counts, values, observed, classes) -> tuple[np.ndarray, np.ndarray]:
+    """Add ``encode``d labelled instances to the two tallies in place, unobserved cells to no value count.
 
-    ``score_subsets`` scores from these counts with the smoothed
-    posterior-mean estimates
-
-        P(class j)            = (count_j + 1) / (seen + s)
-        P(value v | class j)  = (count_vj + 1) / (count_j + vocab size)
-
-    accumulated in log space, where seen is ``class_counts.sum()``.  Instance
-    cells may be None (unobserved); ``absorb`` tallies no value for them,
-    and ``score_subsets`` is given a mask that leaves them out.
-    ``cond_counts[a, v, j]`` is attribute a's count_vj in one padded stack:
-    rows past a's vocabulary stay zero.
-    Updates are single-writer by contract; reads between updates are free.
+    Returns the tallies before each instance, (T, A, R, s) and (T, s): those on entry plus an exclusive cumsum.
     """
-
-    def __init__(self, vocab_sizes: Sequence[int], class_count: int):
-        if class_count < 1:
-            raise InputError("class_count must be >= 1")
-        if any(v < 1 for v in vocab_sizes):
-            raise InputError("every attribute needs a vocabulary of size >= 1")
-        self.vocab_sizes = [int(v) for v in vocab_sizes]
-        self.class_count = int(class_count)
-        self.class_counts = np.zeros(self.class_count, dtype=np.int64)
-        shape = (len(self.vocab_sizes), max(self.vocab_sizes, default=1), self.class_count)
-        self.cond_counts = np.zeros(shape, dtype=np.int64)
-
-    def absorb(self, values, observed, classes) -> tuple[np.ndarray, np.ndarray]:
-        """Absorb ``encode``d labelled instances in order; return the counts before each.
-
-        (T, A, R, s) and (T, s): the model's counts plus an exclusive cumsum of one-hot instances.
-        """
-        for c in classes[(classes < 0) | (classes >= self.class_count)][:1]:
-            raise InputError(f"class index {c} outside [0, {self.class_count})")
-        t, a = np.nonzero(observed)
-        onehot = np.zeros((len(classes), *self.cond_counts.shape), dtype=np.int64)
-        onehot[t, a, values[t, a], classes[t]] = 1
-        class_onehot = np.eye(self.class_count, dtype=np.int64)[classes]
-        before = np.cumsum(onehot, axis=0) - onehot + self.cond_counts
-        class_before = np.cumsum(class_onehot, axis=0) - class_onehot + self.class_counts
-        self.cond_counts += onehot.sum(axis=0)
-        self.class_counts += class_onehot.sum(axis=0)
-        return before, class_before
+    s = len(class_counts)
+    for c in classes[(classes < 0) | (classes >= s)][:1]:
+        raise InputError(f"class index {c} outside [0, {s})")
+    t, a = np.nonzero(observed)
+    onehot = np.zeros((len(classes), *counts.shape), dtype=np.int64)
+    onehot[t, a, values[t, a], classes[t]] = 1
+    class_onehot = np.eye(s, dtype=np.int64)[classes]
+    before = np.cumsum(onehot, axis=0) - onehot + counts
+    class_before = np.cumsum(class_onehot, axis=0) - class_onehot + class_counts
+    counts += onehot.sum(axis=0)
+    class_counts += class_onehot.sum(axis=0)
+    return before, class_before

@@ -25,7 +25,7 @@ from midist.harness import (
     synthetic_dataset,
     write_report,
 )
-from midist.nb import NaiveBayesModel, encode, score_subsets
+from midist.nb import absorb, encode, score_subsets
 from midist.tables import ContingencyTable, PriorSpec
 
 CFG = FilterConfig()
@@ -340,21 +340,20 @@ class TestBatchedDecisions:
         cfg = FilterConfig(prior=PriorSpec("jeffreys"), family="normal")
         ds = long_mixed_dataset()
         report = run_incremental(ds, cfg, record_selected=True)
-        model = NaiveBayesModel(ds.vocab_sizes, ds.class_count)
-        rows = np.array(ds.vocab_sizes)
+        counts, class_counts, rows = midist.harness._zero_tally(ds)
         correct = {f: [] for f in FILTERS}
         sets = {f: [] for f in FILTERS}
         for instance, cls in ds.instances:
-            unobserved = model.class_counts - model.cond_counts.sum(axis=1)
-            batch = decide_batch(model.cond_counts, cfg, missing_feature=unobserved, rows=rows)
+            unobserved = class_counts - counts.sum(axis=1)
+            batch = decide_batch(counts, cfg, missing_feature=unobserved, rows=rows)
             keep = np.stack([getattr(batch, f"keep_{f}") for f in FILTERS])
             values, observed = encode([instance], ds.vocab_sizes)
-            value_counts = model.cond_counts[np.arange(len(rows)), values[0]]
-            predicted, _ = score_subsets(value_counts, model.class_counts, ds.vocab_sizes, keep & observed)
+            value_counts = counts[np.arange(len(rows)), values[0]]
+            predicted, _ = score_subsets(value_counts, class_counts, ds.vocab_sizes, keep & observed)
             for f, row, guess in zip(FILTERS, keep, predicted):
                 correct[f].append(int(guess == cls))
                 sets[f].append(np.flatnonzero(row).tolist())
-            model.absorb(values, observed, np.array([cls]))
+            absorb(counts, class_counts, values, observed, np.array([cls]))
         for f in FILTERS:
             assert report.runs[f].correct == correct[f]
             assert report.runs[f].selected_counts == [len(chosen) for chosen in sets[f]]
@@ -397,10 +396,15 @@ class TestBatchedDecisions:
         # vocabularies 1 to 6 padded into one stack, "?" cells, and an unlabelled row that no table counts
         ds = mixed_dataset(4)
         ds.instances.append(((0, 1, 2, 3, 5, 1, 2, 5), None))
-        tables = _tally(ds.instances[:-1], ds.vocab_sizes, ds.class_count)
-        for cfg in (FilterConfig(prior=PriorSpec("perks"), family="normal"), FilterConfig(family="normal")):
-            expected = [decide(table, cfg, attribute=name) for name, table in zip(ds.attributes, tables)]
-            assert decide_attributes(ds, cfg) == expected
+        # and a tally carried across three chunks
+        long = long_mixed_dataset()
+        assert len(midist.harness._chunks(len(long), len(long.attributes))) == 3
+        for data in (ds, long):
+            labelled = [row for row in data.instances if row[1] is not None]
+            tables = _tally(labelled, data.vocab_sizes, data.class_count)
+            for cfg in (FilterConfig(prior=PriorSpec("perks"), family="normal"), FilterConfig(family="normal")):
+                expected = [decide(table, cfg, attribute=name) for name, table in zip(data.attributes, tables)]
+                assert decide_attributes(data, cfg) == expected
 
     def test_zero_mean_partial_table_still_raises_under_beta(self):
         # the known library defect: an independent partial-margin table gets
