@@ -92,7 +92,7 @@ def cmd_mi(args) -> int:
             "family": approx.family,
             "params": approx.params,
             "fallback": d.fit_fallback,
-            "prob_exceeds_epsilon": approx.prob_exceeds(args.epsilon),
+            "prob_exceeds_epsilon": d.prob_exceeds_eps,
             "quantile_05": approx.quantile(0.05),
             "quantile_95": approx.quantile(0.95),
         }

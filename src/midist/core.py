@@ -7,7 +7,6 @@ All functions here are pure and callable from any number of threads.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -31,15 +30,14 @@ def check_integer(name: str, value, minimum: int) -> None:
 def ordered_sum(x, axis=0):
     """Sum over one axis of a batch-last stack, or over its cells with axis (0, 1), term by term in index order.
 
-    numpy sums pairwise only along the fast axis, so a C-contiguous stack (a lone
-    table beside its copy) takes numpy's reduction; others add slice by slice.
+    numpy sums pairwise only along the fast axis, so the stack is made C-ordered
+    and a lone table is summed beside its copy: the reduced axis is then never the fast one.
     """
+    x = np.ascontiguousarray(x)
     if axis == (0, 1):  # the cells, row by row
         x, axis = x.reshape(-1, *x.shape[2:]), 0
-    if x.ndim > 1 and x.flags.c_contiguous:
-        pair = x if x.shape[-1] > 1 else np.concatenate([x, x], axis=-1)
-        return pair.sum(axis=axis)[..., : x.shape[-1]]
-    return reduce(np.add, np.moveaxis(x, axis, 0))
+    pair = x if x.shape[-1] > 1 else np.concatenate([x, x], axis=-1)
+    return pair.sum(axis=axis)[..., : x.shape[-1]]
 
 
 def empirical_mi(pc: PosteriorCounts) -> float:

@@ -92,18 +92,6 @@ class DistApprox:
             return float(p["scale"] * special.gammaincinv(p["shape"], q))
         return float(p["scale"] * special.betaincinv(p["alpha"], p["beta"], q))
 
-    def moments(self) -> tuple[float, float]:
-        """Analytic (mean, variance) of the fitted family."""
-        if self.family == "normal":
-            return self.params["mean"], self.params["variance"]
-        if self.family == "gamma":
-            k, theta = self.params["shape"], self.params["scale"]
-            return k * theta, k * theta**2
-        if self.family == "beta":
-            a, b, scale = self.params["alpha"], self.params["beta"], self.params["scale"]
-            return scale * a / (a + b), scale**2 * a * b / ((a + b) ** 2 * (a + b + 1.0))
-        return self.params["location"], 0.0
-
 
 def _point_mass(mean, variance, i_max):
     """Which pairs are point masses (zero variance or range) and their atoms (0 on a zero range)."""

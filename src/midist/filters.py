@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import mi_upper_bound, ordered_sum
+from .core import mi_upper_bound
 from .dist import FIT_FAMILIES, prob_exceeds_batch
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, NumericalError
 from .missing import BOTH_MARGINS, missing_batch
 from .moments import moments_batch
 from .tables import ContingencyTable, PriorSpec
@@ -94,6 +94,7 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     (B, s)) the incomplete-sample moments, one call per margin whose padded
     cells count as empty; and all the same tail.
     Single-valued attributes (information range 0) are degenerate: every rule discards them.
+    A non-finite mean or variance raises ``NumericalError`` before the tail.
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.dtype.kind not in "iu" or (counts.size and counts.min() < 0):
@@ -108,7 +109,7 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     if counts[padding].any() or missing_class[padding].any():
         raise InputError("padded rows must stay zero")
     upper = np.array([mi_upper_bound(r, s) for r in range(1, height + 1)])[rows - 1]
-    class_gap, feature_gap = ordered_sum(missing_class.T) > 0, ordered_sum(missing_feature.T) > 0
+    class_gap, feature_gap = (missing_class > 0).any(axis=1), (missing_feature > 0).any(axis=1)
     live = upper > 0.0
     if (live & class_gap & feature_gap).any():
         raise InputError(BOTH_MARGINS)
@@ -123,11 +124,15 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
         j[sel], mean[sel] = np.maximum(mom.j_term, 0.0), mom.mean
         variance[sel], clamped[sel] = mom.variance, mom.variance_clamped
     # a feature-margin gap is a class-margin gap of the transposed table
-    transposed = grid.swapaxes(1, 2)
-    for gap, stack, unlabeled in ((route == 1, grid, missing_class), (route == 2, transposed, missing_feature)):
+    for gap, stack, unlabeled, name in (
+        (route == 1, grid, missing_class, "feature value"),
+        (route == 2, grid.swapaxes(1, 2), missing_feature, "class"),
+    ):
         if gap.any():
-            mm = missing_batch(stack[gap], unlabeled[gap])
+            mm = missing_batch(stack[gap], unlabeled[gap], name)
             j[gap], mean[gap], variance[gap], clamped[gap] = mm.mean, mm.mean, mm.variance, mm.variance_clamped
+    for b in np.flatnonzero(~np.isfinite(mean) | ~np.isfinite(variance))[:1]:  # the first such table
+        raise NumericalError(f"non-finite moments: mean {mean[b]}, variance {variance[b]}; counts under- or overflow")
     prob, fallback = prob_exceeds_batch(cfg.family, mean, variance, upper, cfg.epsilon)
     return FilterDecision(
         attribute=None,

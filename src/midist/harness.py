@@ -298,7 +298,7 @@ def run_incremental(
         raise InputError("filters must be a non-empty list without duplicates")
     cfg.check_filters(filters)
     if len(dataset) < 1:
-        raise InputError("run needs at least one instance")
+        raise InputError(f"{dataset.provenance.get('path', 'dataset')}: run needs at least one instance")
     if any(cls is None for _, cls in dataset.instances):
         raise InputError("run needs prepared data: instances without a class label remain")
 

@@ -71,11 +71,12 @@ class MissingMoments:
     variance_clamped: bool
 
 
-def missing_batch(grid, unlabeled) -> MissingMoments:
+def missing_batch(grid, unlabeled, name: str = "row") -> MissingMoments:
     """Leading 1/N moments of a (B, r, s) stack of prior-augmented grids.
 
     ``unlabeled`` (B, r) is each table's mass on the class margin.  Empty
     cells, padded rows and padded columns included, contribute exactly 0.
+    ``name`` is what the fill error calls a row: the caller's fully observed variable.
     """
     grid = np.ascontiguousarray(np.asarray(grid, dtype=float).transpose(1, 2, 0))  # (r, s, B)
     unlabeled = np.ascontiguousarray(np.asarray(unlabeled, dtype=float).T)  # (r, B)
@@ -84,7 +85,7 @@ def missing_batch(grid, unlabeled) -> MissingMoments:
     if np.any(total <= 0):
         raise InputError("table carries no mass")
     for i in np.argwhere(((unlabeled > 0) & (rows <= 0)).T)[:1, 1]:  # the first table's first such row
-        raise UndefinedFillError(f"row {i} has unlabeled instances but no observed mass to spread them over")
+        raise UndefinedFillError(f"{name} {i} has partially observed instances but no observed mass to spread them over")
     pos = rows > 0
     share = ((rows + unlabeled) / total)[:, None, :] * grid
     pi = np.divide(share, rows[:, None, :], out=np.zeros_like(grid), where=pos[:, None, :])

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from midist.core import empirical_mi
 from midist.dist import fit
@@ -105,11 +106,16 @@ def test_03_variance_approximation_quality(fig_references):
 
 
 def test_04_distribution_fits(fig_references, scaled_references):
-    # moment round trip for every family on every reference moment pair
+    # moment round trip for every family on every reference moment pair, read from scipy.stats
+    laws = {
+        "normal": lambda p: stats.norm(p["mean"], math.sqrt(p["variance"])),
+        "gamma": lambda p: stats.gamma(p["shape"], scale=p["scale"]),
+        "beta": lambda p: stats.beta(p["alpha"], p["beta"], scale=p["scale"]),
+    }
     for name, (pc, moments, summary, _) in fig_references.items():
-        for family in ("normal", "gamma", "beta"):
-            d = fit(family, moments.mean, moments.variance, summary.i_max)
-            got_mean, got_var = d.moments()
+        for family, law in laws.items():
+            fitted = law(fit(family, moments.mean, moments.variance, summary.i_max).params)
+            got_mean, got_var = fitted.mean(), fitted.var()
             assert abs(got_mean - moments.mean) <= 1e-10 * moments.mean
             assert abs(got_var - moments.variance) <= 1e-10 * moments.variance
 

@@ -192,6 +192,47 @@ class TestMi:
         assert lines[0] == f"warning: {FALLBACK_WARNING}"
         assert lines[1].startswith("numerical error: gamma needs mean > 0")
 
+    @pytest.mark.parametrize("family", FIT_FAMILIES)
+    @pytest.mark.parametrize(
+        "literal, prior",
+        [
+            ({"r": 2, "s": 2, "counts": [[40, 10], [20, 80]]}, "uniform"),
+            ({"r": 2, "s": 3, "counts": [[3, 1, 0], [2, 5, 7]], "missing_feature": [2, 0, 4]}, "jeffreys"),
+            (FALLBACK_TABLE, "perks"),
+        ],
+    )
+    def test_dist_prints_the_decisions_probability(self, capsys, tmp_path, literal, prior, family):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(literal))
+        cfg = FilterConfig(family=family, prior=midist.PriorSpec(prior))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the beta fit of FALLBACK_TABLE falls back
+            code, out, _ = run_cli(capsys, "mi", "--table", str(path), "--prior", prior, "--dist", family)
+            decision = decide(midist.table_from_json(literal), cfg)
+        assert code == 0 and json.loads(out)["dist"]["prob_exceeds_epsilon"] == decision.prob_exceeds_eps
+
+    def test_fill_error_names_the_class_in_mi_and_select(self, capsys, tmp_path):
+        # class 2 is observed only in instances whose feature value is missing: nothing to spread them over
+        path = tmp_path / "fill.json"
+        path.write_text(json.dumps({"r": 2, "s": 3, "counts": [[1, 2, 0], [3, 1, 0]], "missing_feature": [0, 0, 2]}))
+        data = tmp_path / "fill.csv"
+        data.write_text("a,cls\n0,x\n0,y\n0,y\n1,x\n1,x\n1,x\n1,y\n?,z\n?,z\n")
+        for argv in (["mi", "--table", str(path)], ["select", "--data", str(data), "--filter", "ff"]):
+            code, out, err = run_cli(capsys, *argv, "--prior", "haldane")
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("numerical error: class 2 has partially observed")
+
+    @pytest.mark.parametrize("weight", ["1e-300", "1e-200", "1e200", "1e300"])
+    def test_non_finite_moments_exit_two(self, capsys, tmp_path, weight):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"r": 2, "s": 2, "counts": [[0, 0], [0, 0]]}))
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(
+                capsys, "mi", "--table", str(path), "--dist", "beta", "--prior", "custom", "--prior-weight", weight
+            )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("numerical error: non-finite moments: ")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "mi", "--table", "/nonexistent.json")
         assert code == 1
@@ -440,6 +481,53 @@ def assert_one_error_line(code, out, err, message):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("select --data {csv} --filter f --class-column 5", "{csv}: class column index 5 outside [0, 3)"),
+        ("select --data {header_only} --filter f", "{header_only}: header only, no instances"),
+        ("run --data {csv} --filters ff,ff --out {out}", "filters must be a non-empty list without duplicates"),
+        ("mi --table {list}", "table literal must be a JSON object"),
+        ("mc --table {partial} --samples 1000", "the sampler needs a complete table (no partial margins)"),
+        ("ttest --report {report} --pair ff", "--pair needs two comma-separated filter names"),
+        ("run --data {unlabelled} --out {out}", "{unlabelled}: run needs at least one instance"),
+    ],
+    ids=["class-column-out-of-range", "header-only-csv", "duplicate-filters", "literal-not-an-object",
+         "mc-partial-margin", "one-filter-pair", "run-without-instances"],
+)
+def test_input_branch_exits_one_with_one_error_line(capsys, tmp_path, csv_file, argv, message):
+    paths = {"csv": csv_file, "out": str(tmp_path / "report.json"), "report": str(tmp_path / "report.json")}
+    for name, content in (
+        ("header_only", "a,b,cls\n"),
+        ("list", "[1, 2]"),
+        ("partial", json.dumps({"r": 2, "s": 2, "counts": [[1, 2], [3, 4]], "missing_class": [1, 0]})),
+        ("unlabelled", "a,cls\n1,?\n2,?\n"),
+    ):
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(content)
+    if "{report}" in argv:
+        assert run_cli(capsys, "run", "--data", csv_file, "--out", paths["report"], "--format", "json")[0] == 0
+    code, out, err = run_cli(capsys, *argv.format(**paths).split())
+    assert_one_error_line(code, out, err, message.format(**paths))
+
+
+def test_class_column_given_as_a_digit_string(capsys, tmp_path, csv_file):
+    # the header "cls,a,b" has no column named "0", so the option is read as an index
+    first = tmp_path / "class_first.csv"
+    rows = [line.rsplit(",", 1) for line in Path(csv_file).read_text().splitlines()]
+    first.write_text("".join(f"{cls},{attributes}\n" for attributes, cls in rows))
+    expected = run_cli(capsys, "select", "--data", csv_file, "--filter", "ff")
+    got = run_cli(capsys, "select", "--data", str(first), "--filter", "ff", "--class-column", "0")
+    assert got == expected and json.loads(got[1].splitlines()[-1]) == {"filter": "ff", "kept": ["a"]}
+
+
+def test_blank_lines_are_skipped(capsys, tmp_path, csv_file):
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n" + Path(csv_file).read_text().replace("\n", "\n\n , \n"))
+    expected = run_cli(capsys, "select", "--data", csv_file, "--filter", "f")
+    assert run_cli(capsys, "select", "--data", str(spaced), "--filter", "f") == expected
 
 
 @pytest.mark.parametrize("command", ["mc", "run"])

@@ -5,9 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from midist.dist import DistApprox, fit, prob_exceeds_batch, tail_exponents
 from midist.errors import InfeasibleFitError, InputError
+
+
+def law(d: DistApprox):
+    """The fitted law as a frozen ``scipy.stats`` distribution."""
+    p = d.params
+    if d.family == "normal":
+        return stats.norm(p["mean"], math.sqrt(p["variance"]))
+    if d.family == "gamma":
+        return stats.gamma(p["shape"], scale=p["scale"])
+    return stats.beta(p["alpha"], p["beta"], scale=p["scale"])
 
 
 class TestFit:
@@ -20,9 +31,8 @@ class TestFit:
         d = fit("beta", 0.25, 0.01, 1.0)
         assert d.params["alpha"] == pytest.approx(4.4375, abs=1e-12)
         assert d.params["beta"] == pytest.approx(13.3125, abs=1e-12)
-        mean, var = d.moments()
-        assert mean == pytest.approx(0.25, abs=1e-12)
-        assert var == pytest.approx(0.01, abs=1e-12)
+        assert law(d).mean() == pytest.approx(0.25, abs=1e-12)
+        assert law(d).var() == pytest.approx(0.01, abs=1e-12)
 
     def test_normal_is_identity_on_moments(self):
         d = fit("normal", 0.4, 0.03, 1.0)
@@ -44,6 +54,11 @@ class TestFit:
         with pytest.raises(InfeasibleFitError):
             fit("gamma", 0.0, 0.1, 1.0)
 
+    @pytest.mark.parametrize("mean, variance", [(math.nan, 0.01), (0.1, math.nan), (math.inf, 0.01)])
+    def test_non_finite_moments_are_an_input_error(self, mean, variance):
+        with pytest.raises(InputError, match="mean, variance and i_max must be finite"):
+            fit("beta", mean, variance, 1.0)
+
     def test_unknown_family(self):
         with pytest.raises(InputError):
             fit("cauchy", 0.1, 0.01, 1.0)
@@ -58,7 +73,7 @@ class TestFit:
         ]
         d = fit("gamma", 0.5, 0.3, 1.0)
         assert prob[0] == pytest.approx(d.prob_exceeds(0.1), abs=1e-12)
-        assert d.moments() == (pytest.approx(0.5), pytest.approx(0.3))
+        assert (law(d).mean(), law(d).var()) == (pytest.approx(0.5), pytest.approx(0.3))
 
     def test_fallback_passes_feasible_fit_through(self):
         with warnings.catch_warnings():
@@ -79,7 +94,7 @@ def test_moment_round_trip(family, mean_frac, var_frac, i_max):
     mean = mean_frac * i_max
     variance = var_frac * mean * (i_max - mean)  # always beta-feasible
     d = fit(family, mean, variance, i_max)
-    got_mean, got_var = d.moments()
+    got_mean, got_var = law(d).mean(), law(d).var()
     assert got_mean == pytest.approx(mean, rel=1e-10)
     assert got_var == pytest.approx(variance, rel=1e-10)
 

@@ -357,6 +357,14 @@ def test_padding_and_row_counts_validated():
             decide_batch(np.zeros((2, 3, 2), dtype=np.int64), CFG, rows=rows)
 
 
+@pytest.mark.parametrize("weight", [1e-300, 1e-200, 1e200, 1e300])
+def test_non_finite_moments_are_a_numerical_error(weight):
+    # the cell products of an empty table under this weight under- or overflow, so the moments are NaN
+    table = ContingencyTable(np.zeros((2, 2), dtype=np.int64))
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="^non-finite moments: mean .*, variance nan"):
+        decide(table, FilterConfig(prior=PriorSpec("custom", weight)))
+
+
 def test_clamped_variance_is_reported():
     # the clamp still turns into a certain decision (a known weakness); it is reported now
     d = decide(ContingencyTable([[0, 0], [0, 1], [2, 0], [1, 0]]), FilterConfig(prior=PriorSpec("perks")))

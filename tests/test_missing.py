@@ -163,6 +163,19 @@ class TestDispatch:
     def test_complete_table_allowed(self):
         assert decide(ContingencyTable([[3, 1], [2, 4]]), self.CFG).route == "complete"
 
+    @pytest.mark.parametrize(
+        "table, name",
+        [
+            (ContingencyTable([[1, 2], [3, 1], [0, 0]], missing_class=[0, 0, 2]), "feature value 2"),
+            (ContingencyTable([[1, 2, 0], [3, 1, 0]], missing_feature=[0, 0, 2]), "class 2"),
+        ],
+        ids=["missing_class", "missing_feature"],
+    )
+    def test_fill_error_names_the_tables_own_axis(self, table, name):
+        # the feature route fills the transposed table, whose rows are the classes
+        with pytest.raises(UndefinedFillError, match=f"^{name} has partially observed instances"):
+            decide(table, self.CFG)
+
 
 @given(
     st.integers(2, 4).flatmap(
