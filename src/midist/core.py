@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .tables import PosteriorCounts
 
 
@@ -25,6 +25,16 @@ def check_integer(name: str, value, minimum: int) -> None:
     """Raise ``InputError`` unless ``value`` is a non-bool integer at or above ``minimum`` (0 or 1)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise InputError(f"{name} must be a {'positive' if minimum else 'non-negative'} integer, got {value!r}")
+
+
+def on_tables(sel, kernel, *args):
+    """``kernel(*args)`` on the tables mask ``sel`` picks; a failed table's ``table`` index becomes its stack index."""
+    try:
+        return kernel(*args)
+    except NumericalError as exc:
+        if exc.table is not None:
+            exc.table = int(np.flatnonzero(sel)[exc.table])
+        raise
 
 
 def ordered_sum(x, axis=0):

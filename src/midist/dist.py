@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .core import on_tables
 from .errors import InfeasibleFitError, InputError
 
 FIT_FAMILIES = ("normal", "gamma", "beta")
@@ -112,8 +113,9 @@ def _match(family: str, mean, variance, i_max):
     """Moment-matched parameters of one family, scalars or arrays alike; raises at the first infeasible pair."""
     ok, bound = _feasible(family, mean, variance, i_max)
     if not np.all(ok):
-        m, v, top = (np.broadcast_to(x, np.shape(ok)).flat[np.argmin(ok)] for x in (mean, variance, i_max))
-        raise InfeasibleFitError(f"{family} needs {bound}; got mean {m}, variance {v}, i_max {top}")
+        k = int(np.argmin(ok))
+        m, v, top = (np.broadcast_to(x, np.shape(ok)).flat[k] for x in (mean, variance, i_max))
+        raise InfeasibleFitError(f"{family} needs {bound}; got mean {m}, variance {v}, i_max {top}", table=k)
     if family == "normal":
         return {"mean": mean, "variance": variance}
     if family == "gamma":
@@ -185,5 +187,6 @@ def prob_exceeds_batch(family: str, mean, variance, i_max, epsilon: float):
     for fam, mask in ((family, ~point & ~fallback), ("gamma", fallback)):
         if not mask.any():
             continue
-        prob[mask] = 1.0 - _cdf(fam, _match(fam, mean[mask], variance[mask], i_max[mask]), epsilon)
+        params = on_tables(mask, _match, fam, mean[mask], variance[mask], i_max[mask])
+        prob[mask] = 1.0 - _cdf(fam, params, epsilon)
     return prob, fallback

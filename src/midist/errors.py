@@ -15,7 +15,14 @@ class ConfigurationError(ValueError):
 
 
 class NumericalError(ArithmeticError):
-    """Base class for violations of the numerical contracts."""
+    """Base class for violations of the numerical contracts.
+
+    ``table`` is the stack index of the table that failed, when a batch kernel raised it.
+    """
+
+    def __init__(self, message: str = "", table: int | None = None):
+        super().__init__(message)
+        self.table = table
 
 
 class ZeroCellError(NumericalError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import mi_upper_bound
+from .core import mi_upper_bound, on_tables
 from .dist import FIT_FAMILIES, prob_exceeds_batch
 from .errors import ConfigurationError, InputError, NumericalError
 from .missing import BOTH_MARGINS, missing_batch
@@ -95,6 +95,7 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     cells count as empty; and all the same tail.
     Single-valued attributes (information range 0) are degenerate: every rule discards them.
     A non-finite mean or variance raises ``NumericalError`` before the tail.
+    A ``NumericalError`` about one table carries its stack index as ``table``.
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.dtype.kind not in "iu" or (counts.size and counts.min() < 0):
@@ -117,22 +118,25 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     grid = np.where(padding[:, :, None], 0.0, counts + np.reshape(cfg.prior.cell_weight(rows, s), (-1, 1, 1)))
     j, mean, variance, clamped = np.zeros(size), np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool)
     complete = route == 0
-    for r in np.unique(rows[complete]):
-        sel = complete & (rows == r)
-        mom = moments_batch(grid[sel, :r])
-        # j_term is the plug-in value itself; clamp mirrors empirical_mi
-        j[sel], mean[sel] = np.maximum(mom.j_term, 0.0), mom.mean
-        variance[sel], clamped[sel] = mom.variance, mom.variance_clamped
-    # a feature-margin gap is a class-margin gap of the transposed table
-    for gap, stack, unlabeled, name in (
-        (route == 1, grid, missing_class, "feature value"),
-        (route == 2, grid.swapaxes(1, 2), missing_feature, "class"),
-    ):
-        if gap.any():
-            mm = missing_batch(stack[gap], unlabeled[gap], name)
-            j[gap], mean[gap], variance[gap], clamped[gap] = mm.mean, mm.mean, mm.variance, mm.variance_clamped
+    with np.errstate(all="ignore"):  # non-finite moments raise below, so the kernels' float warnings add nothing
+        for r in np.unique(rows[complete]):
+            sel = complete & (rows == r)
+            mom = on_tables(sel, moments_batch, grid[sel, :r])
+            # j_term is the plug-in value itself; clamp mirrors empirical_mi
+            j[sel], mean[sel] = np.maximum(mom.j_term, 0.0), mom.mean
+            variance[sel], clamped[sel] = mom.variance, mom.variance_clamped
+        # a feature-margin gap is a class-margin gap of the transposed table
+        for gap, stack, unlabeled, name in (
+            (route == 1, grid, missing_class, "feature value"),
+            (route == 2, grid.swapaxes(1, 2), missing_feature, "class"),
+        ):
+            if gap.any():
+                mm = on_tables(gap, missing_batch, stack[gap], unlabeled[gap], name)
+                j[gap], mean[gap], variance[gap], clamped[gap] = mm.mean, mm.mean, mm.variance, mm.variance_clamped
     for b in np.flatnonzero(~np.isfinite(mean) | ~np.isfinite(variance))[:1]:  # the first such table
-        raise NumericalError(f"non-finite moments: mean {mean[b]}, variance {variance[b]}; counts under- or overflow")
+        raise NumericalError(
+            f"non-finite moments: mean {mean[b]}, variance {variance[b]}; counts under- or overflow", table=int(b)
+        )
     prob, fallback = prob_exceeds_batch(cfg.family, mean, variance, upper, cfg.epsilon)
     return FilterDecision(
         attribute=None,

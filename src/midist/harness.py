@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .core import check_integer
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .filters import FILTERS, FilterConfig, FilterDecision, decide_batch, records
 from .nb import absorb, encode, score_subsets
 
@@ -185,7 +185,20 @@ def decide_attributes(dataset: Dataset, cfg: FilterConfig) -> list[FilterDecisio
     for chunk in _chunks(len(classes), len(rows)):
         absorb(counts, class_counts, values[chunk], observed[chunk], classes[chunk])
     missing = class_counts - counts.sum(axis=1)  # per attribute: labelled, value unobserved
-    return records(decide_batch(counts, cfg, missing_feature=missing, rows=rows), dataset.attributes)
+    batch = _decide(dataset.attributes, None, counts, cfg, missing_feature=missing, rows=rows)
+    return records(batch, dataset.attributes)
+
+
+def _decide(attributes, first_step: int | None, *args, **kwargs) -> FilterDecision:
+    """``decide_batch`` on a stack of steps by ``attributes``; its error names the failed table's attribute and step."""
+    try:
+        return decide_batch(*args, **kwargs)
+    except NumericalError as exc:
+        if exc.table is None:
+            raise
+        step, index = divmod(exc.table, len(attributes))
+        where = f"attribute {attributes[index]!r}" + ("" if first_step is None else f", step {first_step + step}")
+        raise type(exc)(f"{exc} ({where})", exc.table) from None
 
 
 def _zero_tally(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -311,7 +324,8 @@ def run_incremental(
         prefix, class_prefix = absorb(counts, class_counts, values[chunk], observed[chunk], classes[chunk])
         steps, attributes, height, s = prefix.shape
         missing = (class_prefix[:, None, :] - prefix.sum(axis=2)).reshape(-1, s)
-        batch = decide_batch(prefix.reshape(-1, height, s), cfg, missing_feature=missing, rows=np.tile(rows, steps))
+        stack = prefix.reshape(-1, height, s)
+        batch = _decide(dataset.attributes, chunk.start, stack, cfg, missing_feature=missing, rows=np.tile(rows, steps))
         keep.append(np.stack([getattr(batch, flag).reshape(steps, attributes) for flag in flags], axis=1))
         value_counts = prefix[np.arange(steps)[:, None], np.arange(attributes), values[chunk]]
         predicted.append(score_subsets(value_counts, class_prefix, rows, keep[-1] & observed[chunk][:, None])[0])

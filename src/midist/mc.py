@@ -5,12 +5,17 @@ Chance matrices are drawn from the Dirichlet posterior with
 is evaluated exactly on each draw.  While some shape is at least 0.1 numpy
 normalises one unit-scale gamma per cell, the ``standard_gamma`` stream;
 when all are below 0.1 it breaks sticks, which cannot end in 0/0.  Every
-fixed-size chunk of draws owns its own seed-derived substream, so results
-are bit-identical for a given seed, chunk size and block size.  Each chunk
-is drawn in consecutive blocks of at most BLOCK_CELLS cells, each reduced
-to information values before the next, so the working set does not grow
-with the grid; the blocks continue one generator's stream, so they hold the
-whole chunk's draws and only the margin product's last bits depend on them.
+chunk of CHUNK_DRAWS draws owns its own seed-derived substream, so results
+are bit-identical for a given seed, chunk size and block size.  Chunks run
+concurrently, one task each, on a thread pool with one worker per CPU the
+process may use (there is no option); numpy releases the GIL inside the
+draws.  The main thread places each chunk's values by its index, so the
+worker count and the finishing order change no value.  At most two chunks
+per worker are in flight.  Each chunk is drawn in consecutive blocks of at
+most BLOCK_CELLS cells, each reduced to information values before the next,
+so the working set does not grow with the grid; the blocks continue one
+generator's stream, so they hold the whole chunk's draws and only the
+margin product's last bits depend on them.
 The information kernel takes each draw's margins from one product with a
 0/1 indicator matrix; that changes only the order of its sums, never a draw.
 ``ks_distance`` skips every block of KS_BLOCK draws whose monotone bound on
@@ -20,8 +25,12 @@ the gap stays KS_SLACK below the best gap found, so its value is the full pass's
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -30,8 +39,8 @@ from .dist import DistApprox
 from .errors import ConfigurationError, InputError, InsufficientDataError, ZeroCellError
 from .tables import PosteriorCounts
 
-CHUNK_DRAWS = 1 << 15
-BLOCK_CELLS = 1 << 16  # cells per block of draws (512 KiB per float64 temporary), chosen from timings
+CHUNK_DRAWS = 1 << 13  # draws per substream, and per task of the pool
+BLOCK_CELLS = 1 << 15  # cells per block of draws (256 KiB per float64 temporary), chosen from timings
 SORTED_SAMPLE_LIMIT = 10_000_000
 HISTOGRAM_BINS = 10_000
 SAMPLE_BUDGET = 1_000_000_000
@@ -94,13 +103,59 @@ def _information_of(pi: np.ndarray, r: int, s: int) -> np.ndarray:
     return _xlogx(pi) @ np.ones(r * s) - _xlogx(pi @ _margin_indicator(r, s)) @ np.ones(r + s)
 
 
-def _information_blocks(pc: PosteriorCounts, sample_count: int, seed: int, upper: float):
-    """Yield (first draw index, information values clipped to [0, upper]) per block of draws."""
+def _chunk_information(pc: PosteriorCounts, seed: int, index: int, count: int, upper: float) -> np.ndarray:
+    """Chunk ``index``'s ``count`` information values, clipped to [0, upper], block by block from its substream."""
     shapes = np.asarray(pc.n, dtype=float).reshape(-1)
-    for k, start in enumerate(range(0, sample_count, CHUNK_DRAWS)):
-        count = min(CHUNK_DRAWS, sample_count - start)
-        for first, pi in _chunk_blocks(shapes, count, _chunk_rng(seed, k)):
-            yield start + first, np.clip(_information_of(pi, pc.r, pc.s), 0.0, upper)
+    values = np.empty(count)
+    for first, pi in _chunk_blocks(shapes, count, _chunk_rng(seed, index)):
+        values[first : first + len(pi)] = _information_of(pi, pc.r, pc.s)
+    return np.clip(values, 0.0, upper, out=values)
+
+
+_pool: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _executor() -> tuple[ThreadPoolExecutor, int]:
+    """The process's chunk pool and its worker count, made on first use.
+
+    The pool is keyed on the process id, since a forked child inherits the
+    parent's pool object but none of its threads, and on the worker count.
+    """
+    global _pool
+    key = (os.getpid(), _workers())
+    if _pool is None or _pool[0] != key:
+        _pool = (key, ThreadPoolExecutor(key[1], thread_name_prefix="midist-mc"))
+    return _pool[1], key[1]
+
+
+def _chunk_values(pc: PosteriorCounts, sample_count: int, seed: int, upper: float):
+    """Yield (first draw index, clipped information values) per chunk, in chunk order.
+
+    Chunks run on the pool; at most two per worker are in flight, the one
+    being consumed included, so the memory held does not grow with the count.
+    """
+    pool, workers = _executor()
+    starts = range(0, sample_count, CHUNK_DRAWS)
+    tasks = (
+        pool.submit(_chunk_information, pc, seed, k, min(CHUNK_DRAWS, sample_count - start), upper)
+        for k, start in enumerate(starts)
+    )
+    pending = deque(islice(tasks, 2 * workers - 1))
+    try:
+        for start in starts:
+            yield start, pending.popleft().result()
+            pending.extend(islice(tasks, 1))
+    finally:
+        for task in pending:
+            task.cancel()
 
 
 def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
@@ -112,11 +167,11 @@ def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
         raise ConfigurationError(f"sample_count {sample_count} exceeds the storage budget {SAMPLE_BUDGET}")
     check_integer("seed", seed, 0)
     upper = mi_upper_bound(pc.r, pc.s)
-    blocks = _information_blocks(pc, sample_count, seed, upper)
+    chunks = _chunk_values(pc, sample_count, seed, upper)
     samples = histogram = None
     if sample_count <= SORTED_SAMPLE_LIMIT:
         samples = np.empty(sample_count)
-        for start, values in blocks:
+        for start, values in chunks:
             samples[start : start + len(values)] = values
         mean = float(samples.mean())
         variance = float(samples.var(ddof=1)) if sample_count > 1 else 0.0
@@ -126,7 +181,7 @@ def sample_mi(pc: PosteriorCounts, sample_count: int, seed: int) -> McSummary:
         edges = np.linspace(0.0, upper if upper > 0 else 1.0, HISTOGRAM_BINS + 1)
         counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
         total = total_sq = 0.0
-        for _, values in blocks:
+        for _, values in chunks:
             counts += np.histogram(values, bins=edges)[0]
             total += float(values.sum())
             total_sq += float((values**2).sum())

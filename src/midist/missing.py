@@ -84,8 +84,10 @@ def missing_batch(grid, unlabeled, name: str = "row") -> MissingMoments:
     total = ordered_sum(grid, axis=(0, 1)) + ordered_sum(unlabeled)
     if np.any(total <= 0):
         raise InputError("table carries no mass")
-    for i in np.argwhere(((unlabeled > 0) & (rows <= 0)).T)[:1, 1]:  # the first table's first such row
-        raise UndefinedFillError(f"{name} {i} has partially observed instances but no observed mass to spread them over")
+    for b, i in np.argwhere(((unlabeled > 0) & (rows <= 0)).T)[:1]:  # the first table's first such row
+        raise UndefinedFillError(
+            f"{name} {i} has partially observed instances but no observed mass to spread them over", table=int(b)
+        )
     pos = rows > 0
     share = ((rows + unlabeled) / total)[:, None, :] * grid
     pi = np.divide(share, rows[:, None, :], out=np.zeros_like(grid), where=pos[:, None, :])

@@ -66,7 +66,8 @@ def moments_batch(n) -> MiMoments:
     if n.min() <= 0:
         raise ZeroCellError(
             "zero-cell posterior: the moment formulas need every posterior "
-            "cell positive; apply a positive-weight prior first"
+            "cell positive; apply a positive-weight prior first",
+            table=int(np.argmax((n <= 0).any(axis=(0, 1)))),
         )
     row_sums = ordered_sum(n, axis=1)
     cols = ordered_sum(n)

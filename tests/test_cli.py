@@ -226,10 +226,8 @@ class TestMi:
     def test_non_finite_moments_exit_two(self, capsys, tmp_path, weight):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"r": 2, "s": 2, "counts": [[0, 0], [0, 0]]}))
-        with np.errstate(all="ignore"):
-            code, out, err = run_cli(
-                capsys, "mi", "--table", str(path), "--dist", "beta", "--prior", "custom", "--prior-weight", weight
-            )
+        argv = ["mi", "--table", str(path), "--dist", "beta", "--prior", "custom", "--prior-weight", weight]
+        code, out, err = run_cli_showing_warnings(capsys, *argv)  # no floating-point warning line either
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("numerical error: non-finite moments: ")
 
@@ -559,6 +557,28 @@ def test_delimiter_longer_than_one_character_is_an_input_error(capsys, csv_file,
     }[command]
     code, out, err = run_cli(capsys, command, "--data", csv_file, *extra, "--delimiter", ";;")
     assert_one_error_line(code, out, err, "delimiter must be one character, got ';;'")
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("select", "class 2 has partially observed instances but no observed mass to spread them over (attribute 'a')"),
+        ("run", "zero-cell posterior: the moment formulas need every posterior cell positive; "
+         "apply a positive-weight prior first (attribute 'a', step 0)"),
+    ],
+    ids=["select", "run"],
+)
+def test_numerical_error_names_the_attribute(capsys, tmp_path, command, message):
+    # class z is seen only where a is missing: nothing to spread it over under Haldane's zero prior,
+    # which also leaves every cell of the empty tables at a run's step 0 zero
+    path = tmp_path / "fill.csv"
+    path.write_text("a,b,cls\n0,0,x\n1,1,x\n0,0,y\n1,1,y\n?,0,z\n?,1,z\n0,1,x\n1,0,y\n")
+    extra = {
+        "select": ["--filter", "ff"],
+        "run": ["--missing", "keep", "--out", str(tmp_path / "report.csv")],
+    }[command]
+    code, out, err = run_cli(capsys, command, "--data", str(path), *extra, "--prior", "haldane")
+    assert (code, out, err) == (2, "", f"numerical error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["select", "run"])

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 import midist.filters
 from midist.core import mi_upper_bound
 from midist.dist import FIT_FAMILIES, fit
-from midist.errors import ConfigurationError, InfeasibleFitError, InputError, NumericalError, ZeroCellError
+from midist.errors import (
+    ConfigurationError,
+    InfeasibleFitError,
+    InputError,
+    NumericalError,
+    UndefinedFillError,
+    ZeroCellError,
+)
 from midist.filters import FilterConfig, decide, decide_batch
 from midist.harness import Dataset, decide_attributes, synthetic_dataset
 from midist.missing import missing_batch
@@ -361,8 +368,35 @@ def test_padding_and_row_counts_validated():
 def test_non_finite_moments_are_a_numerical_error(weight):
     # the cell products of an empty table under this weight under- or overflow, so the moments are NaN
     table = ContingencyTable(np.zeros((2, 2), dtype=np.int64))
-    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="^non-finite moments: mean .*, variance nan"):
-        decide(table, FilterConfig(prior=PriorSpec("custom", weight)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and the kernels' floating-point warnings stay inside decide_batch
+        with pytest.raises(NumericalError, match="^non-finite moments: mean .*, variance nan"):
+            decide(table, FilterConfig(prior=PriorSpec("custom", weight)))
+
+
+GOOD = [[3, 1, 2], [2, 5, 7]]
+
+
+@pytest.mark.parametrize(
+    "prior, failing, missing, error",
+    [
+        (PriorSpec("haldane"), [[3, 0, 2], [2, 5, 7]], [0, 0, 0], ZeroCellError),
+        (PriorSpec("haldane"), [[3, 1, 0], [2, 5, 0]], [0, 0, 2], UndefinedFillError),
+        (PriorSpec("perks"), [[0, 0, 0], [0, 0, 0]], [1, 0, 0], InfeasibleFitError),
+        (PriorSpec("custom", 1e-300), [[0, 0, 0], [0, 0, 0]], [0, 0, 0], NumericalError),
+    ],
+    ids=["zero-cell", "fill", "fit", "non-finite"],
+)
+def test_a_failed_table_carries_its_stack_index(prior, failing, missing, error):
+    # table 0 takes the missing-feature route and tables 1 and 3 the complete one, so table 2
+    # is a later member of whichever group it joins: its error maps it back to the whole stack
+    counts = np.array([GOOD, GOOD, failing, GOOD])
+    missing_feature = np.array([[1, 0, 0], [0, 0, 0], missing, [0, 0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the fit case falls back to gamma first
+        with pytest.raises(error) as caught:
+            decide_batch(counts, FilterConfig(prior=prior), missing_feature=missing_feature)
+    assert caught.value.table == 2
 
 
 def test_clamped_variance_is_reported():

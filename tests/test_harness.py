@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import midist
-from midist.errors import InfeasibleFitError, InputError
+from midist.errors import InfeasibleFitError, InputError, ZeroCellError
 from midist.filters import FILTERS, FilterConfig, decide, decide_batch
 from midist.harness import (
     Dataset,
@@ -335,6 +335,22 @@ class TestBatchedDecisions:
         assert len(sizes) >= 2
         assert calls == [(n * len(ds.attributes), 6, 3) for n in sizes]
 
+    def test_error_names_the_attribute_and_step_of_its_table(self, monkeypatch):
+        ds = long_mixed_dataset()
+        steps = midist.harness._CHUNK_TABLES // len(ds.attributes)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:  # the second chunk's second step, third attribute
+                raise ZeroCellError("zero cell", table=len(ds.attributes) + 2)
+            return decide_batch(*args, **kwargs)
+
+        monkeypatch.setattr(midist.harness, "decide_batch", failing)
+        with pytest.raises(ZeroCellError, match=rf"^zero cell \(attribute 'a2', step {steps + 1}\)$") as caught:
+            run_incremental(ds, FilterConfig(prior=PriorSpec("perks"), family="normal"))
+        assert caught.value.table == len(ds.attributes) + 2
+
     def test_chunked_run_equals_the_per_step_loop(self):
         # the reference: decide from the classifier's counts, predict, then absorb, one instance at a time
         cfg = FilterConfig(prior=PriorSpec("jeffreys"), family="normal")
@@ -416,6 +432,14 @@ class TestBatchedDecisions:
         ds = Dataset(["a"], [["0", "1"]], ["c0", "c1", "c2"], [((None,), 0), ((0,), 1)])
         with pytest.warns(RuntimeWarning, match="gamma"), pytest.raises(InfeasibleFitError):
             run_incremental(ds, cfg)
+
+    def test_zero_mean_fit_error_names_its_attribute_and_step(self):
+        cfg = FilterConfig(prior=PriorSpec("perks"))
+        ds = Dataset(["a", "b"], [["0", "1"]] * 2, ["c0", "c1", "c2"], [((0, None), 0), ((1, 0), 1)])
+        # at step 1, attribute b's table is empty with one class-0 instance on its partial margin
+        with pytest.warns(RuntimeWarning, match="gamma"):
+            with pytest.raises(InfeasibleFitError, match=r"\(attribute 'b', step 1\)$"):
+                run_incremental(ds, cfg)
 
 
 @pytest.mark.parametrize(

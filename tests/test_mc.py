@@ -1,4 +1,9 @@
 import math
+import multiprocessing
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -156,7 +161,7 @@ class TestDraws:
 class TestBlocks:
     @pytest.mark.parametrize("shapes", [*SHAPE_CASES[:2], np.full(12, 0.05)])
     def test_blocks_continue_the_chunk_stream(self, monkeypatch, shapes):
-        # 5000 draws a block split the 32768-draw chunk unevenly; shapes below 1
+        # 5000 draws a block split the chunk unevenly; shapes below 1
         # take numpy's rejection sampler, which uses a varying share of the stream,
         # and shapes all below 0.1 its stick-breaking path
         monkeypatch.setattr(mc, "BLOCK_CELLS", 5000 * shapes.size + shapes.size - 1)
@@ -191,6 +196,99 @@ class TestBlocks:
             sample_mi(_grid(r, s, seed=1), CHUNK_DRAWS + 5, seed=2)
             assert sum(count for count, _ in drawn) == CHUNK_DRAWS + 5
             assert max(count * cells for count, cells in drawn) <= mc.BLOCK_CELLS
+
+
+def _summary_bytes(summary):
+    stored = (summary.samples,) if summary.samples is not None else summary.histogram
+    return summary.mean, summary.variance, *(a.tobytes() for a in stored)
+
+
+def _sample_into(pipe, count):
+    pipe.send(_summary_bytes(sample_mi(UPPER, count, seed=8)))
+    pipe.close()
+
+
+class _EagerPool(ThreadPoolExecutor):
+    """Returns each task finished, so chunk results pile up as far as the in-flight window lets them."""
+
+    def submit(self, *args, **kwargs):
+        task = super().submit(*args, **kwargs)
+        assert wait([task], timeout=60).done
+        return task
+
+
+class TestPool:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("r, s", [(2, 2), (10, 5), (20, 10)])
+    def test_worker_count_leaves_the_bytes(self, monkeypatch, workers, r, s):
+        pc = _grid(r, s, seed=r + s)
+        count = 5 * CHUNK_DRAWS + 123
+        default = sample_mi(pc, count, seed=4)
+        monkeypatch.setattr(mc, "_workers", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so state shared between chunks would show
+        try:
+            assert _summary_bytes(sample_mi(pc, count, seed=4)) == _summary_bytes(default)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_count_leaves_the_histogram(self, monkeypatch, workers):
+        monkeypatch.setattr(mc, "SORTED_SAMPLE_LIMIT", 1000)
+        count = 4 * 2 * max(workers, mc._workers()) * CHUNK_DRAWS + 5  # more chunks than the in-flight window
+        default = sample_mi(ONES, count, seed=6)
+        assert default.histogram is not None
+        monkeypatch.setattr(mc, "_workers", lambda: workers)
+        assert _summary_bytes(sample_mi(ONES, count, seed=6)) == _summary_bytes(default)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("sorted_limit", [mc.SORTED_SAMPLE_LIMIT, 1000])
+    def test_at_most_two_chunks_per_worker_alive(self, monkeypatch, workers, sorted_limit):
+        monkeypatch.setattr(mc, "SORTED_SAMPLE_LIMIT", sorted_limit)  # 1000: the histogram path
+        monkeypatch.setattr(mc, "_workers", lambda: workers)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", _EagerPool)
+        monkeypatch.setattr(mc, "_pool", None)  # restored afterwards: later tests get the real pool back
+        lock, alive, peak = threading.Lock(), [0], [0]
+        original = mc._chunk_information
+
+        def released():
+            with lock:
+                alive[0] -= 1
+
+        def counted(*args):
+            values = original(*args)
+            with lock:
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+            weakref.finalize(values, released)
+            return values
+
+        monkeypatch.setattr(mc, "_chunk_information", counted)
+        sample_mi(ONES, 6 * 2 * workers * CHUNK_DRAWS, seed=2)
+        assert 1 <= peak[0] <= 2 * workers
+        assert alive[0] == 0
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_forked_child_samples_like_its_parent(self):
+        count = 3 * CHUNK_DRAWS
+        parent = _summary_bytes(sample_mi(UPPER, count, seed=8))  # the parent's pool now exists
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=_sample_into, args=(writer, count))
+        child.start()
+        writer.close()
+        try:
+            assert reader.poll(60), "the forked child's sample_mi did not return"
+            assert reader.recv() == parent
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            reader.close()
+            if child.is_alive():
+                child.kill()
+                child.join(60)
+            child.close()
 
 
 def _information_xlogy(pi, r, s):
