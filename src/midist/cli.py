@@ -81,11 +81,10 @@ def _add_filter_options(parser) -> None:
 
 def cmd_mi(args) -> int:
     table = table_from_json(_read_json(args.table))
-    prior = _prior(args)
-    d = decide(table, FilterConfig(epsilon=args.epsilon, family=args.dist or "normal", prior=prior))
+    d = decide(table, FilterConfig(epsilon=args.epsilon, family=args.dist or "normal", prior=_prior(args)))
     out = {"mode": d.route, "j": d.j, "mean": d.mean, "variance": d.variance}
-    if d.route.startswith("missing_"):  # the incomplete-sample moments are derived under the uniform prior
-        out["prior_extrapolation"] = prior.kind != "uniform"
+    if d.route.startswith("missing_"):
+        out["prior_extrapolation"] = d.prior_extrapolation
     if args.dist:
         approx = fit(d.fit_fallback or args.dist, d.mean, d.variance, mi_upper_bound(table.r, table.s))
         out["dist"] = {

@@ -52,20 +52,11 @@ class DistApprox:
 
     family: str
     params: dict
-    support: tuple[float, float]
 
     def cdf(self, x):
         """P(I <= x); scalar in, scalar out (arrays pass through)."""
         v = _cdf(self.family, self.params, np.asarray(x, dtype=float))
         return float(v) if np.ndim(x) == 0 else v
-
-    def cdf_left(self, x):
-        """P(I < x); differs from cdf only where the law has an atom."""
-        if self.family == "point_mass":
-            scalar = np.ndim(x) == 0
-            v = (np.asarray(x, dtype=float) > self.params["location"]).astype(float)
-            return float(v) if scalar else v
-        return self.cdf(x)
 
     def prob_exceeds(self, epsilon: float) -> float:
         """P(I > epsilon)."""
@@ -74,18 +65,13 @@ class DistApprox:
     def quantile(self, q: float) -> float:
         """Inverse CDF from the closed-form inverses of ``scipy.special``.
 
-        q = 0 and q = 1 return the support ends (infinite for the
-        unbounded families).
+        At q = 0 and q = 1 these give the support ends: -inf and +inf for
+        the normal, 0 and +inf for the gamma, 0 and i_max for the beta.
         """
-        if not (0.0 <= q <= 1.0) or not np.isfinite(q):
+        if not 0.0 <= q <= 1.0:
             raise InputError(f"quantile level must lie in [0, 1], got {q}")
         if self.family == "point_mass":
             return self.params["location"]
-        lo, hi = self.support
-        if q == 0.0:
-            return lo
-        if q == 1.0:
-            return hi
         p = self.params
         if self.family == "normal":
             return float(p["mean"] + math.sqrt(p["variance"]) * special.ndtri(q))
@@ -156,10 +142,8 @@ def fit(family: str, mean: float, variance: float, i_max: float) -> DistApprox:
     _check_moments(family, mean, variance, i_max)
     point, location = _point_mass(mean, variance, i_max)
     if point:
-        return DistApprox("point_mass", {"location": float(location)}, (float(location), float(location)))
-    params = {name: float(v) for name, v in _match(family, mean, variance, i_max).items()}
-    support = {"normal": (-math.inf, math.inf), "gamma": (0.0, math.inf), "beta": (0.0, float(i_max))}
-    return DistApprox(family, params, support[family])
+        return DistApprox("point_mass", {"location": float(location)})
+    return DistApprox(family, {name: float(v) for name, v in _match(family, mean, variance, i_max).items()})
 
 
 def prob_exceeds_batch(family: str, mean, variance, i_max, epsilon: float):

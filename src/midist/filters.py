@@ -67,6 +67,8 @@ class FilterDecision:
     """Per-attribute outcome of all three keep rules.
 
     ``route`` is one of ``ROUTES``, ``fit_fallback`` the family a beta fit fell back to or None.
+    ``prior_extrapolation`` marks a ``missing_*`` route under a prior other than
+    uniform: the incomplete-sample moments are derived under the uniform prior alone.
     ``decide_batch`` returns the same fields as length-B arrays, with no attribute.
     """
 
@@ -81,6 +83,7 @@ class FilterDecision:
     route: str
     fit_fallback: str | None
     variance_clamped: bool
+    prior_extrapolation: bool
 
 
 def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=None, rows=None) -> FilterDecision:
@@ -150,6 +153,7 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
         route=np.array(ROUTES, dtype=object)[route],
         fit_fallback=np.where(fallback, "gamma", None),
         variance_clamped=clamped,
+        prior_extrapolation=((route == 1) | (route == 2)) & (cfg.prior.kind != "uniform"),
     )
 
 

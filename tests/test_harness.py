@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import midist
-from midist.errors import InfeasibleFitError, InputError, ZeroCellError
+from midist.errors import ConfigurationError, InfeasibleFitError, InputError, ZeroCellError
 from midist.filters import FILTERS, FilterConfig, decide, decide_batch
 from midist.harness import (
     Dataset,
@@ -240,6 +240,17 @@ class TestRunIncremental:
         run_incremental(ds, cfg, filters=("f",))  # plug-in filter is fine
         with pytest.raises(Exception, match="epsilon"):
             run_incremental(ds, cfg, filters=("f", "ff"))
+
+    @pytest.mark.parametrize("prior", [PriorSpec("haldane"), PriorSpec("custom", 0.0)], ids=["haldane", "custom-0"])
+    def test_zero_weight_prior_refused_before_any_step(self, monkeypatch, prior):
+        ds = prepare(synthetic_dataset(10, informative=1, noise=0, seed=0), seed=0)
+        monkeypatch.setattr(midist.harness, "decide_batch", lambda *a, **k: pytest.fail("a step ran"))
+        with pytest.raises(ConfigurationError, match="positive prior weight"):
+            run_incremental(ds, FilterConfig(prior=prior))
+
+    def test_synthetic_dataset_needs_an_instance(self):
+        with pytest.raises(InputError, match="n_instances"):
+            synthetic_dataset(0)
 
     def test_unlabelled_instances_rejected(self):
         ds = Dataset(["a"], [["0", "1"]], ["0", "1"], [((0,), None)])
@@ -531,6 +542,11 @@ class TestDiscretize:
         with pytest.warns(RuntimeWarning):
             labels = discretize_equal_frequency([1.0, 5.0, 1.0], 4)
         assert labels == ["bin_0", "bin_1", "bin_0"]
+
+    def test_unsorted_values_and_signed_zeros_label_by_rank(self):
+        with pytest.warns(RuntimeWarning):
+            labels = discretize_equal_frequency([0.0, 2.0, -0.0, -1.0], 5)
+        assert labels == ["bin_1", "bin_2", "bin_1", "bin_0"]
 
     def test_validation(self):
         with pytest.raises(InputError):

@@ -334,10 +334,35 @@ class TestInformationKernel:
         assert np.max(np.abs(got - _information_xlogy(pi, 20, 10))) <= 1e-14
 
 
+def _two_pass(d, x):
+    """The full two-pass KS formula over sorted x, with F's left limit inline: a step only at a point mass."""
+    n, i = x.size, np.arange(1, x.size + 1)
+    f = d.cdf(x)
+    left = (x > d.params["location"]).astype(float) if d.family == "point_mass" else f
+    return float(max(0.0, (i / n - f).max(), (left - (i - 1) / n).max()))
+
+
 class TestKsDistance:
     def test_point_mass_against_its_own_point_sample_set(self):
         s = sample_mi(PosteriorCounts([[5.0]]), 1000, seed=0)
         assert ks_distance(s, fit("beta", 0.0, 0.0, 0.0)) == 0.0
+
+    @pytest.mark.parametrize(
+        "draws, gap",
+        [
+            ([0.2, 0.2, 0.2, 0.2], 0.0),  # every draw at the atom: F and the ECDF step there together
+            ([0.21, 0.21, 0.3, 0.4], 1.0),  # every draw above: F is 1 just below the first, where the ECDF is 0
+            ([0.0, 0.1, 0.1, 0.5], 0.75),  # three draws below the atom
+            ([0.1, 0.2, 0.2, 0.3], 0.25),  # one draw on each side of two at the atom
+        ],
+    )
+    def test_point_mass_gap_without_a_cdf_call(self, monkeypatch, draws, gap):
+        x = np.array(draws)
+        s = McSummary(x.size, float(x.mean()), 0.0, 0.0, 0, 1.0, samples=x)
+        d = fit("beta", 0.2, 0.0, 1.0)
+        assert ks_distance(s, d) == _two_pass(d, x) == gap
+        monkeypatch.setattr(DistApprox, "cdf", lambda self, x: pytest.fail("cdf evaluated"))
+        assert ks_distance(s, d) == gap
 
     def test_uniform_draws_against_flat_beta(self):
         rng = np.random.default_rng(99)
@@ -365,24 +390,17 @@ class TestKsDistance:
         s = sample_mi(UPPER, 20_000, seed=6)
         mom = mi_moments(UPPER)
         d = fit(family, mom.mean, mom.variance, s.i_max)
-        x, n = s.samples, s.sample_count
-        i = np.arange(1, n + 1)
-        two_pass = float(max(0.0, (i / n - d.cdf(x)).max(), (d.cdf_left(x) - (i - 1) / n).max()))
-        points = {"cdf": 0, "cdf_left": 0}
+        two_pass = _two_pass(d, s.samples)
+        points = [0]
+        original = DistApprox.cdf
 
-        def counted(name):
-            original = getattr(DistApprox, name)
+        def counted(self, x):
+            points[0] += np.size(x)
+            return original(self, x)
 
-            def wrapper(self, x):
-                points[name] += np.size(x)
-                return original(self, x)
-
-            return wrapper
-
-        for name in points:
-            monkeypatch.setattr(DistApprox, name, counted(name))
+        monkeypatch.setattr(DistApprox, "cdf", counted)
         assert ks_distance(s, d) == two_pass
-        assert points["cdf"] < n / 4 and points["cdf_left"] == 0
+        assert points[0] < s.sample_count / 4
 
     @given(
         family=st.sampled_from(["normal", "gamma", "beta", "point_mass"]),
@@ -421,9 +439,7 @@ class TestKsDistance:
             x[-max(1, n // 10) :] = i_max
         x = np.sort(np.clip(x, 0.0, i_max))
         s = McSummary(n, float(x.mean()), 0.0, 0.0, seed, i_max, samples=x)
-        i = np.arange(1, n + 1)
-        full = float(max(0.0, (i / n - d.cdf(x)).max(), (d.cdf_left(x) - (i - 1) / n).max()))
-        assert ks_distance(s, d) == full
+        assert ks_distance(s, d) == _two_pass(d, x)
         counts, edges = np.histogram(x, bins=np.linspace(0.0, i_max, 1001))
         h = McSummary(n, float(x.mean()), 0.0, 0.0, seed, i_max, histogram=(counts, edges))
         assert ks_distance(h, d) == np.abs(np.cumsum(counts) / n - d.cdf(edges[1:])).max()
@@ -455,6 +471,12 @@ class TestTailSlope:
     def test_needs_enough_draws(self):
         s = sample_mi(ONES, 10_000, seed=1)
         with pytest.raises(InsufficientDataError):
+            tail_slope(s, "lower", (0.001, 0.05))
+
+    def test_histogram_summary_rejected(self, monkeypatch):
+        monkeypatch.setattr(mc, "SORTED_SAMPLE_LIMIT", 1000)
+        s = sample_mi(ONES, 100_000, seed=1)
+        with pytest.raises(InputError, match="needs stored samples"):
             tail_slope(s, "lower", (0.001, 0.05))
 
     def test_tiny_window_has_too_few_draws(self):

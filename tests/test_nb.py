@@ -213,3 +213,9 @@ def test_subset_scoring_equals_predict_per_subset(rows, query, masks):
 def test_text_cells_rejected_even_when_numeric(instances, message):
     with pytest.raises(InputError, match=message):
         encode(instances, [3, 3][: len(instances[0])])
+
+
+@pytest.mark.parametrize("value", [object(), [0, 1], {0: 1}])
+def test_non_numeric_value_rejected(value):
+    with pytest.raises(InputError, match="value indices must be integers"):
+        encode([(0, value)], [3, 3])

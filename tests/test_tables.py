@@ -87,6 +87,16 @@ class TestPosteriorCountsValidation:
             ContingencyTable(grid)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [(ContingencyTable, "counts must be an r x s grid"), (PosteriorCounts, "posterior grid must be an r x s array")],
+    ids=["ContingencyTable", "PosteriorCounts"],
+)
+def test_one_dimensional_grid_rejected(make, message):
+    with pytest.raises(InputError, match=message):
+        make([1, 2, 3])
+
+
 class TestTableValidation:
     def test_non_integral_counts_rejected(self):
         with pytest.raises(InputError, match="integral"):
