@@ -2,6 +2,8 @@ import argparse
 import ast
 import importlib
 import json
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import asdict
@@ -57,6 +59,14 @@ def run_cli_showing_warnings(capsys, *argv):
         warnings.simplefilter("always")
         warnings.showwarning = show
         return run_cli(capsys, *argv)
+
+
+def run_cli_child(cwd, *argv, preexec_fn=None):
+    """``python -m midist.cli`` in a child that imports the midist these tests import, under default warning filters."""
+    env = {key: value for key, value in os.environ.items() if key not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
+    env["PYTHONPATH"] = str(Path(midist.__file__).resolve().parents[1])
+    command = [sys.executable, "-m", "midist.cli", *argv]
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, timeout=120, preexec_fn=preexec_fn)
 
 
 class TestMi:
@@ -183,6 +193,14 @@ class TestMi:
         assert code == 0 and dist["family"] == "gamma" and dist["fallback"] == "gamma"
         assert err == f"warning: {FALLBACK_WARNING}\n"
 
+    def test_fallback_warns_on_one_line_in_a_fresh_interpreter(self, tmp_path):
+        # Python's own filters and warning format, not pytest's: the CLI still prints one line
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(FALLBACK_TABLE))
+        child = run_cli_child(tmp_path, "mi", "--table", str(path), "--dist", "beta", "--prior", "perks")
+        assert child.returncode == 0 and json.loads(child.stdout)["dist"]["fallback"] == "gamma"
+        assert child.stderr.decode() == f"warning: {FALLBACK_WARNING}\n"
+
     def test_zero_mean_partial_table_warns_then_exits_two(self, capsys, tmp_path):
         path = tmp_path / "zero_mean.json"
         path.write_text(json.dumps({"r": 2, "s": 3, "counts": [[0, 0, 0], [0, 0, 0]], "missing_feature": [1, 0, 0]}))
@@ -268,6 +286,28 @@ class TestMc:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call on this platform")
+    def test_same_bytes_in_a_child_pinned_to_one_cpu(self, tmp_path):
+        # 200,000 draws on a 10x5 grid go through the sampler's fixed-size blocks; on one CPU it has one worker
+        path = tmp_path / "grid.json"
+        grid = [[(3 * i + j) % 7 for j in range(5)] for i in range(10)]
+        path.write_text(json.dumps({"r": 10, "s": 5, "counts": grid}))
+        argv = ["mc", "--table", str(path), "--samples", "200000", "--fit", "beta", "--seed", "3"]
+        cpu = min(os.sched_getaffinity(0))
+        free = run_cli_child(tmp_path, *argv)
+        pinned = run_cli_child(tmp_path, *argv, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        assert (free.returncode, free.stderr) == (pinned.returncode, pinned.stderr) == (0, b"")
+        assert free.stdout == pinned.stdout and json.loads(free.stdout)["sample_count"] == 200000
+
+    def test_tiny_posterior_counts_print_no_nan(self, capsys, tmp_path):
+        # every posterior count below 0.1: no draw may be 0/0, so the output is JSON without NaN
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"r": 2, "s": 2, "counts": [[0, 0], [0, 0]]}))
+        argv = ["mc", "--table", str(path), "--samples", "10000", "--seed", "1"]
+        code, out, _ = run_cli(capsys, *argv, "--prior", "custom", "--prior-weight", "0.001")
+        assert code == 0
+        json.loads(out, parse_constant=lambda constant: pytest.fail(f"{constant} in mc output"))
 
     def test_dump_little_endian_doubles(self, capsys, table_file, tmp_path):
         dump = tmp_path / "draws.bin"
@@ -487,9 +527,7 @@ def test_malformed_input_file_is_an_input_error(capsys, tmp_path, command, conte
         "run": ["--data", str(path), "--out", str(tmp_path / "report.csv")],
         "discretize": ["--data", str(path), "--bins", "2", "--out", str(tmp_path / "binned.csv")],
     }[command]
-    code, out, err = run_cli(capsys, command, *source)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and message.format(path=path) in err
+    assert_one_error_line(*run_cli(capsys, command, *source), message.format(path=path))
 
 
 def assert_one_error_line(code, out, err, message):

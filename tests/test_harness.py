@@ -1,8 +1,11 @@
 import hashlib
+import importlib.util
+import io
 import json
 import math
 import subprocess
 import sys
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -73,6 +76,48 @@ class TestLoadDataset:
         ds = load_dataset(write(tmp_path, "x,yes\ny,no\n"), header=False)
         assert ds.attributes == ["col_0"]
         assert len(ds) == 2
+
+
+# a house-votes-84 excerpt: the class first, then 16 votes, "?" where a member did not vote
+VOTES = (
+    "republican,n,y,n,y,y,y,n,n,n,y,?,y,y,y,n,y\n"
+    "democrat,?,y,y,?,y,y,n,n,n,n,y,n,y,y,n,n\n"
+    "democrat,n,y,y,n,n,y,n,n,n,n,y,n,y,n,n,y\n"
+)
+
+
+def load_script(name):
+    """A module of scripts/, loaded from its file (the directory is no package)."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFetchUci:
+    def serve(self, monkeypatch, text):
+        monkeypatch.setattr(urllib.request, "urlopen", lambda url: io.BytesIO(text.encode()))
+
+    def test_download_is_rewritten_class_last(self, monkeypatch, tmp_path, capsys):
+        self.serve(monkeypatch, VOTES)
+        load_script("fetch_uci").main(["--out-dir", str(tmp_path), "--names", "vote"])
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'vote.csv'}\n"
+        assert (tmp_path / "vote.data").read_text() == VOTES
+        ds = load_dataset(tmp_path / "vote.csv")
+        assert ds.attributes == [f"a{i}" for i in range(16)] and ds.class_vocab == ["republican", "democrat"]
+        assert ["".join(vocab) for vocab in ds.attribute_vocabs] == [
+            "n", "y", "ny", "yn", "yn", "y", "n", "n", "n", "yn", "y", "yn", "y", "yn", "n", "yn"
+        ]
+        assert [values[0] for values, _ in ds.instances] == [0, None, 0]
+        assert [cls for _, cls in ds.instances] == [0, 1, 1]
+
+    def test_ragged_download_names_its_line(self, monkeypatch, tmp_path):
+        lines = VOTES.splitlines(keepends=True)
+        self.serve(monkeypatch, lines[0] + lines[1].replace(",?", "", 1) + lines[2])
+        with pytest.raises(SystemExit, match=r"^vote: .*vote\.data: line 2: expected 17 fields, got 16$"):
+            load_script("fetch_uci").main(["--out-dir", str(tmp_path), "--names", "vote"])
+        assert not (tmp_path / "vote.csv").exists()
 
 
 class TestPrepare:
