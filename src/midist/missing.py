@@ -8,23 +8,23 @@ over the row's observed class frequencies:
     pi_ij = (n_i+ + u_i) / N * n_ij / n_i+
 
 The plug-in information of that grid, summed with split logarithms, is the
-leading-order mean, and the leading 1/N variance is
+leading-order mean.  With L_ij = log(pi_ij / (pi_i+ pi_+j)), K_i = sum_j pi_ij L_ij^2,
+J_i = sum_j pi_ij L_ij and Qbar_i = n_i+ / (n_i+ + u_i), the observed share of a
+row, the leading 1/N variance is
 
-    variance = (Kbar - Jbar^2 / Qbar - Pbar) / N
+    variance = (Kbar - Jbar^2 - Pbar) / N
+    Kbar = sum_i K_i / Qbar_i    Jbar = sum_i J_i    Pbar = sum_i N (1 - Qbar_i) J_i^2 / n_i+
 
-built from
+This is the general form (Kbar - Jbar^2 / Qbar - Pbar) / N in the weights
+rho_ij = N pi_ij^2 / n_ij and rho_i = N pi_i+^2 / u_i, collapsed by the fill:
+rho_ij = pi_ij / Qbar_i and rho_i / (rho_i + sum_j rho_ij) = Qbar_i, so
+Qbar = sum_i (sum_j rho_ij) Qbar_i = sum_i pi_i+ = 1.  Equivalently
 
-    rho_ij   = N * pi_ij^2 / n_ij          (0 where n_ij = 0)
-    rho_i    = N * pi_i+^2 / u_i           (inf sentinel where u_i = 0)
-    Qbar_i   = rho_i / (rho_i + sum_j rho_ij)      (1 at the sentinel)
-    Qbar     = sum_i (sum_j rho_ij) * Qbar_i
-    Kbar     = sum_ij rho_ij * log(pi_ij / (pi_i+ pi_+j))^2
-    Jbar_i   = sum_j  rho_ij * log(pi_ij / (pi_i+ pi_+j))
-    Jbar     = sum_i Jbar_i * Qbar_i
-    Pbar     = sum_i Jbar_i^2 * Qbar_i / rho_i     (0 at the sentinel)
+    N * variance = (K - J^2) + sum_i (1/Qbar_i - 1) (K_i - J_i^2 / pi_i+)
 
-With no unlabeled mass everything reduces to the complete-case values:
-pi_ij = n_ij/N, Qbar = 1, Pbar = 0 and the variance becomes (K - J^2)/N.
+the complete-case term of the filled grid plus one correction per row with
+unlabeled mass.  By Cauchy-Schwarz both terms are >= 0, so the clamp at 0
+fires only from rounding, and with no unlabeled mass the variance is (K - J^2)/N.
 The mirror case (class observed, feature value missing) is handled by
 transposing.  Cost is O(r*s).  ``missing_batch`` evaluates a (B, r, s) stack
 at once, as ``decide_batch`` does for every table with a partial margin.
@@ -50,19 +50,17 @@ BOTH_MARGINS = "instances missing the feature and instances missing the class ca
 
 @dataclass(frozen=True, eq=False)
 class MissingMoments:
-    """Filled-in chance grid plus the intermediates of the 1/N variance.
+    """Filled-in chance grid plus the terms of the closed-form 1/N variance.
 
-    ``rho_missing`` uses ``inf`` as the sentinel for rows without unlabeled
-    mass; the dependent quantities resolve that limit to the complete-case
-    values.  The vectors are indexed by the fully observed variable, which
-    is the original table's columns for mass on the feature margin.
-    ``missing_batch`` returns the per-table fields with a leading stack axis.
+    ``q_bar_i`` is each row's observed share, 1 for a row without unlabeled
+    mass, which then adds nothing to ``p_bar``.  The vectors are indexed by the
+    fully observed variable, which is the original table's columns for mass on
+    the feature margin.  ``missing_batch`` returns the per-table fields with a
+    leading stack axis.
     """
 
     pi_hat: np.ndarray
-    rho_missing: np.ndarray
     q_bar_i: np.ndarray
-    q_bar: float
     k_bar: float
     j_bar: float
     p_bar: float
@@ -98,28 +96,17 @@ def missing_batch(grid, unlabeled, name: str = "row") -> MissingMoments:
     log_pi = np.log(pi, out=np.zeros_like(pi), where=mask)
     log_ratio = log_pi - np.log(pi_rows[:, None, :] * pi_cols, out=np.zeros_like(pi), where=mask)
 
-    cell = grid > 0
-    rho = np.divide(total * pi**2, grid, out=np.zeros_like(grid), where=cell)
-    rho_rows = ordered_sum(rho, axis=1)
-
-    has_unlabeled = unlabeled > 0
-    rho_missing = np.divide(
-        total * pi_rows**2, unlabeled, out=np.full_like(unlabeled, np.inf), where=has_unlabeled
-    )
-    q_bar_i = np.divide(
-        rho_missing, rho_missing + rho_rows, out=np.ones_like(unlabeled), where=has_unlabeled
-    )
-    q_bar = ordered_sum(rho_rows * q_bar_i)
-    k_bar = ordered_sum(rho * log_ratio**2, axis=(0, 1))
-    j_bar_rows = ordered_sum(rho * log_ratio, axis=1)
-    j_bar = ordered_sum(j_bar_rows * q_bar_i)
-    p_bar = ordered_sum(j_bar_rows**2 * q_bar_i / rho_missing)  # division by inf -> 0
+    q_bar_i = np.divide(rows, rows + unlabeled, out=np.ones_like(rows), where=pos)
+    k_bar = ordered_sum(pi * log_ratio**2 / q_bar_i[:, None, :], axis=(0, 1))
+    j_rows = ordered_sum(pi * log_ratio, axis=1)
+    j_bar = ordered_sum(j_rows)
+    p_bar = ordered_sum(np.divide(total * (1 - q_bar_i) * j_rows**2, rows, out=np.zeros_like(rows), where=pos))
 
     # split logs, so extreme magnitudes cannot underflow inside a product (log_ratio keeps its product form)
     split = log_pi - np.log(pi_rows, out=np.zeros_like(pi_rows), where=pi_rows > 0)[:, None, :]
     split -= np.log(pi_cols, out=np.zeros_like(pi_cols), where=pi_cols > 0)
     mean = np.maximum(0.0, ordered_sum(np.where(mask, pi * split, 0.0), axis=(0, 1)))
-    raw = (k_bar - j_bar**2 / q_bar - p_bar) / total
+    raw = (k_bar - j_bar**2 - p_bar) / total
     variance, clamped = np.maximum(raw, 0.0), raw < 0.0
-    leading = (np.moveaxis(a, -1, 0) for a in (pi, rho_missing, q_bar_i))  # the fields lead with the stack axis
-    return MissingMoments(*leading, q_bar, k_bar, j_bar, p_bar, mean, variance, clamped)
+    leading = (np.moveaxis(a, -1, 0) for a in (pi, q_bar_i))  # the fields lead with the stack axis
+    return MissingMoments(*leading, k_bar, j_bar, p_bar, mean, variance, clamped)

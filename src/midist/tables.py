@@ -174,7 +174,8 @@ def table_from_json(obj) -> ContingencyTable:
         if key not in obj:
             raise InputError(f"table literal is missing {key!r}")
     counts = _numbers(obj["counts"], "counts")
-    if counts.ndim != 2 or counts.shape != (obj["r"], obj["s"]):  # a non-integer r or s never matches
+    shape = (obj["r"], obj["s"])
+    if counts.ndim != 2 or counts.shape != shape or bool in map(type, shape):  # 1.5 or "x" never matches; True would
         raise InputError(
             f"counts shape {counts.shape} does not match r={obj['r']}, s={obj['s']}"
         )

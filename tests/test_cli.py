@@ -134,6 +134,7 @@ class TestMi:
             ({"r": "x", "s": 2, "counts": [[1, 2]]}, "does not match r=x"),
             ({"r": 1.5, "s": 2, "counts": [[1, 2]]}, "does not match r=1.5"),
             ({"r": 2, "s": 2, "counts": [[10**19, 1], [2, 3]]}, "counts must be below 2**63"),
+            ({"r": True, "s": 2, "counts": [[1, 2]]}, "does not match r=True"),
         ],
     )
     def test_malformed_literal_is_an_input_error(self, capsys, tmp_path, literal, message):

@@ -20,16 +20,22 @@ from midist.tables import ContingencyTable, PosteriorCounts, PriorSpec
 W0 = PriorSpec("custom", 0.0)
 
 
+def kernel(grid, unlabeled) -> MissingMoments:
+    """``missing_batch`` with every float error raised: ``decide_batch`` silences them, so a forgotten mask shows only here."""
+    with np.errstate(all="raise"):
+        return missing_batch(grid, unlabeled)
+
+
 def first(grid, unlabeled=None) -> MissingMoments:
     """Row 0 of ``missing_batch`` on a stack of one grid; no unlabeled mass by default."""
     grid = np.asarray(grid, dtype=float)
     unlabeled = np.zeros(len(grid)) if unlabeled is None else np.asarray(unlabeled, dtype=float)
-    mm = missing_batch(grid[None], unlabeled[None])
+    mm = kernel(grid[None], unlabeled[None])
     return MissingMoments(*(getattr(mm, f.name)[0] for f in fields(MissingMoments)))
 
 
 def transcribed_variance(counts, unlabeled):
-    """Straight plain-loop transcription of the 1/N variance, kept
+    """Straight plain-loop transcription of the 1/N variance and its Qbar, kept
     deliberately independent of the package implementation."""
     r, s = len(counts), len(counts[0])
     row_sums = [sum(counts[i]) for i in range(r)]
@@ -68,7 +74,19 @@ def transcribed_variance(counts, unlabeled):
             q_i = 1.0
         q_bar += rho_rows[i] * q_i
         j_bar += j_rows[i] * q_i
-    return (k_bar - j_bar**2 / q_bar - p_bar) / total
+    return (k_bar - j_bar**2 / q_bar - p_bar) / total, q_bar
+
+
+def positive_counts(rng, r, s):
+    return rng.integers(1, 25, size=(r, s)), rng.integers(0, 8, size=r)
+
+
+def sparse_grids(rng, r, s):
+    """Empty cells and empty rows under prior weight 0, 1/4 or 1; only rows with observed mass get unlabeled mass."""
+    grid = rng.integers(0, 3, size=(r, s)) * rng.integers(0, 2, size=(r, 1)) + rng.choice([0.0, 0.25, 1.0])
+    if not grid.any():
+        grid[0, 0] = 1.0
+    return grid, np.where(grid.sum(axis=1) > 0, rng.integers(0, 8, size=r), 0)
 
 
 class TestFillEstimate:
@@ -103,7 +121,7 @@ class TestVarianceMissing:
         mom = mi_moments(PosteriorCounts([[8, 2], [4, 16]]))
         mm = first([[8, 2], [4, 16]])
         assert mm.variance == pytest.approx((mom.k_term - mom.j_term**2) / 30.0, abs=1e-12)
-        assert mm.q_bar == pytest.approx(1.0, abs=1e-12)
+        assert transcribed_variance([[8, 2], [4, 16]], [0, 0])[1] == pytest.approx(1.0, abs=1e-12)
         assert mm.p_bar == 0.0
         assert mm.k_bar == pytest.approx(mom.k_term, abs=1e-12)
         assert mm.j_bar == pytest.approx(mom.j_term, abs=1e-12)
@@ -115,23 +133,26 @@ class TestVarianceMissing:
 
     def test_against_plain_loop_transcription(self):
         mm = first([[8, 2], [4, 16]], [3, 5])
-        assert mm.variance == pytest.approx(transcribed_variance([[8, 2], [4, 16]], [3, 5]), abs=1e-12)
+        assert mm.variance == pytest.approx(transcribed_variance([[8, 2], [4, 16]], [3, 5])[0], abs=1e-12)
 
     def test_randomised_against_transcription(self):
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            r, s = rng.integers(2, 5, size=2)
-            counts = rng.integers(1, 25, size=(r, s))
-            unlabeled = rng.integers(0, 8, size=r)
-            mm = first(counts, unlabeled)
-            expected = transcribed_variance(counts.tolist(), unlabeled.tolist())
-            assert mm.variance == pytest.approx(max(0.0, expected), abs=1e-12)
+        for draw in (positive_counts, sparse_grids):
+            rng = np.random.default_rng(17)
+            for _ in range(40):
+                counts, unlabeled = draw(rng, *rng.integers(2, 5, size=2))
+                mm = first(counts, unlabeled)
+                expected, q_bar = transcribed_variance(counts.tolist(), unlabeled.tolist())
+                assert q_bar == pytest.approx(1.0, abs=1e-12)
+                assert mm.variance == pytest.approx(max(0.0, expected), abs=1e-12)
 
-    def test_sentinel_for_rows_without_unlabeled_mass(self):
+    def test_rows_without_unlabeled_mass_add_nothing(self):
         mm = first([[3, 1], [2, 4]], [2, 0])
-        assert math.isinf(mm.rho_missing[1])
         assert mm.q_bar_i[1] == 1.0
         assert 0.0 < mm.q_bar_i[0] < 1.0
+        pi = mm.pi_hat
+        j_rows = (pi * np.log(pi / np.outer(pi.sum(axis=1), pi.sum(axis=0)))).sum(axis=1)
+        # N = 12 and n_0+ = 4: row 0's term is all of Pbar
+        assert mm.p_bar == pytest.approx(12 * (1 - mm.q_bar_i[0]) * j_rows[0] ** 2 / 4, rel=1e-12)
 
     def test_continuous_at_vanishing_unlabeled_mass(self):
         complete = first([[8, 2], [4, 16]])
@@ -146,7 +167,7 @@ class TestDispatch:
 
     def test_feature_axis_routes_through_transpose(self):
         t = ContingencyTable([[8, 2], [4, 16]], missing_feature=[3, 5])
-        direct = missing_batch(np.array([[[8.0, 2.0], [4.0, 16.0]]]).swapaxes(1, 2), [[3.0, 5.0]])
+        direct = kernel(np.array([[[8.0, 2.0], [4.0, 16.0]]]).swapaxes(1, 2), [[3.0, 5.0]])
         routed = decide(t, self.CFG)
         assert routed.route == "missing_feature"
         assert routed.mean == direct.mean[0] and routed.variance == direct.variance[0]
@@ -158,7 +179,7 @@ class TestDispatch:
 
     def test_table_without_mass_rejected(self):
         with pytest.raises(InputError, match="no mass"):
-            missing_batch(np.zeros((1, 2, 2)), np.zeros((1, 2)))
+            kernel(np.zeros((1, 2, 2)), np.zeros((1, 2)))
 
     def test_complete_table_allowed(self):
         assert decide(ContingencyTable([[3, 1], [2, 4]]), self.CFG).route == "complete"
@@ -202,7 +223,7 @@ def test_q_bar_i_in_unit_interval(payload):
     assert mm.pi_hat.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-@given(
+STACKS = (
     st.tuples(st.integers(1, 6), st.integers(2, 8), st.integers(2, 4)).flatmap(
         lambda shape: st.tuples(
             arrays(np.int64, shape, elements=st.integers(0, 20)),
@@ -211,12 +232,31 @@ def test_q_bar_i_in_unit_interval(payload):
     ),
     st.sampled_from([0.0, 0.5, 1.0]),
 )
-@settings(max_examples=100)
-def test_batch_mean_is_the_plug_in_value_of_each_filled_grid(payload, weight):
-    # missing_batch and empirical_mi each hold a copy of the split-log plug-in formula
+
+
+def filled_stack(payload, weight):
+    """The prior-augmented stack and its unlabeled mass, which only rows with observed mass keep."""
     counts, unlabeled = payload
     grid = counts + weight
     assume(np.all(grid.sum(axis=(1, 2)) > 0))
-    mm = missing_batch(grid, np.where(grid.sum(axis=2) > 0, unlabeled, 0))
+    return grid, np.where(grid.sum(axis=2) > 0, unlabeled, 0)
+
+
+@given(*STACKS)
+@settings(max_examples=100)
+def test_batch_mean_is_the_plug_in_value_of_each_filled_grid(payload, weight):
+    # missing_batch and empirical_mi each hold a copy of the split-log plug-in formula
+    mm = kernel(*filled_stack(payload, weight))
     for b, mean in enumerate(mm.mean):
         assert abs(mean - empirical_mi(PosteriorCounts(mm.pi_hat[b]))) <= 1e-14
+
+
+@given(*STACKS)
+@settings(max_examples=100)
+def test_variance_is_the_filled_grids_complete_case_term_plus_a_non_negative_correction(payload, weight):
+    # N * variance = (K - J^2) + sum_i (1/Qbar_i - 1)(K_i - J_i^2 / pi_i+), and the filled grid sums to 1
+    grid, unlabeled = filled_stack(payload, weight)
+    mm = kernel(grid, unlabeled)
+    total = grid.sum(axis=(1, 2)) + unlabeled.sum(axis=1)
+    for b, variance in enumerate(mm.variance):
+        assert total[b] * variance >= first(mm.pi_hat[b]).variance - 1e-14
