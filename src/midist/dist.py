@@ -167,7 +167,8 @@ def prob_exceeds_batch(family: str, mean, variance, i_max, epsilon: float):
             stacklevel=2,
         )
     prob = np.empty(mean.shape)
-    prob[point] = 1.0 - _cdf("point_mass", {"location": location[point]}, epsilon)
+    if point.any():
+        prob[point] = 1.0 - _cdf("point_mass", {"location": location[point]}, epsilon)
     for fam, mask in ((family, ~point & ~fallback), ("gamma", fallback)):
         if not mask.any():
             continue

@@ -107,27 +107,32 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     rows = np.full(size, height) if rows is None else np.asarray(rows)
     if rows.shape != (size,) or (size and not (1 <= rows.min() and rows.max() <= height)):
         raise InputError(f"rows must hold one row count in [1, {height}] per table")
-    padding = np.arange(height) >= rows[:, None]
     missing_class = np.zeros((size, height)) if missing_class is None else np.asarray(missing_class)
     missing_feature = np.zeros((size, s)) if missing_feature is None else np.asarray(missing_feature)
-    if counts[padding].any() or missing_class[padding].any():
+    padding = np.arange(height) >= rows[:, None] if size and rows.min() < height else None
+    if padding is not None and (counts[padding].any() or missing_class[padding].any()):
         raise InputError("padded rows must stay zero")
     upper = np.array([mi_upper_bound(r, s) for r in range(1, height + 1)])[rows - 1]
-    class_gap, feature_gap = (missing_class > 0).any(axis=1), (missing_feature > 0).any(axis=1)
+    # a bool einsum sums by logical or: any() over the short axis, without its overhead
+    class_gap, feature_gap = np.einsum("br->b", missing_class > 0), np.einsum("bs->b", missing_feature > 0)
     live = upper > 0.0
     if (live & class_gap & feature_gap).any():
         raise InputError(BOTH_MARGINS)
     route = np.where(live, class_gap + 2 * feature_gap, 3)  # index into ROUTES
-    grid = np.where(padding[:, :, None], 0.0, counts + np.reshape(cfg.prior.cell_weight(rows, s), (-1, 1, 1)))
+    grid = counts + np.reshape(cfg.prior.cell_weight(rows, s), (-1, 1, 1))
+    if padding is not None:
+        grid[padding] = 0.0
     j, mean, variance, clamped = np.zeros(size), np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool)
     complete = route == 0
+    whole = size > 0 and padding is None and complete.all()  # one kernel call on the grid itself, as on binary stacks
     with np.errstate(all="ignore"):  # non-finite moments raise below, so the kernels' float warnings add nothing
-        for r in np.unique(rows[complete]):
+        for r in [height] if whole else np.unique(rows[complete]):
             sel = complete & (rows == r)
-            mom = on_tables(sel, moments_batch, grid[sel, :r])
+            at = slice(None) if whole else sel  # a slice neither gathers nor scatters
+            mom = on_tables(sel, moments_batch, grid[at, :r])
             # j_term is the plug-in value itself; clamp mirrors empirical_mi
-            j[sel], mean[sel] = np.maximum(mom.j_term, 0.0), mom.mean
-            variance[sel], clamped[sel] = mom.variance, mom.variance_clamped
+            j[at], mean[at] = np.maximum(mom.j_term, 0.0), mom.mean
+            variance[at], clamped[at] = mom.variance, mom.variance_clamped
         # a feature-margin gap is a class-margin gap of the transposed table
         for gap, stack, unlabeled, name in (
             (route == 1, grid, missing_class, "feature value"),

@@ -184,7 +184,7 @@ def decide_attributes(dataset: Dataset, cfg: FilterConfig) -> list[FilterDecisio
     counts, class_counts, rows = _zero_tally(dataset)  # the counts are the tables
     for chunk in _chunks(len(classes), len(rows)):
         absorb(counts, class_counts, values[chunk], observed[chunk], classes[chunk])
-    missing = class_counts - counts.sum(axis=1)  # per attribute: labelled, value unobserved
+    missing = class_counts - np.einsum("avs->as", counts)  # per attribute: labelled, value unobserved
     batch = _decide(dataset.attributes, None, counts, cfg, missing_feature=missing, rows=rows)
     return records(batch, dataset.attributes)
 
@@ -247,17 +247,17 @@ def _t_critical(n: int) -> np.ndarray:
     return np.append(np.inf, special.stdtrit(np.arange(1, n), 0.975))
 
 
-def _paired_t_curve(correct_a: Sequence[int], correct_b: Sequence[int], critical: np.ndarray):
-    """Per-k paired t statistics and two-tailed 0.05 significance flags.
+def _paired_t_curve(correct_a, correct_b, critical: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-k paired t statistics and two-tailed 0.05 significance flags of stacked (P, T) pairs.
 
     ``critical[k - 1]`` is the t quantile for prefix length k (inf at k = 1).
     All-equal differences give t = 0 when they are zero and an infinite,
     significant t otherwise; k = 1 is reported as (0, not significant).
     """
     d = np.asarray(correct_a, dtype=np.int64) - np.asarray(correct_b, dtype=np.int64)
-    s1 = np.cumsum(d)
-    s2 = np.cumsum(d * d)
-    k = np.arange(1, len(d) + 1)
+    s1 = np.cumsum(d, axis=1)
+    s2 = np.cumsum(d * d, axis=1)
+    k = np.arange(1, d.shape[1] + 1)
     num = k * s2 - s1 * s1  # k(k-1) * sample variance, exact in integers
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(
@@ -265,9 +265,8 @@ def _paired_t_curve(correct_a: Sequence[int], correct_b: Sequence[int], critical
             s1 * np.sqrt((k - 1) / np.where(num > 0, num, 1)),
             np.where(s1 == 0, 0.0, np.sign(s1) * np.inf),
         )
-    t[0] = 0.0
-    significant = np.abs(t) > critical
-    return t.tolist(), significant.tolist()
+    t[:, 0] = 0.0
+    return t, np.abs(t) > critical
 
 
 def paired_t_test(correct_a: Sequence[int], correct_b: Sequence[int], k: int) -> tuple[float, bool]:
@@ -286,8 +285,8 @@ def paired_t_test(correct_a: Sequence[int], correct_b: Sequence[int], k: int) ->
         raise InputError(f"{message}: {exc}") from None
     if not np.all(np.isfinite(pairs) & (pairs == np.round(pairs))):
         raise InputError(message)
-    t, significant = _paired_t_curve(pairs[0], pairs[1], _t_critical(k))
-    return t[-1], significant[-1]
+    t, significant = _paired_t_curve(pairs[:1], pairs[1:], _t_critical(k))  # a stack of one pair
+    return float(t[0, -1]), bool(significant[0, -1])
 
 
 def run_incremental(
@@ -330,33 +329,36 @@ def run_incremental(
     for chunk in _chunks(len(classes), len(rows)):
         prefix, class_prefix = absorb(counts, class_counts, values[chunk], observed[chunk], classes[chunk])
         steps, attributes, height, s = prefix.shape
-        missing = (class_prefix[:, None, :] - prefix.sum(axis=2)).reshape(-1, s)
+        # einsum, as numpy's sum over the short value axis is slow; both are exact in int64
+        missing = (class_prefix[:, None, :] - np.einsum("tavs->tas", prefix)).reshape(-1, s)
         stack = prefix.reshape(-1, height, s)
         batch = _decide(dataset.attributes, chunk.start, stack, cfg, missing_feature=missing, rows=np.tile(rows, steps))
         keep.append(np.stack([getattr(batch, flag).reshape(steps, attributes) for flag in flags], axis=1))
         value_counts = prefix[np.arange(steps)[:, None], np.arange(attributes), values[chunk]]
         predicted.append(score_subsets(value_counts, class_prefix, rows, keep[-1] & observed[chunk][:, None])[0])
     keep = np.concatenate(keep)
-    hits = np.concatenate(predicted).T == classes
+    hits = (np.concatenate(predicted).T == classes).astype(np.int64)  # (F, T)
     sizes = keep.sum(axis=2).T
-    correct = {f: hits[i].astype(np.int64).tolist() for i, f in enumerate(filters)}
-    steps = np.arange(1, len(dataset) + 1)
-    runs = {}
-    for i, f in enumerate(filters):
-        acc = np.cumsum(correct[f]) / steps
-        runs[f] = FilterRun(
-            correct=correct[f],
-            running_accuracy=acc.tolist(),
-            selected_counts=sizes[i].tolist(),
-            final_accuracy=float(acc[-1]),
+    accuracy = np.cumsum(hits, axis=1) / np.arange(1, len(dataset) + 1)
+    correct, running, counted = hits.tolist(), accuracy.tolist(), sizes.tolist()
+    runs = {
+        f: FilterRun(
+            correct=correct[i],
+            running_accuracy=running[i],
+            selected_counts=counted[i],
+            final_accuracy=running[i][-1],
             mean_selected=float(np.mean(sizes[i])),
             selected_sets=[np.flatnonzero(row).tolist() for row in keep[:, i]] if record_selected else None,
         )
-    pair_tests = {}
-    critical = _t_critical(len(dataset))  # shared by every pair
-    for a, b in combinations(filters, 2):
-        t_curve, sig_curve = _paired_t_curve(correct[a], correct[b], critical)
-        pair_tests[f"{a}_vs_{b}"] = {"t": t_curve, "significant": sig_curve}
+        for i, f in enumerate(filters)
+    }
+    pairs = list(combinations(range(len(filters)), 2))
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    t, significant = _paired_t_curve(hits[a], hits[b], _t_critical(len(dataset)))  # one critical-value pass
+    pair_tests = {
+        f"{filters[i]}_vs_{filters[j]}": {"t": t_curve, "significant": sig_curve}
+        for (i, j), t_curve, sig_curve in zip(pairs, t.tolist(), significant.tolist())
+    }
 
     return RunReport(
         config={

@@ -8,6 +8,7 @@ to the largest vocabulary R (rows past a's vocabulary stay zero), and (s)
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -20,13 +21,15 @@ TIE_TOLERANCE = 1e-12  # relative; log-scores this close to the best are ties
 def encode(instances, vocab_sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Validated (T, A) value indices of a list of instances, 0 where unobserved, and their observed mask."""
     width = len(vocab_sizes)
-    for t, values in enumerate(instances):
-        if len(values) != width:
-            raise InputError(f"instance {t} has {len(values)} attributes, expected {width}")
-        for kind in set(map(type, values)):  # numpy would parse "2" as 2; a per-row type set keeps this cheap
-            if issubclass(kind, (str, bytes)):
-                a = next(a for a, value in enumerate(values) if isinstance(value, kind))
-                raise InputError(f"instance {t}: attribute {a}: value index {values[a]!r} is a string, not an integer")
+    kinds = set(map(type, chain.from_iterable(instances)))  # numpy would parse "2" as 2
+    if set(map(len, instances)) - {width} or any(issubclass(kind, (str, bytes)) for kind in kinds):
+        for t, values in enumerate(instances):  # the first bad instance, in order
+            if len(values) != width:
+                raise InputError(f"instance {t} has {len(values)} attributes, expected {width}")
+            for kind in set(map(type, values)):
+                if issubclass(kind, (str, bytes)):
+                    a = next(a for a, value in enumerate(values) if isinstance(value, kind))
+                    raise InputError(f"instance {t}: attribute {a}: value index {values[a]!r} is a string, not an integer")
     try:
         grid = np.array(instances, dtype=float).reshape(len(instances), width)  # None becomes NaN
     except (TypeError, ValueError, OverflowError) as exc:
@@ -58,7 +61,7 @@ def score_subsets(value_counts, class_counts, vocab_sizes, selected) -> tuple[np
     vocab = np.asarray(vocab_sizes, dtype=float)
     terms = np.log(value_counts + 1.0) - np.log(class_counts[..., None, :] + vocab[:, None])
     prior = np.log(class_counts + 1.0) - log_seen[..., None]
-    log_scores = prior[..., None, :] + np.einsum("...fa,...as->...fs", selected, terms)
+    log_scores = prior[..., None, :] + np.einsum("...fa,...as->...fs", selected.astype(float), terms)
     best = log_scores.max(axis=-1, keepdims=True)
     tied = log_scores >= best - TIE_TOLERANCE * np.maximum(1.0, np.abs(best))
     return np.argmax(tied, axis=-1), log_scores - best

@@ -163,6 +163,11 @@ def apply_prior(table: ContingencyTable, prior: PriorSpec) -> PosteriorCounts:
     return PosteriorCounts(grid)
 
 
+def _holds_bool(value) -> bool:
+    """Whether a decoded JSON value is or nests a boolean, which numpy would read as the number 0 or 1."""
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+
+
 def table_from_json(obj) -> ContingencyTable:
     """Build a table from a decoded JSON literal {"r", "s", "counts", ...}.
 
@@ -173,6 +178,9 @@ def table_from_json(obj) -> ContingencyTable:
     for key in ("r", "s", "counts"):
         if key not in obj:
             raise InputError(f"table literal is missing {key!r}")
+    for key in ("counts", "missing_class", "missing_feature"):
+        if _holds_bool(obj.get(key)):
+            raise InputError(f"{key} must be a regular array of numbers")
     counts = _numbers(obj["counts"], "counts")
     shape = (obj["r"], obj["s"])
     if counts.ndim != 2 or counts.shape != shape or bool in map(type, shape):  # 1.5 or "x" never matches; True would

@@ -135,6 +135,9 @@ class TestMi:
             ({"r": 1.5, "s": 2, "counts": [[1, 2]]}, "does not match r=1.5"),
             ({"r": 2, "s": 2, "counts": [[10**19, 1], [2, 3]]}, "counts must be below 2**63"),
             ({"r": True, "s": 2, "counts": [[1, 2]]}, "does not match r=True"),
+            ({"r": 1, "s": 2, "counts": [[True, False]]}, "counts must be a regular array of numbers"),
+            ({"r": 2, "s": 2, "counts": [[1, True], [3, 4]]}, "counts must be a regular array of numbers"),
+            ({"r": 1, "s": 2, "counts": [[1, 2]], "missing_feature": [True, 0]}, "missing_feature must be a regular"),
         ],
     )
     def test_malformed_literal_is_an_input_error(self, capsys, tmp_path, literal, message):

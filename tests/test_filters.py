@@ -369,6 +369,17 @@ def test_padding_and_row_counts_validated():
     counts[0, 2, 1] = 1  # row 2 of a two-row table
     with pytest.raises(InputError, match="padded"):
         decide_batch(counts, CFG, rows=[2, 3])
+    missing_class = np.zeros((2, 3))
+    missing_class[0, 2] = 1  # an unlabelled count in the padded row
+    with pytest.raises(InputError, match="padded"):
+        decide_batch(np.zeros((2, 3, 2), dtype=np.int64), CFG, missing_class=missing_class, rows=[2, 3])
+    mixed = np.ones((3, 3, 2), dtype=np.int64)  # an unpadded table either side of the padded one
+    mixed[1, 1:] = 0
+    mixed[1, 2, 0] = 1
+    with pytest.raises(InputError, match="padded"):
+        decide_batch(mixed, CFG, rows=[3, 1, 3])
+    mixed[1, 2, 0] = 0
+    assert decide_batch(mixed, CFG, rows=[3, 1, 3]).route.tolist() == ["complete", "degenerate", "complete"]
     for rows in ([0, 3], [2, 4], [2]):
         with pytest.raises(InputError, match="rows"):
             decide_batch(np.zeros((2, 3, 2), dtype=np.int64), CFG, rows=rows)

@@ -261,6 +261,18 @@ class TestRunIncremental:
             assert curve["t"][k - 1] == pytest.approx(t, abs=1e-10)
             assert curve["significant"][k - 1] == significant
 
+    def test_stacked_t_curves_equal_the_scalar_test_at_every_k(self):
+        # all pairs share one stacked curve computation; each must be paired_t_test exactly
+        ds = prepare(synthetic_dataset(60, informative=2, noise=4, seed=28), seed=28)
+        report = run_incremental(ds, CFG)
+        assert list(report.pair_tests) == ["f_vs_ff", "f_vs_bf", "ff_vs_bf"]
+        for pair, curve in report.pair_tests.items():
+            a, b = (report.runs[f].correct for f in pair.split("_vs_"))
+            for k in range(2, len(ds) + 1):
+                assert (curve["t"][k - 1], curve["significant"][k - 1]) == paired_t_test(a, b, k)
+            assert any(curve["t"])  # every pair's predictions differ somewhere
+        assert any(any(curve["significant"]) for curve in report.pair_tests.values())
+
     def test_order_hash_tracks_instance_order(self):
         ds = prepare(synthetic_dataset(30, informative=1, noise=1, seed=5), seed=5)
         other = prepare(synthetic_dataset(30, informative=1, noise=1, seed=5), seed=6)
