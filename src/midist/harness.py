@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -24,7 +24,8 @@ from scipy import special
 from .core import check_integer
 from .errors import ConfigurationError, InputError, NumericalError
 from .filters import FILTERS, FilterConfig, FilterDecision, decide_batch, records
-from .nb import absorb, encode, score_subsets
+from .nb import absorb, score_subsets
+from .tables import _readonly
 
 DEFAULT_MISSING_TOKEN = "?"
 # attribute tables per decide_batch call: a 2000-step, 200-attribute run then
@@ -32,23 +33,49 @@ DEFAULT_MISSING_TOKEN = "?"
 _CHUNK_TABLES = 8192
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Categorical instances with vocabularies resolved up front.
+    """Categorical instances with vocabularies resolved up front, as read-only int64 arrays.
 
-    Instances are (value-index tuple, class index) pairs; None marks a
-    missing cell.  Vocabularies are fixed at load time so incremental runs
-    never meet an unknown index.
+    ``values[t, a]`` indexes attribute a's vocabulary and ``classes[t]`` the
+    class vocabulary; -1 marks a missing cell or label.  The arrays and the
+    lists are copied and checked at construction, so no run meets an unknown index.
     """
 
     attributes: list[str]
     attribute_vocabs: list[list[str]]
     class_vocab: list[str]
-    instances: list[tuple[tuple[int | None, ...], int | None]]
+    values: np.ndarray
+    classes: np.ndarray
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "attributes", list(self.attributes))
+        object.__setattr__(self, "attribute_vocabs", [list(vocab) for vocab in self.attribute_vocabs])
+        object.__setattr__(self, "class_vocab", list(self.class_vocab))
+        values, classes = _indices(self.values, "value", "cell"), _indices(self.classes, "class", "label")
+        sizes = np.array([len(vocab) for vocab in self.attribute_vocabs], dtype=np.int64)
+        width = len(self.attributes)
+        if classes.ndim != 1 or values.shape != (len(classes), width) or len(sizes) != width:
+            shapes = f"values {values.shape}, classes {classes.shape} and {len(sizes)} vocabularies"
+            raise InputError(f"{shapes} do not match {width} attributes: expected (N, {width}), (N,) and {width}")
+        for t, a in np.argwhere((values < -1) | (values >= sizes))[:1]:
+            raise InputError(f"instance {t}: attribute {a}: value index {values[t, a]} outside vocabulary of size {sizes[a]}")
+        for t in np.flatnonzero((classes < -1) | (classes >= len(self.class_vocab)))[:1]:
+            raise InputError(f"instance {t}: class index {classes[t]} outside [0, {len(self.class_vocab)})")
+        object.__setattr__(self, "values", _readonly(np.array(values, dtype=np.int64, order="C")))
+        object.__setattr__(self, "classes", _readonly(np.array(classes, dtype=np.int64)))
+
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.classes)
+
+    @property
+    def instances(self) -> list[tuple[tuple[int | None, ...], int | None]]:
+        """(value tuple, class) pairs of Python ints, None where missing: the text ``order_hash`` hashes."""
+        values, classes = self.values.astype(object), self.classes.astype(object)
+        values[self.values < 0] = None
+        classes[self.classes < 0] = None
+        return list(zip(map(tuple, values.tolist()), classes.tolist()))
 
     @property
     def class_count(self) -> int:
@@ -64,6 +91,17 @@ class Dataset:
             if not vocab:
                 raise InputError(f"{self.provenance.get('path', 'dataset')}: attribute {name!r} has no observed value")
         return [len(v) for v in self.attribute_vocabs]
+
+
+def _indices(array, name: str, missing: str) -> np.ndarray:
+    """``array`` as an integer array; ragged nesting and a bool, float, text or object dtype are each an ``InputError``."""
+    try:
+        out = np.asarray(array)
+    except ValueError as exc:
+        raise InputError(f"{name} indices must be integers in a regular array: {exc}") from None
+    if out.dtype.kind not in "iu":
+        raise InputError(f"{name} indices must be integers, -1 for a missing {missing}, got dtype {out.dtype}")
+    return out
 
 
 def read_rows(path, delimiter: str = ",", header: bool = True, class_column=None):
@@ -118,7 +156,7 @@ def load_dataset(
     """Parse a CSV of categorical data (``read_rows``) into a dataset.
 
     Vocabularies follow first appearance; cells equal to ``missing_token``
-    become None.
+    become -1.
     """
     names, data, class_index = read_rows(path, delimiter, header, class_column)
     if not data:
@@ -127,18 +165,17 @@ def load_dataset(
     vocab_maps: list[dict[str, int]] = [{} for _ in attr_indices]
     class_map: dict[str, int] = {}
 
-    def index(vocab: dict[str, int], token: str) -> int | None:
-        return None if token == missing_token else vocab.setdefault(token, len(vocab))
+    def index(vocab: dict[str, int], token: str) -> int:
+        return -1 if token == missing_token else vocab.setdefault(token, len(vocab))
 
-    instances = [
-        (tuple(index(m, row[col]) for m, col in zip(vocab_maps, attr_indices)), index(class_map, row[class_index]))
-        for row in data
-    ]
+    values = [[index(m, row[col]) for m, col in zip(vocab_maps, attr_indices)] for row in data]
+    classes = [index(class_map, row[class_index]) for row in data]
     return Dataset(
         attributes=[names[i] for i in attr_indices],
         attribute_vocabs=[list(m) for m in vocab_maps],
         class_vocab=list(class_map),
-        instances=instances,
+        values=np.array(values, dtype=np.int64),
+        classes=np.array(classes, dtype=np.int64),
         provenance={
             "path": str(path),
             "delimiter": delimiter,
@@ -160,16 +197,11 @@ def prepare(dataset: Dataset, mode: str = "drop_missing", seed: int = 0) -> Data
     if mode not in ("drop_missing", "keep_missing"):
         raise InputError(f"mode must be drop_missing or keep_missing, got {mode!r}")
     check_integer("seed", seed, 0)
-    keep_partial = mode == "keep_missing"
-    kept = [row for row in dataset.instances if row[1] is not None and (keep_partial or None not in row[0])]
-    order = np.random.default_rng(seed).permutation(len(kept))
-    return Dataset(
-        attributes=list(dataset.attributes),
-        attribute_vocabs=[list(v) for v in dataset.attribute_vocabs],
-        class_vocab=list(dataset.class_vocab),
-        instances=[kept[i] for i in order],
-        provenance={**dataset.provenance, "prepared": {"mode": mode, "seed": int(seed)}},
-    )
+    keep = (dataset.classes >= 0) & ((mode == "keep_missing") | np.all(dataset.values >= 0, axis=1))
+    kept = np.flatnonzero(keep)
+    order = kept[np.random.default_rng(seed).permutation(len(kept))]
+    prepared = {**dataset.provenance, "prepared": {"mode": mode, "seed": int(seed)}}
+    return replace(dataset, values=dataset.values[order], classes=dataset.classes[order], provenance=prepared)
 
 
 def decide_attributes(dataset: Dataset, cfg: FilterConfig) -> list[FilterDecision]:
@@ -178,12 +210,13 @@ def decide_attributes(dataset: Dataset, cfg: FilterConfig) -> list[FilterDecisio
     Rows without a class label are skipped; a missing attribute value in a
     labelled row counts into that attribute's partial margin.
     """
-    labelled = [row for row in dataset.instances if row[1] is not None]
-    values, observed = encode([row[0] for row in labelled], dataset.vocab_sizes)
-    classes = np.array([cls for _, cls in labelled], dtype=np.int64)
     counts, class_counts, rows = _zero_tally(dataset)  # the counts are the tables
-    for chunk in _chunks(len(classes), len(rows)):
-        absorb(counts, class_counts, values[chunk], observed[chunk], classes[chunk])
+    labelled = dataset.classes >= 0
+    values, classes = dataset.values[labelled], dataset.classes[labelled]
+    t, a = np.nonzero(values >= 0)
+    cells = (a * counts.shape[1] + values[t, a]) * counts.shape[2] + classes[t]  # flat (attribute, value, class)
+    counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
+    class_counts += np.bincount(classes, minlength=len(class_counts))
     missing = class_counts - np.einsum("avs->as", counts)  # per attribute: labelled, value unobserved
     batch = _decide(dataset.attributes, None, counts, cfg, missing_feature=missing, rows=rows)
     return records(batch, dataset.attributes)
@@ -302,10 +335,9 @@ def run_incremental(
     Those are the exclusive prefix sums of the one-hot instances, so the run
     equals a loop that predicts, then absorbs, each instance; it is computed
     with one ``decide_batch`` and one ``score_subsets`` call per chunk of
-    ``_CHUNK_TABLES`` tables.  Instances of the wrong length or with a value
-    index outside its vocabulary raise ``InputError`` before any decision.
-    A zero-weight prior raises ``ConfigurationError`` up front: step 0
-    decides from empty tables, which it would leave with no positive cell.
+    ``_CHUNK_TABLES`` tables.  A zero-weight prior raises ``ConfigurationError``
+    up front: step 0 decides from empty tables, which it would leave with no
+    positive cell.
     """
     filters = list(filters)
     if not filters or len(set(filters)) != len(filters):
@@ -318,24 +350,23 @@ def run_incremental(
         )
     if len(dataset) < 1:
         raise InputError(f"{dataset.provenance.get('path', 'dataset')}: run needs at least one instance")
-    if any(cls is None for _, cls in dataset.instances):
+    values, classes = dataset.values, dataset.classes
+    if np.any(classes < 0):
         raise InputError("run needs prepared data: instances without a class label remain")
 
-    values, observed = encode([row[0] for row in dataset.instances], dataset.vocab_sizes)
-    classes = np.array([cls for _, cls in dataset.instances], dtype=np.int64)
     counts, class_counts, rows = _zero_tally(dataset)
     flags = [f"keep_{f}" for f in filters]
     keep, predicted = [], []  # per chunk: (T, F, A) keep masks and (T, F) predictions
     for chunk in _chunks(len(classes), len(rows)):
-        prefix, class_prefix = absorb(counts, class_counts, values[chunk], observed[chunk], classes[chunk])
+        prefix, class_prefix = absorb(counts, class_counts, values[chunk], classes[chunk])
         steps, attributes, height, s = prefix.shape
         # einsum, as numpy's sum over the short value axis is slow; both are exact in int64
         missing = (class_prefix[:, None, :] - np.einsum("tavs->tas", prefix)).reshape(-1, s)
         stack = prefix.reshape(-1, height, s)
         batch = _decide(dataset.attributes, chunk.start, stack, cfg, missing_feature=missing, rows=np.tile(rows, steps))
         keep.append(np.stack([getattr(batch, flag).reshape(steps, attributes) for flag in flags], axis=1))
-        value_counts = prefix[np.arange(steps)[:, None], np.arange(attributes), values[chunk]]
-        predicted.append(score_subsets(value_counts, class_prefix, rows, keep[-1] & observed[chunk][:, None])[0])
+        value_counts = prefix[np.arange(steps)[:, None], np.arange(attributes), np.maximum(values[chunk], 0)]
+        predicted.append(score_subsets(value_counts, class_prefix, rows, keep[-1] & (values[chunk] >= 0)[:, None])[0])
     keep = np.concatenate(keep)
     hits = (np.concatenate(predicted).T == classes).astype(np.int64)  # (F, T)
     sizes = keep.sum(axis=2).T
@@ -460,24 +491,21 @@ def synthetic_dataset(
 ) -> Dataset:
     """Binary benchmark: the class copied into ``informative`` attributes
     with independent flips, plus ``noise`` attributes independent of it."""
-    if n_instances < 1:
-        raise InputError("n_instances must be >= 1")
+    check_integer("n_instances", n_instances, 1)
+    for name, value in (("informative", informative), ("noise", noise), ("seed", seed)):
+        check_integer(name, value, 0)
+    if not 0 <= flip <= 1:
+        raise InputError(f"flip must be a probability in [0, 1], got {flip!r}")
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, size=n_instances)
-    columns = []
-    for _ in range(informative):
-        flips = rng.random(n_instances) < flip
-        columns.append(np.where(flips, 1 - y, y))
-    for _ in range(noise):
-        columns.append(rng.integers(0, 2, size=n_instances))
+    columns = [np.where(rng.random(n_instances) < flip, 1 - y, y) for _ in range(informative)]
+    columns += [rng.integers(0, 2, size=n_instances) for _ in range(noise)]
     names = [f"dep_{k}" for k in range(informative)] + [f"noise_{k}" for k in range(noise)]
-    instances = [
-        (tuple(int(col[i]) for col in columns), int(y[i])) for i in range(n_instances)
-    ]
     return Dataset(
         attributes=names,
         attribute_vocabs=[["0", "1"] for _ in names],
         class_vocab=["0", "1"],
-        instances=instances,
+        values=np.array(columns, dtype=np.int64).reshape(len(names), n_instances).T,
+        classes=y,
         provenance={"synthetic": {"n": n_instances, "informative": informative, "noise": noise, "seed": seed, "flip": flip}},
     )

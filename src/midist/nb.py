@@ -8,37 +8,10 @@ to the largest vocabulary R (rows past a's vocabulary stay zero), and (s)
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
-
 TIE_TOLERANCE = 1e-12  # relative; log-scores this close to the best are ties
-
-
-def encode(instances, vocab_sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (T, A) value indices of a list of instances, 0 where unobserved, and their observed mask."""
-    width = len(vocab_sizes)
-    kinds = set(map(type, chain.from_iterable(instances)))  # numpy would parse "2" as 2
-    if set(map(len, instances)) - {width} or any(issubclass(kind, (str, bytes)) for kind in kinds):
-        for t, values in enumerate(instances):  # the first bad instance, in order
-            if len(values) != width:
-                raise InputError(f"instance {t} has {len(values)} attributes, expected {width}")
-            for kind in set(map(type, values)):
-                if issubclass(kind, (str, bytes)):
-                    a = next(a for a, value in enumerate(values) if isinstance(value, kind))
-                    raise InputError(f"instance {t}: attribute {a}: value index {values[a]!r} is a string, not an integer")
-    try:
-        grid = np.array(instances, dtype=float).reshape(len(instances), width)  # None becomes NaN
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"value indices must be integers: {exc}") from None
-    observed, integral = ~np.isnan(grid), grid == np.floor(grid)
-    for t, a in np.argwhere(observed & ~(integral & (grid >= 0) & (grid < np.asarray(vocab_sizes))))[:1]:
-        problem = f"outside vocabulary of size {vocab_sizes[a]}" if integral[t, a] else "is not an integer"
-        raise InputError(f"instance {t}: attribute {a}: value index {instances[t][a]} {problem}")
-    return np.where(observed, grid, 0.0).astype(np.int64), observed
 
 
 def score_subsets(value_counts, class_counts, vocab_sizes, selected) -> tuple[np.ndarray, np.ndarray]:
@@ -67,18 +40,15 @@ def score_subsets(value_counts, class_counts, vocab_sizes, selected) -> tuple[np
     return np.argmax(tied, axis=-1), log_scores - best
 
 
-def absorb(counts, class_counts, values, observed, classes) -> tuple[np.ndarray, np.ndarray]:
-    """Add ``encode``d labelled instances to the two tallies in place, unobserved cells to no value count.
+def absorb(counts, class_counts, values, classes) -> tuple[np.ndarray, np.ndarray]:
+    """Add (T, A) value indices, -1 where unobserved, of (T) labelled instances to the two tallies in place.
 
     Returns the tallies before each instance, (T, A, R, s) and (T, s): those on entry plus an exclusive cumsum.
     """
-    s = len(class_counts)
-    for c in classes[(classes < 0) | (classes >= s)][:1]:
-        raise InputError(f"class index {c} outside [0, {s})")
-    t, a = np.nonzero(observed)
+    t, a = np.nonzero(values >= 0)
     onehot = np.zeros((len(classes), *counts.shape), dtype=np.int64)
     onehot[t, a, values[t, a], classes[t]] = 1
-    class_onehot = np.eye(s, dtype=np.int64)[classes]
+    class_onehot = np.eye(len(class_counts), dtype=np.int64)[classes]
     before = np.cumsum(onehot, axis=0) - onehot + counts
     class_before = np.cumsum(class_onehot, axis=0) - class_onehot + class_counts
     counts += onehot.sum(axis=0)

@@ -89,7 +89,7 @@ def kept(dataset, cfg, which):
 
 
 class TestSelectFeatures:
-    NO_ATTRIBUTES = Dataset([], [], ["0", "1"], [((), 0), ((), 1)])
+    NO_ATTRIBUTES = Dataset([], [], ["0", "1"], np.zeros((2, 0), dtype=np.int64), np.array([0, 1]))
 
     def test_empty_input(self):
         assert kept(self.NO_ATTRIBUTES, CFG, "ff") == []

@@ -28,7 +28,7 @@ from midist.harness import (
     synthetic_dataset,
     write_report,
 )
-from midist.nb import absorb, encode, score_subsets
+from midist.nb import absorb, score_subsets
 from midist.tables import ContingencyTable, PriorSpec
 
 CFG = FilterConfig()
@@ -121,18 +121,16 @@ class TestFetchUci:
 
 
 class TestPrepare:
-    def make(self):
-        rows = [((0, 0), 0), ((1, None), 1), ((None, 1), 0), ((1, 1), 1)] + [
-            ((0, 1), 0) for _ in range(6)
-        ]
-        return Dataset(["a", "b"], [["0", "1"], ["0", "1"]], ["0", "1"], rows)
+    def make(self, values=(), classes=()):
+        values = [[0, 0], [1, -1], [-1, 1], [1, 1]] + [[0, 1]] * 6 + list(values)
+        classes = [0, 1, 0, 1] + [0] * 6 + list(classes)
+        return Dataset(["a", "b"], [["0", "1"], ["0", "1"]], ["0", "1"], np.array(values), np.array(classes))
 
     def test_drop_missing_removes_rows_with_gaps(self):
         assert len(prepare(self.make(), "drop_missing", seed=0)) == 8
 
     def test_keep_missing_keeps_feature_gaps(self):
-        ds = self.make()
-        ds.instances.append(((0, 0), None))  # class gap is always dropped
+        ds = self.make([[0, 0]], [-1])  # class gap is always dropped
         assert len(prepare(ds, "keep_missing", seed=0)) == 10
 
     def test_same_seed_reproduces_order(self):
@@ -148,6 +146,78 @@ class TestPrepare:
     def test_bad_mode(self):
         with pytest.raises(InputError):
             prepare(self.make(), "impute", seed=0)
+
+
+# each a column of two indices numpy cannot read as integers, or reads as some other dtype
+NOT_INTEGERS = {
+    "float": [1, 1.5],
+    "integral_float": [0.0, 1.0],
+    "bool": [True, False],
+    "text": ["0", "1"],
+    "bytes": [b"0", b"1"],
+    "numpy_text": [0, np.str_("1")],
+    "none": [0, None],
+    "object": [0, object()],
+    "dict": [0, {0: 1}],
+    "beyond_int64": [0, 2**70],
+}
+
+
+class TestDataset:
+    def make(self, values, classes):
+        return Dataset(["a"], [["0", "1", "2", "3"]], ["c0", "c1"], values, classes)
+
+    @pytest.mark.parametrize(
+        "values, classes",
+        [
+            (np.zeros((3, 2), dtype=np.int64), np.zeros(3, dtype=np.int64)),  # two columns, one attribute
+            (np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)),
+            (np.zeros((3, 1), dtype=np.int64), np.zeros(2, dtype=np.int64)),
+            (np.zeros((3, 1), dtype=np.int64), np.zeros((3, 1), dtype=np.int64)),
+        ],
+    )
+    def test_shape_must_give_a_row_per_label_and_a_column_per_attribute(self, values, classes):
+        with pytest.raises(InputError, match=r"do not match 1 attributes: expected \(N, 1\), \(N,\) and 1$"):
+            self.make(values, classes)
+
+    def test_a_vocabulary_per_attribute(self):
+        with pytest.raises(InputError, match=r"and 1 vocabularies do not match 2 attributes"):
+            Dataset(["a", "b"], [["0"]], ["c0"], np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64))
+
+    @pytest.mark.parametrize("column", list(NOT_INTEGERS.values()), ids=list(NOT_INTEGERS))
+    @pytest.mark.parametrize("field", ["value", "class"])
+    def test_indices_that_are_not_integers_rejected(self, field, column):
+        # numpy would truncate a class 1.5 to 1 and read True as 1
+        values, classes = ([[x] for x in column], [0, 1]) if field == "value" else ([[0], [1]], column)
+        with pytest.raises(InputError, match=f"^{field} indices must be integers, -1 for a missing"):
+            self.make(values, classes)
+
+    def test_inputs_copied_and_arrays_read_only(self):
+        values, classes = np.array([[3], [-1]], dtype=np.int8), np.array([1, -1], dtype=np.int32)
+        vocabs, class_vocab = [["0", "1", "2", "3"]], ["c0", "c1"]
+        ds = Dataset(["a"], vocabs, class_vocab, values, classes)
+        values[0, 0], classes[0] = 0, 0
+        vocabs[0].pop(), class_vocab.pop()
+        assert ds.values.tolist() == [[3], [-1]] and ds.classes.tolist() == [1, -1]
+        assert ds.vocab_sizes == [4] and ds.class_count == 2
+        assert prepare(ds, "keep_missing").attribute_vocabs[0] is not ds.attribute_vocabs[0]
+        assert ds.values.dtype == ds.classes.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            ds.values[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.classes[0] = 0
+
+    def test_instances_round_trip_to_the_arrays(self, tmp_path):
+        values, classes = np.array([[0, -1, 3], [-1, -1, 0], [1, 0, 2]]), np.array([1, -1, 0])
+        ds = Dataset(["a", "b", "c"], [["x", "y"], ["u"], ["0", "1", "2", "3"]], ["p", "q"], values, classes)
+        assert ds.instances == [((0, None, 3), 1), ((None, None, 0), None), ((1, 0, 2), 0)]
+        assert {type(v) for row, cls in ds.instances for v in (*row, cls)} == {int, type(None)}
+        back_values = [[-1 if v is None else v for v in row] for row, _ in ds.instances]
+        back_classes = [-1 if cls is None else cls for _, cls in ds.instances]
+        assert np.array_equal(back_values, values) and np.array_equal(back_classes, classes)
+        # the text order_hash hashes, for a CSV with "?" cells and a "?" label
+        loaded = load_dataset(write(tmp_path, "a,b,c\nx,?,yes\n?,u,?\ny,u,no\n"))
+        assert repr(loaded.instances) == "[((0, None), 0), ((None, 0), None), ((1, 0), 1)]"
 
 
 class TestPairedT:
@@ -185,7 +255,7 @@ class TestPairedT:
 
 class TestRunIncremental:
     def test_single_instance_predicts_class_zero_from_no_evidence(self):
-        ds = Dataset(["a"], [["0", "1"]], ["0", "1"], [((1,), 1)])
+        ds = Dataset(["a"], [["0", "1"]], ["0", "1"], np.array([[1]]), np.array([1]))
         report = run_incremental(ds, CFG, filters=("f",))
         # no evidence: uniform posterior, tie resolves to class 0, so the
         # recorded prediction for true class 1 is wrong
@@ -231,11 +301,8 @@ class TestRunIncremental:
         rng = np.random.default_rng(0)
         for _ in range(5):
             cut = int(rng.integers(5, 55))
-            suffix = ds.instances[cut:]
-            permuted = [suffix[i] for i in rng.permutation(len(suffix))]
-            shuffled = Dataset(
-                ds.attributes, ds.attribute_vocabs, ds.class_vocab, ds.instances[:cut] + permuted
-            )
+            order = np.concatenate([np.arange(cut), cut + rng.permutation(len(ds) - cut)])
+            shuffled = Dataset(ds.attributes, ds.attribute_vocabs, ds.class_vocab, ds.values[order], ds.classes[order])
             other = run_incremental(shuffled, CFG)
             for f in base.filters:
                 assert base.runs[f].correct[:cut] == other.runs[f].correct[:cut]
@@ -280,11 +347,10 @@ class TestRunIncremental:
         assert run_incremental(ds, CFG).order_hash != run_incremental(other, CFG).order_hash
 
     def test_keep_missing_run_uses_partial_margins(self):
-        rows = [((0, None), 0), ((1, 0), 1), ((None, 1), 0), ((0, 1), 1), ((1, None), 1)] + [
-            ((0, 0), 0) for _ in range(10)
-        ]
+        values = [[0, -1], [1, 0], [-1, 1], [0, 1], [1, -1]] + [[0, 0]] * 10
+        classes = [0, 1, 0, 1, 1] + [0] * 10
         ds = prepare(
-            Dataset(["a", "b"], [["0", "1"], ["0", "1"]], ["0", "1"], rows),
+            Dataset(["a", "b"], [["0", "1"], ["0", "1"]], ["0", "1"], np.array(values), np.array(classes)),
             mode="keep_missing",
             seed=1,
         )
@@ -309,8 +375,25 @@ class TestRunIncremental:
         with pytest.raises(InputError, match="n_instances"):
             synthetic_dataset(0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"n_instances": True}, "n_instances"),
+            ({"seed": -1}, "seed"),
+            ({"informative": -1}, "informative"),
+            ({"informative": 1.5}, "informative"),
+            ({"noise": -1}, "noise"),
+            ({"flip": 2.0}, "flip"),
+            ({"flip": -0.1}, "flip"),
+            ({"flip": math.nan}, "flip"),
+        ],
+    )
+    def test_synthetic_dataset_arguments_checked(self, kwargs, name):
+        with pytest.raises(InputError, match=f"^{name} must be"):
+            synthetic_dataset(**{"n_instances": 5, **kwargs})
+
     def test_unlabelled_instances_rejected(self):
-        ds = Dataset(["a"], [["0", "1"]], ["0", "1"], [((0,), None)])
+        ds = Dataset(["a"], [["0", "1"]], ["0", "1"], np.array([[0]]), np.array([-1]))
         with pytest.raises(InputError, match="class"):
             run_incremental(ds, CFG)
 
@@ -319,29 +402,31 @@ def mixed_dataset(seed: int, instances: int = 40) -> Dataset:
     """3 classes, vocabulary sizes 1 to 6, half the attributes lose cells at random."""
     rng = np.random.default_rng(seed)
     sizes = (1, 2, 3, 4, 6, 2, 3, 6)
-    rows = []
+    rows, classes = [], []
     for _ in range(instances):
         cls = int(rng.integers(3))
         values = []
         for a, v in enumerate(sizes):
             value = (cls + rng.integers(2)) % v if a < 4 else rng.integers(v)  # the first four lean to the class
-            values.append(None if a % 2 and rng.random() < 0.1 else int(value))
-        rows.append((tuple(values), cls))
+            values.append(-1 if a % 2 and rng.random() < 0.1 else int(value))
+        rows.append(values)
+        classes.append(cls)
     return Dataset(
         [f"a{a}" for a in range(len(sizes))],
         [[str(k) for k in range(v)] for v in sizes],
         ["c0", "c1", "c2"],
-        rows,
+        np.array(rows),
+        np.array(classes),
     )
 
 
-def _tally(instances, vocab_sizes, class_count) -> list[ContingencyTable]:
-    """Each attribute's table against the class over ``instances``, unobserved values on the partial margin."""
+def _tally(values, classes, vocab_sizes, class_count) -> list[ContingencyTable]:
+    """Each attribute's table against the class over labelled rows, unobserved (-1) values on the partial margin."""
     joint = [np.zeros((v, class_count), dtype=np.int64) for v in vocab_sizes]
     partial = [np.zeros(class_count, dtype=np.int64) for _ in vocab_sizes]
-    for values, cls in instances:
-        for a, v in enumerate(values):
-            if v is None:
+    for row, cls in zip(values.tolist(), classes.tolist()):
+        for a, v in enumerate(row):
+            if v < 0:
                 partial[a][cls] += 1
             else:
                 joint[a][v, cls] += 1
@@ -361,7 +446,8 @@ class TestBatchedDecisions:
         ds = prepare(mixed_dataset(3), mode="keep_missing", seed=3)
         report = run_incremental(ds, cfg, record_selected=True)
         for step in range(len(ds)):
-            decisions = [decide(t, cfg) for t in _tally(ds.instances[:step], ds.vocab_sizes, ds.class_count)]
+            tables = _tally(ds.values[:step], ds.classes[:step], ds.vocab_sizes, ds.class_count)
+            decisions = [decide(t, cfg) for t in tables]
             for f in ("f", "ff", "bf"):
                 expected = [a for a, d in enumerate(decisions) if getattr(d, f"keep_{f}")]
                 assert report.runs[f].selected_sets[step] == expected, (f, step)
@@ -381,7 +467,7 @@ class TestBatchedDecisions:
         (batch,) = batches  # 40 steps of 8 attributes fit one chunk
         width = len(ds.attributes)
         for step in (1, 9, 23, 39):
-            tables = _tally(ds.instances[:step], ds.vocab_sizes, ds.class_count)
+            tables = _tally(ds.values[:step], ds.classes[:step], ds.vocab_sizes, ds.class_count)
             for a, table in enumerate(tables):
                 alone = decide(table, cfg)
                 for name in ("j", "mean", "variance", "prob_exceeds_eps"):
@@ -427,48 +513,47 @@ class TestBatchedDecisions:
         counts, class_counts, rows = midist.harness._zero_tally(ds)
         correct = {f: [] for f in FILTERS}
         sets = {f: [] for f in FILTERS}
-        for instance, cls in ds.instances:
+        for values, cls in zip(ds.values, ds.classes):
             unobserved = class_counts - counts.sum(axis=1)
             batch = decide_batch(counts, cfg, missing_feature=unobserved, rows=rows)
             keep = np.stack([getattr(batch, f"keep_{f}") for f in FILTERS])
-            values, observed = encode([instance], ds.vocab_sizes)
-            value_counts = counts[np.arange(len(rows)), values[0]]
-            predicted, _ = score_subsets(value_counts, class_counts, ds.vocab_sizes, keep & observed)
+            value_counts = counts[np.arange(len(rows)), np.maximum(values, 0)]
+            predicted, _ = score_subsets(value_counts, class_counts, ds.vocab_sizes, keep & (values >= 0))
             for f, row, guess in zip(FILTERS, keep, predicted):
                 correct[f].append(int(guess == cls))
                 sets[f].append(np.flatnonzero(row).tolist())
-            absorb(counts, class_counts, values, observed, np.array([cls]))
+            absorb(counts, class_counts, values[None], np.array([cls]))
         for f in FILTERS:
             assert report.runs[f].correct == correct[f]
             assert report.runs[f].selected_counts == [len(chosen) for chosen in sets[f]]
             assert report.runs[f].selected_sets == sets[f]
 
+
     @pytest.mark.parametrize(
         "last, message",
         [
-            (((0, 1), 0), "has 2 attributes"),
-            (((4,), 0), "value index 4"),
-            (((-1,), 0), "value index -1"),
-            (((1,), 2), "class index 2"),
-            (((1.5,), 0), r"instance 50: attribute 0: value index 1\.5 is not an integer"),
-            (((2**70,), 0), "instance 50: attribute 0: value index 1180591620717411303424 outside vocabulary"),
+            (((0, 1), 0), "value indices must be integers in a regular array"),
+            (((4,), 0), "instance 50: attribute 0: value index 4 outside vocabulary of size 4"),
+            (((-2,), 0), "instance 50: attribute 0: value index -2 outside vocabulary of size 4"),
+            (((1,), 2), r"instance 50: class index 2 outside \[0, 2\)"),
+            (((1.5,), 0), "value indices must be integers, -1 for a missing cell, got dtype float64"),
+            (((2**70,), 0), "value indices must be integers, -1 for a missing cell, got dtype object"),
+            (((1,), -2), r"instance 50: class index -2 outside \[0, 2\)"),
         ],
     )
-    def test_malformed_instance_rejected_before_any_decision(self, monkeypatch, last, message):
-        calls = []
-        monkeypatch.setattr(midist.harness, "decide_batch", lambda *args, **kwargs: calls.append(args))
-        instances = [((v % 4,), v % 2) for v in range(50)] + [last]
-        ds = Dataset(["a"], [["0", "1", "2", "3"]], ["c0", "c1"], instances)
+    def test_malformed_instance_rejected_before_any_decision(self, last, message):
+        # the dataset checks its indices once, at construction, so no run can meet a bad one
+        values = [[v % 4] for v in range(50)] + [list(last[0])]
+        classes = [v % 2 for v in range(50)] + [last[1]]
         with pytest.raises(InputError, match=message):
-            run_incremental(ds, CFG)
-        assert calls == []
+            Dataset(["a"], [["0", "1", "2", "3"]], ["c0", "c1"], values, classes)
 
     def test_fallback_warns_once_per_chunk(self):
         # under Perks the empty and the one-count 4x2 tables of steps 0 and 1
         # have infeasible beta pairs; both steps lie in one chunk
         cfg = FilterConfig(prior=PriorSpec("perks"))
-        rows = [((2,), 0), ((2,), 0), ((0,), 1), ((1,), 1), ((3,), 0), ((2,), 1)]
-        ds = Dataset(["a"], [["0", "1", "2", "3"]], ["c0", "c1"], rows)
+        values, classes = np.array([[2], [2], [0], [1], [3], [2]]), np.array([0, 0, 1, 1, 0, 1])
+        ds = Dataset(["a"], [["0", "1", "2", "3"]], ["c0", "c1"], values, classes)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run_incremental(ds, cfg)
@@ -478,14 +563,15 @@ class TestBatchedDecisions:
 
     def test_decide_attributes_equals_decide_on_own_tally(self):
         # vocabularies 1 to 6 padded into one stack, "?" cells, and an unlabelled row that no table counts
-        ds = mixed_dataset(4)
-        ds.instances.append(((0, 1, 2, 3, 5, 1, 2, 5), None))
+        mixed = mixed_dataset(4)
+        values = np.vstack([mixed.values, [0, 1, 2, 3, 5, 1, 2, 5]])
+        ds = Dataset(mixed.attributes, mixed.attribute_vocabs, mixed.class_vocab, values, np.append(mixed.classes, -1))
         # and a tally carried across three chunks
         long = long_mixed_dataset()
         assert len(midist.harness._chunks(len(long), len(long.attributes))) == 3
         for data in (ds, long):
-            labelled = [row for row in data.instances if row[1] is not None]
-            tables = _tally(labelled, data.vocab_sizes, data.class_count)
+            labelled = data.classes >= 0
+            tables = _tally(data.values[labelled], data.classes[labelled], data.vocab_sizes, data.class_count)
             for cfg in (FilterConfig(prior=PriorSpec("perks"), family="normal"), FilterConfig(family="normal")):
                 expected = [decide(table, cfg, attribute=name) for name, table in zip(data.attributes, tables)]
                 assert decide_attributes(data, cfg) == expected
@@ -497,13 +583,13 @@ class TestBatchedDecisions:
         table = ContingencyTable(np.zeros((2, 3), dtype=np.int64), missing_feature=[1, 0, 0])
         with pytest.warns(RuntimeWarning, match="gamma"), pytest.raises(InfeasibleFitError):
             decide(table, cfg)
-        ds = Dataset(["a"], [["0", "1"]], ["c0", "c1", "c2"], [((None,), 0), ((0,), 1)])
+        ds = Dataset(["a"], [["0", "1"]], ["c0", "c1", "c2"], np.array([[-1], [0]]), np.array([0, 1]))
         with pytest.warns(RuntimeWarning, match="gamma"), pytest.raises(InfeasibleFitError):
             run_incremental(ds, cfg)
 
     def test_zero_mean_fit_error_names_its_attribute_and_step(self):
         cfg = FilterConfig(prior=PriorSpec("perks"))
-        ds = Dataset(["a", "b"], [["0", "1"]] * 2, ["c0", "c1", "c2"], [((0, None), 0), ((1, 0), 1)])
+        ds = Dataset(["a", "b"], [["0", "1"]] * 2, ["c0", "c1", "c2"], np.array([[0, -1], [1, 0]]), np.array([0, 1]))
         # at step 1, attribute b's table is empty with one class-0 instance on its partial margin
         with pytest.warns(RuntimeWarning, match="gamma"):
             with pytest.raises(InfeasibleFitError, match=r"\(attribute 'b', step 1\)$"):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midist.errors import InputError
-from midist.nb import absorb, encode, score_subsets
+from midist.harness import Dataset
+from midist.nb import absorb, score_subsets
 
 
 class Tally(NamedTuple):
@@ -23,9 +24,14 @@ def empty(vocab_sizes, class_count) -> Tally:
     return Tally(list(vocab_sizes), np.zeros(shape, dtype=np.int64), np.zeros(class_count, dtype=np.int64))
 
 
+def indices(instance) -> np.ndarray:
+    """One instance's value indices as a (1, A) row, -1 where the value is None."""
+    return np.array([[-1 if v is None else v for v in instance]], dtype=np.int64)
+
+
 def learn(model, instance, class_index):
     """Absorb one labelled instance."""
-    absorb(model.counts, model.class_counts, *encode([instance], model.vocab_sizes), np.array([class_index]))
+    absorb(model.counts, model.class_counts, indices(instance), np.array([class_index]))
 
 
 def classify(model, instance, selected):
@@ -37,9 +43,9 @@ def classify(model, instance, selected):
 
 def classify_subsets(model, instance, masks):
     """Most probable class and posterior under each row of an (F, attributes) mask."""
-    values, observed = encode([instance], model.vocab_sizes)
-    value_counts = model.counts[np.arange(len(model.vocab_sizes)), values[0]]
-    selected = np.asarray(masks, dtype=bool) & observed
+    values = indices(instance)[0]
+    value_counts = model.counts[np.arange(len(model.vocab_sizes)), np.maximum(values, 0)]
+    selected = np.asarray(masks, dtype=bool) & (values >= 0)
     predicted, log_scores = score_subsets(value_counts, model.class_counts, model.vocab_sizes, selected)
     weights = np.exp(log_scores)
     return predicted, weights / weights.sum(axis=1, keepdims=True)
@@ -112,14 +118,25 @@ def test_missing_cells_skipped():
     assert predicted == 0  # falls back to the class prior, tie to low index
 
 
+def dataset(vocab_sizes, class_count, values, classes) -> Dataset:
+    """A dataset of ``values`` and ``classes``; building it checks every index that a tally reads."""
+    return Dataset(
+        [f"a{a}" for a in range(len(vocab_sizes))],
+        [[str(v) for v in range(size)] for size in vocab_sizes],
+        [f"c{j}" for j in range(class_count)],
+        values,
+        classes,
+    )
+
+
 def test_input_validation():
-    model = empty([2], 2)
-    with pytest.raises(InputError):
-        classify(model, [5], [0])
-    with pytest.raises(InputError):
-        classify(model, [0, 1], [0])
-    with pytest.raises(InputError):
-        learn(model, [0], 7)
+    # indices are checked once, when the dataset is built, not at each tally
+    with pytest.raises(InputError, match="value index 5 outside vocabulary of size 2"):
+        dataset([2], 2, [[5]], [0])
+    with pytest.raises(InputError, match=r"expected \(N, 1\)"):
+        dataset([2], 2, [[0, 1]], [0])
+    with pytest.raises(InputError, match=r"class index 7 outside \[0, 2\)"):
+        dataset([2], 2, [[0]], [7])
 
 
 @given(
@@ -202,20 +219,15 @@ def test_subset_scoring_equals_predict_per_subset(rows, query, masks):
         assert np.array_equal(posterior, expected)
 
 
-@pytest.mark.parametrize(
-    "instances, message",
-    [
-        ([("2",)], "instance 0: attribute 0: value index '2' is a string"),
-        ([(0, 1), (None, b"1")], "instance 1: attribute 1: value index b'1' is a string"),
-        ([(1, np.str_("0"))], "instance 0: attribute 1: value index .*'0'.* is a string"),  # repr varies by numpy
-    ],
-)
-def test_text_cells_rejected_even_when_numeric(instances, message):
+@pytest.mark.parametrize("values", [[["2"]], [[0, 1], [-1, b"1"]], [[1, np.str_("0")]]], ids=["text", "bytes", "numpy_text"])
+def test_text_cells_rejected_even_when_numeric(values):
+    # numpy would parse "2" as 2; a text or bytes dtype is refused whole
+    message = r"^value indices must be integers, -1 for a missing cell, got dtype [<|][US]\d+$"
     with pytest.raises(InputError, match=message):
-        encode(instances, [3, 3][: len(instances[0])])
+        dataset([3, 3][: len(values[0])], 2, values, [0] * len(values))
 
 
 @pytest.mark.parametrize("value", [object(), [0, 1], {0: 1}])
 def test_non_numeric_value_rejected(value):
     with pytest.raises(InputError, match="value indices must be integers"):
-        encode([(0, value)], [3, 3])
+        dataset([3, 3], 2, [[0, value]], [0])
