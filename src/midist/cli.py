@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import sys
-import warnings
 from dataclasses import asdict
 
 from . import harness
@@ -32,6 +31,12 @@ def _prior(args) -> PriorSpec:
     if args.prior == "custom" and args.prior_weight is None:
         raise InputError("--prior custom needs --prior-weight")
     return PriorSpec(args.prior, args.prior_weight)  # a named prior rejects a weight
+
+
+def _warn_fallbacks(count: int) -> None:
+    """The one ``warning:`` line for ``count`` tables whose beta fit fell back to gamma, if any did."""
+    if count:
+        print(f"warning: {count} beta moment pair(s) infeasible; falling back to the gamma family", file=sys.stderr)
 
 
 def _config(args) -> FilterConfig:
@@ -82,6 +87,7 @@ def _add_filter_options(parser) -> None:
 def cmd_mi(args) -> int:
     table = table_from_json(_read_json(args.table))
     d = decide(table, FilterConfig(epsilon=args.epsilon, family=args.dist or "normal", prior=_prior(args)))
+    _warn_fallbacks(int(d.fit_fallback is not None))
     out = {"mode": d.route, "j": d.j, "mean": d.mean, "variance": d.variance}
     if d.route.startswith("missing_"):
         out["prior_extrapolation"] = d.prior_extrapolation
@@ -117,6 +123,7 @@ def cmd_mc(args) -> int:
     }
     if args.fit:
         d = decide(table, FilterConfig(family=args.fit, prior=prior))
+        _warn_fallbacks(int(d.fit_fallback is not None))
         approx = fit(d.fit_fallback or args.fit, d.mean, d.variance, summary.i_max)
         out["fit"] = {"family": approx.family, "params": approx.params, "fallback": d.fit_fallback}
         out["ks_distance"] = ks_distance(summary, approx)
@@ -135,6 +142,7 @@ def cmd_select(args) -> int:
     cfg = _config(args)
     cfg.check_filters([args.filter])
     decisions = harness.decide_attributes(dataset, cfg)
+    _warn_fallbacks(sum(d.fit_fallback is not None for d in decisions))
     for decision in decisions:
         print(json.dumps(asdict(decision)))
     kept = [d.attribute for d in decisions if getattr(d, f"keep_{args.filter}")]
@@ -148,6 +156,7 @@ def cmd_run(args) -> int:
     cfg = _config(args)
     prepared = harness.prepare(dataset, mode=f"{args.missing}_missing", seed=args.seed)
     report = harness.run_incremental(prepared, cfg, filters)
+    _warn_fallbacks(report.fit_fallbacks)
     harness.write_report(report, args.out, format=args.format)
     print(
         json.dumps(
@@ -194,6 +203,9 @@ def cmd_discretize(args) -> int:
         for (_, cell), value in zip(observed, numeric):
             if not math.isfinite(value):
                 raise InputError(f"{args.data}: column {names[idx]!r} has the non-finite cell {cell!r}")
+        if len(set(numeric)) < args.bins:
+            note = f"only {len(set(numeric))} distinct values for {args.bins} bins; using one bin per value"
+            print(f"warning: column {names[idx]!r}: {note}", file=sys.stderr)
         labels = harness.discretize_equal_frequency(numeric, args.bins)
         for (pos, _), label in zip(observed, labels):
             column[pos] = label
@@ -257,13 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warning_line(message, *_) -> str:
-    return f"warning: {message}\n"
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
@@ -279,8 +286,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

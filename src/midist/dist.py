@@ -6,13 +6,13 @@ rescaled variable I / i_max so its support matches the information range;
 the normal keeps its unbounded support (it is only asymptotically
 concentrated inside the range).  An infeasible moment pair raises from the
 strict ``fit``; ``prob_exceeds_batch`` alone decides when an infeasible beta
-pair degrades to the gamma family, and callers fit the family it reports.
+pair degrades to the gamma family, and returns that mask rather than warning:
+callers fit the family it reports and decide how to tell the user.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +101,7 @@ def _match(family: str, mean, variance, i_max):
     if not np.all(ok):
         k = int(np.argmin(ok))
         m, v, top = (np.broadcast_to(x, np.shape(ok)).flat[k] for x in (mean, variance, i_max))
-        raise InfeasibleFitError(f"{family} needs {bound}; got mean {m}, variance {v}, i_max {top}", table=k)
+        raise InfeasibleFitError(f"{family} needs {bound}; got mean {m:.6g}, variance {v:.6g}, i_max {top:.6g}", table=k)
     if family == "normal":
         return {"mean": mean, "variance": variance}
     if family == "gamma":
@@ -150,8 +150,7 @@ def prob_exceeds_batch(family: str, mean, variance, i_max, epsilon: float):
     """P(I > epsilon) under ``fit(family, mean[k], variance[k], i_max[k])`` for every k.
 
     A beta pair that ``fit`` rejects (and no point mass) falls back to gamma.
-    Returns the probabilities and the mask of pairs that fell back; the batch
-    warns once, with the count, when any pair falls back.
+    Returns the probabilities and the mask of pairs that fell back.
     """
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
@@ -160,12 +159,6 @@ def prob_exceeds_batch(family: str, mean, variance, i_max, epsilon: float):
     point, location = _point_mass(mean, variance, i_max)
     # _feasible gives the bool True for normal and gamma, so not `~`
     fallback = np.logical_not(point | _feasible(family, mean, variance, i_max)[0]) & (family == "beta")
-    if fallback.any():
-        warnings.warn(
-            f"{int(fallback.sum())} beta moment pair(s) infeasible; falling back to the gamma family",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     prob = np.empty(mean.shape)
     if point.any():
         prob[point] = 1.0 - _cdf("point_mass", {"location": location[point]}, epsilon)

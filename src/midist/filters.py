@@ -143,7 +143,7 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
                 j[gap], mean[gap], variance[gap], clamped[gap] = mm.mean, mm.mean, mm.variance, mm.variance_clamped
     for b in np.flatnonzero(~np.isfinite(mean) | ~np.isfinite(variance))[:1]:  # the first such table
         raise NumericalError(
-            f"non-finite moments: mean {mean[b]}, variance {variance[b]}; counts under- or overflow", table=int(b)
+            f"non-finite moments: mean {mean[b]:.6g}, variance {variance[b]:.6g}; counts under- or overflow", table=int(b)
         )
     prob, fallback = prob_exceeds_batch(cfg.family, mean, variance, upper, cfg.epsilon)
     return FilterDecision(

@@ -10,10 +10,10 @@ by construction; the order is hashed into the report as evidence of pairing.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
 from typing import Sequence
@@ -38,21 +38,22 @@ class Dataset:
     """Categorical instances with vocabularies resolved up front, as read-only int64 arrays.
 
     ``values[t, a]`` indexes attribute a's vocabulary and ``classes[t]`` the
-    class vocabulary; -1 marks a missing cell or label.  The arrays and the
-    lists are copied and checked at construction, so no run meets an unknown index.
+    class vocabulary; -1 marks a missing cell or label.  Every field is copied at construction, into
+    read-only arrays and tuples where it can be, and checked, so no run meets an unknown index.
     """
 
-    attributes: list[str]
-    attribute_vocabs: list[list[str]]
-    class_vocab: list[str]
+    attributes: tuple[str, ...]
+    attribute_vocabs: tuple[tuple[str, ...], ...]
+    class_vocab: tuple[str, ...]
     values: np.ndarray
     classes: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "attributes", list(self.attributes))
-        object.__setattr__(self, "attribute_vocabs", [list(vocab) for vocab in self.attribute_vocabs])
-        object.__setattr__(self, "class_vocab", list(self.class_vocab))
+        object.__setattr__(self, "attributes", tuple(self.attributes))
+        object.__setattr__(self, "attribute_vocabs", tuple(map(tuple, self.attribute_vocabs)))
+        object.__setattr__(self, "class_vocab", tuple(self.class_vocab))
+        object.__setattr__(self, "provenance", copy.deepcopy(self.provenance))
         values, classes = _indices(self.values, "value", "cell"), _indices(self.classes, "class", "label")
         sizes = np.array([len(vocab) for vocab in self.attribute_vocabs], dtype=np.int64)
         width = len(self.attributes)
@@ -269,6 +270,7 @@ class RunReport:
     order_hash: str
     runs: dict[str, FilterRun]
     pair_tests: dict[str, dict]
+    fit_fallbacks: int = 0  # tables whose beta fit fell back to gamma; a run diagnostic, not serialised
 
 
 def _order_hash(dataset: Dataset) -> str:
@@ -356,7 +358,7 @@ def run_incremental(
 
     counts, class_counts, rows = _zero_tally(dataset)
     flags = [f"keep_{f}" for f in filters]
-    keep, predicted = [], []  # per chunk: (T, F, A) keep masks and (T, F) predictions
+    keep, predicted, fallbacks = [], [], 0  # per chunk: (T, F, A) keep masks and (T, F) predictions
     for chunk in _chunks(len(classes), len(rows)):
         prefix, class_prefix = absorb(counts, class_counts, values[chunk], classes[chunk])
         steps, attributes, height, s = prefix.shape
@@ -364,6 +366,7 @@ def run_incremental(
         missing = (class_prefix[:, None, :] - np.einsum("tavs->tas", prefix)).reshape(-1, s)
         stack = prefix.reshape(-1, height, s)
         batch = _decide(dataset.attributes, chunk.start, stack, cfg, missing_feature=missing, rows=np.tile(rows, steps))
+        fallbacks += int(np.count_nonzero(batch.fit_fallback))
         keep.append(np.stack([getattr(batch, flag).reshape(steps, attributes) for flag in flags], axis=1))
         value_counts = prefix[np.arange(steps)[:, None], np.arange(attributes), np.maximum(values[chunk], 0)]
         predicted.append(score_subsets(value_counts, class_prefix, rows, keep[-1] & (values[chunk] >= 0)[:, None])[0])
@@ -398,18 +401,19 @@ def run_incremental(
             "family": cfg.family,
             "prior_kind": cfg.prior.kind,
             "prior_weight": cfg.prior.weight,
-            "prepared": dataset.provenance.get("prepared"),
+            "prepared": copy.deepcopy(dataset.provenance.get("prepared")),
         },
         filters=filters,
         instance_count=len(dataset),
         order_hash=_order_hash(dataset),
         runs=runs,
         pair_tests=pair_tests,
+        fit_fallbacks=fallbacks,
     )
 
 
 def report_to_dict(report: RunReport) -> dict:
-    return asdict(report)
+    return {key: value for key, value in asdict(report).items() if key != "fit_fallbacks"}
 
 
 def report_from_dict(payload: dict) -> RunReport:
@@ -462,7 +466,7 @@ def discretize_equal_frequency(values: Sequence[float], bins: int) -> list[str]:
 
     Boundaries are the 1/B .. (B-1)/B quantiles; a value equal to a
     boundary goes to the lower bin.  Fewer distinct values than bins falls
-    back to one bin per distinct value, with a warning.
+    back to one bin per distinct value.
     """
     if bins < 2:
         raise InputError("bin count must be >= 2")
@@ -471,11 +475,6 @@ def discretize_equal_frequency(values: Sequence[float], bins: int) -> list[str]:
         raise InputError("column must be non-empty and numeric")
     distinct = np.unique(arr)
     if distinct.size < bins:
-        warnings.warn(
-            f"only {distinct.size} distinct values for {bins} bins; using one bin per value",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         indices = np.searchsorted(distinct, arr)
     else:
         indices = np.searchsorted(np.quantile(arr, np.arange(1, bins) / bins), arr, side="left")

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -47,18 +46,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_cli_showing_warnings(capsys, *argv):
-    """``run_cli`` with every warning written to stderr through ``warnings.formatwarning``, as outside pytest."""
-
-    def show(message, category, filename, lineno, file=None, line=None):
-        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        warnings.showwarning = show
-        return run_cli(capsys, *argv)
 
 
 def run_cli_child(cwd, *argv, preexec_fn=None):
@@ -192,27 +179,26 @@ class TestMi:
     def test_dist_fits_the_decisions_fallback_family(self, capsys, tmp_path):
         path = tmp_path / "sparse.json"
         path.write_text(json.dumps(FALLBACK_TABLE))
-        code, out, err = run_cli_showing_warnings(capsys, "mi", "--table", str(path), "--prior", "perks", "--dist", "beta")
+        code, out, err = run_cli(capsys, "mi", "--table", str(path), "--prior", "perks", "--dist", "beta")
         dist = json.loads(out)["dist"]
         assert code == 0 and dist["family"] == "gamma" and dist["fallback"] == "gamma"
         assert err == f"warning: {FALLBACK_WARNING}\n"
 
     def test_fallback_warns_on_one_line_in_a_fresh_interpreter(self, tmp_path):
-        # Python's own filters and warning format, not pytest's: the CLI still prints one line
+        # under Python's own warning filters, not pytest's, the CLI's line is still the whole of stderr
         path = tmp_path / "sparse.json"
         path.write_text(json.dumps(FALLBACK_TABLE))
         child = run_cli_child(tmp_path, "mi", "--table", str(path), "--dist", "beta", "--prior", "perks")
         assert child.returncode == 0 and json.loads(child.stdout)["dist"]["fallback"] == "gamma"
         assert child.stderr.decode() == f"warning: {FALLBACK_WARNING}\n"
 
-    def test_zero_mean_partial_table_warns_then_exits_two(self, capsys, tmp_path):
+    def test_zero_mean_partial_table_exits_two_on_one_line(self, capsys, tmp_path):
+        # the fit fails before the decision returns, so no fallback line; the moments print at 6 digits
         path = tmp_path / "zero_mean.json"
         path.write_text(json.dumps({"r": 2, "s": 3, "counts": [[0, 0, 0], [0, 0, 0]], "missing_feature": [1, 0, 0]}))
-        code, out, err = run_cli_showing_warnings(capsys, "mi", "--table", str(path), "--prior", "perks", "--dist", "beta")
-        lines = err.splitlines()
-        assert (code, out, len(lines)) == (2, "", 2)
-        assert lines[0] == f"warning: {FALLBACK_WARNING}"
-        assert lines[1].startswith("numerical error: gamma needs mean > 0")
+        code, out, err = run_cli(capsys, "mi", "--table", str(path), "--prior", "perks", "--dist", "beta")
+        assert (code, out) == (2, "")
+        assert err == "numerical error: gamma needs mean > 0; got mean 0, variance 5.4782e-33, i_max 0.693147\n"
 
     @pytest.mark.parametrize("family", FIT_FAMILIES)
     @pytest.mark.parametrize(
@@ -227,10 +213,8 @@ class TestMi:
         path = tmp_path / "table.json"
         path.write_text(json.dumps(literal))
         cfg = FilterConfig(family=family, prior=midist.PriorSpec(prior))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the beta fit of FALLBACK_TABLE falls back
-            code, out, _ = run_cli(capsys, "mi", "--table", str(path), "--prior", prior, "--dist", family)
-            decision = decide(midist.table_from_json(literal), cfg)
+        code, out, _ = run_cli(capsys, "mi", "--table", str(path), "--prior", prior, "--dist", family)
+        decision = decide(midist.table_from_json(literal), cfg)
         assert code == 0 and json.loads(out)["dist"]["prob_exceeds_epsilon"] == decision.prob_exceeds_eps
 
     def test_fill_error_names_the_class_in_mi_and_select(self, capsys, tmp_path):
@@ -249,7 +233,7 @@ class TestMi:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"r": 2, "s": 2, "counts": [[0, 0], [0, 0]]}))
         argv = ["mi", "--table", str(path), "--dist", "beta", "--prior", "custom", "--prior-weight", weight]
-        code, out, err = run_cli_showing_warnings(capsys, *argv)  # no floating-point warning line either
+        code, out, err = run_cli(capsys, *argv)  # no floating-point warning line either
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("numerical error: non-finite moments: ")
 
@@ -278,7 +262,7 @@ class TestMc:
     def test_fit_takes_the_decisions_fallback_family(self, capsys, tmp_path):
         path = tmp_path / "sparse.json"
         path.write_text(json.dumps(FALLBACK_TABLE))
-        code, out, err = run_cli_showing_warnings(
+        code, out, err = run_cli(
             capsys, "mc", "--table", str(path), "--prior", "perks", "--samples", "2000", "--fit", "beta"
         )
         fit = json.loads(out)["fit"]
@@ -394,21 +378,18 @@ class TestSelect:
         # [[1, 1], [0, 0], [0, 0], [0, 0]] has a moment pair beta cannot match
         path = tmp_path / "sparse.csv"
         path.write_text("a,cls\n0,0\n0,1\n1,?\n2,?\n3,?\n")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, _ = run_cli(capsys, "select", "--data", str(path), "--filter", "bf", "--prior", "perks")
-        assert [str(w.message) for w in caught] == ["1 beta moment pair(s) infeasible; falling back to the gamma family"]
+        code, out, err = run_cli(capsys, "select", "--data", str(path), "--filter", "bf", "--prior", "perks")
+        assert err == f"warning: {FALLBACK_WARNING}\n"
         record = json.loads(out.splitlines()[0])
         assert code == 0 and record["attribute"] == "a" and record["fit_fallback"] == "gamma"
 
     def test_fallback_warning_is_one_line(self, capsys, tmp_path):
         path = tmp_path / "sparse.csv"
-        path.write_text("a,cls\n0,0\n0,1\n1,?\n2,?\n3,?\n")
-        code, _, err = run_cli_showing_warnings(
-            capsys, "select", "--data", str(path), "--filter", "bf", "--prior", "perks"
-        )
-        assert code == 0
-        assert err == "warning: 1 beta moment pair(s) infeasible; falling back to the gamma family\n"
+        path.write_text("a,b,c,cls\n0,0,0,0\n0,0,1,1\n1,1,0,?\n2,2,1,?\n3,3,0,?\n")
+        code, out, err = run_cli(capsys, "select", "--data", str(path), "--filter", "bf", "--prior", "perks")
+        fallbacks = [json.loads(line)["fit_fallback"] for line in out.splitlines()[:-1]]
+        assert (code, fallbacks) == (0, ["gamma", "gamma", None])
+        assert err == "warning: 2 beta moment pair(s) infeasible; falling back to the gamma family\n"
 
     def test_zero_epsilon_rejected_for_ff(self, capsys, csv_file):
         code, _, err = run_cli(
@@ -622,7 +603,7 @@ def test_delimiter_longer_than_one_character_is_an_input_error(capsys, csv_file,
     "command, message",
     [
         ("select", "class 2 has partially observed instances but no observed mass to spread them over (attribute 'a')"),
-        ("run", "non-finite moments: mean 0.0, variance nan; counts under- or overflow (attribute 'a', step 0)"),
+        ("run", "non-finite moments: mean 0, variance nan; counts under- or overflow (attribute 'a', step 0)"),
     ],
     ids=["select", "run"],
 )
@@ -704,13 +685,14 @@ class TestDiscretize:
         assert out_path.read_text().splitlines() == ["x,cls", "?,a", "?,b", "?,a"]
 
     def test_few_distinct_values_warn_on_one_line(self, capsys, tmp_path):
+        # one line per column, each naming its column, though the two texts are otherwise the same
         src = tmp_path / "flat.csv"
-        src.write_text("x,cls\n1,a\n1,b\n1,a\n")
-        code, _, err = run_cli_showing_warnings(
-            capsys, "discretize", "--data", str(src), "--bins", "2", "--out", str(tmp_path / "binned.csv")
-        )
+        src.write_text("x,y,z,cls\n1,1,1,a\n1,1,2,b\n1,1,3,a\n")
+        code, _, err = run_cli(capsys, "discretize", "--data", str(src), "--bins", "2", "--out", str(tmp_path / "binned.csv"))
         assert code == 0
-        assert err == "warning: only 1 distinct values for 2 bins; using one bin per value\n"
+        assert err == "".join(
+            f"warning: column {name!r}: only 1 distinct values for 2 bins; using one bin per value\n" for name in "xy"
+        )
 
 
 def test_no_command_prints_usage(capsys):

@@ -69,13 +69,8 @@ class TestFit:
             fit("cauchy", 0.1, 0.01, 1.0)
 
     def test_fallback_degrades_beta_to_gamma(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            prob, fallback = prob_exceeds_batch("beta", [0.5], [0.3], [1.0], 0.1)
+        prob, fallback = prob_exceeds_batch("beta", [0.5], [0.3], [1.0], 0.1)
         assert fallback.tolist() == [True]
-        assert [(w.category, str(w.message)) for w in caught] == [
-            (RuntimeWarning, "1 beta moment pair(s) infeasible; falling back to the gamma family")
-        ]
         d = fit("gamma", 0.5, 0.3, 1.0)
         assert prob[0] == pytest.approx(d.prob_exceeds(0.1), abs=1e-12)
         assert (law(d).mean(), law(d).var()) == (pytest.approx(0.5), pytest.approx(0.3))
@@ -109,9 +104,7 @@ def test_strict_beta_raises_exactly_where_the_batch_falls_back(i_max):
     # 0.25 * (1 - 0.25) = 0.1875 and 0.5 * (1 - 0.5) = 0.25 sit on the variance bound
     grid = np.meshgrid([0.05, 0.25, 0.5, 0.75, 1.0, 1.5], [0.0, 1e-6, 0.01, 0.1875, 0.25, 0.3])
     mean, variance = (a.ravel() for a in grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        _, fallback = prob_exceeds_batch("beta", mean, variance, np.full(mean.size, i_max), 0.003)
+    _, fallback = prob_exceeds_batch("beta", mean, variance, np.full(mean.size, i_max), 0.003)
     raised = []
     for m, v in zip(mean, variance):
         try:

@@ -1,5 +1,4 @@
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,44 +201,42 @@ def single_tables(counts, missing_class, missing_feature, rows):
 
 def assert_batch_matches_single_tables(counts, missing_class, missing_feature, rows, cfg):
     """Every table of the padded stack decides as it does alone; the tail also matches the scalar fit."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # beta -> gamma fallbacks
+    try:
+        batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
+    except NumericalError as exc:
+        batch = exc
+    singles = []
+    for table in single_tables(counts, missing_class, missing_feature, rows):
         try:
-            batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
+            singles.append(decide(table, cfg))
         except NumericalError as exc:
-            batch = exc
-        singles = []
-        for table in single_tables(counts, missing_class, missing_feature, rows):
+            singles.append(exc)
+    if isinstance(batch, Exception):
+        assert type(batch) in {type(d) for d in singles if isinstance(d, Exception)}
+        return
+    for k, d in enumerate(singles):
+        assert (bool(batch.keep_f[k]), bool(batch.keep_ff[k]), bool(batch.keep_bf[k])) == (
+            d.keep_f,
+            d.keep_ff,
+            d.keep_bf,
+        )
+        for name in ("j", "mean", "variance", "prob_exceeds_eps"):
+            assert abs(getattr(batch, name)[k] - getattr(d, name)) <= 1e-12, name
+        assert batch.route[k] == d.route and batch.fit_fallback[k] == d.fit_fallback
+        assert bool(batch.variance_clamped[k]) == d.variance_clamped
+        if d.route != "degenerate":
+            # the fallback rule, applied independently: beta that fit rejects becomes gamma
+            i_max = mi_upper_bound(rows[k], counts.shape[2])
             try:
-                singles.append(decide(table, cfg))
-            except NumericalError as exc:
-                singles.append(exc)
-        if isinstance(batch, Exception):
-            assert type(batch) in {type(d) for d in singles if isinstance(d, Exception)}
-            return
-        for k, d in enumerate(singles):
-            assert (bool(batch.keep_f[k]), bool(batch.keep_ff[k]), bool(batch.keep_bf[k])) == (
-                d.keep_f,
-                d.keep_ff,
-                d.keep_bf,
-            )
-            for name in ("j", "mean", "variance", "prob_exceeds_eps"):
-                assert abs(getattr(batch, name)[k] - getattr(d, name)) <= 1e-12, name
-            assert batch.route[k] == d.route and batch.fit_fallback[k] == d.fit_fallback
-            assert bool(batch.variance_clamped[k]) == d.variance_clamped
-            if d.route != "degenerate":
-                # the fallback rule, applied independently: beta that fit rejects becomes gamma
-                i_max = mi_upper_bound(rows[k], counts.shape[2])
-                try:
-                    approx, fallback = fit(cfg.family, d.mean, d.variance, i_max), None
-                except InfeasibleFitError:
-                    if cfg.family != "beta":
-                        raise
-                    approx, fallback = fit("gamma", d.mean, d.variance, i_max), "gamma"
-                assert d.fit_fallback == fallback
-                assert abs(approx.prob_exceeds(cfg.epsilon) - d.prob_exceeds_eps) <= 1e-12
-            else:
-                assert d.j == d.mean == d.variance == 0.0 and not (d.keep_f or d.keep_ff or d.keep_bf)
+                approx, fallback = fit(cfg.family, d.mean, d.variance, i_max), None
+            except InfeasibleFitError:
+                if cfg.family != "beta":
+                    raise
+                approx, fallback = fit("gamma", d.mean, d.variance, i_max), "gamma"
+            assert d.fit_fallback == fallback
+            assert abs(approx.prob_exceeds(cfg.epsilon) - d.prob_exceeds_eps) <= 1e-12
+        else:
+            assert d.j == d.mean == d.variance == 0.0 and not (d.keep_f or d.keep_ff or d.keep_bf)
 
 
 @given(table_stacks())
@@ -283,16 +280,14 @@ def padded_stacks(draw):
 def test_a_tables_decision_does_not_depend_on_its_batch(payload):
     # bit for bit: every per-table sum groups the same alone as inside any padded stack
     counts, missing_class, missing_feature, rows, cfg = payload
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # beta -> gamma fallbacks
-        try:
-            batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
-        except NumericalError:  # a zero-mean partial table no family fits; covered elsewhere
-            return
-        for k, table in enumerate(single_tables(counts, missing_class, missing_feature, rows)):
-            alone = decide(table, cfg)
-            for name in ("j", "mean", "variance", "prob_exceeds_eps"):
-                assert getattr(batch, name)[k] == getattr(alone, name), (name, k)
+    try:
+        batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
+    except NumericalError:  # a zero-mean partial table no family fits; covered elsewhere
+        return
+    for k, table in enumerate(single_tables(counts, missing_class, missing_feature, rows)):
+        alone = decide(table, cfg)
+        for name in ("j", "mean", "variance", "prob_exceeds_eps"):
+            assert getattr(batch, name)[k] == getattr(alone, name), (name, k)
 
 
 @pytest.mark.parametrize("family", FIT_FAMILIES)
@@ -308,22 +303,10 @@ def test_batch_covers_point_mass_and_fallback(family):
         ]
     )
     cfg = FilterConfig(family=family, prior=PriorSpec("perks"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        batch = decide_batch(counts, cfg)
+    batch = decide_batch(counts, cfg)
     assert batch.variance[1] == 0.0
     assert list(batch.fit_fallback) == [None, None, "gamma" if family == "beta" else None]
-    assert len(caught) == (family == "beta")  # one warning per batch, with the count
     assert_batch_matches_single_tables(counts, np.zeros((3, 4)), np.zeros((3, 2)), np.full(3, 4), cfg)
-
-
-def test_fallback_warning_is_attributed_to_the_filters_module():
-    # Python's default filter shows a warning once per location, so the location is part of the behaviour
-    table = ContingencyTable([[1, 1], [0, 0], [0, 0], [0, 0]])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        decide(table, FilterConfig(prior=PriorSpec("perks")))
-    assert [Path(w.filename).name for w in caught] == ["filters.py"]
 
 
 def test_one_moments_call_per_complete_height_and_one_call_per_partial_route(monkeypatch):
@@ -413,10 +396,8 @@ def test_a_failed_table_carries_its_stack_index(prior, failing, missing, error):
     # is a later member of whichever group it joins: its error maps it back to the whole stack
     counts = np.array([GOOD, GOOD, failing, GOOD])
     missing_feature = np.array([[1, 0, 0], [0, 0, 0], missing, [0, 0, 0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the fit case falls back to gamma first
-        with pytest.raises(error) as caught:
-            decide_batch(counts, FilterConfig(prior=prior), missing_feature=missing_feature)
+    with pytest.raises(error) as caught:
+        decide_batch(counts, FilterConfig(prior=prior), missing_feature=missing_feature)
     assert caught.value.table == 2
 
 

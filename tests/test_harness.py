@@ -6,13 +6,14 @@ import math
 import subprocess
 import sys
 import urllib.request
-import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import midist
+from midist.cli import main
 from midist.errors import ConfigurationError, InfeasibleFitError, InputError, ZeroCellError
 from midist.filters import FILTERS, FilterConfig, decide, decide_batch
 from midist.harness import (
@@ -43,9 +44,9 @@ def write(tmp_path, text, name="data.csv"):
 class TestLoadDataset:
     def test_small_csv(self, tmp_path):
         ds = load_dataset(write(tmp_path, "a,b,c\nx,1,yes\ny,2,no\n"))
-        assert ds.attributes == ["a", "b"]
+        assert ds.attributes == ("a", "b")
         assert len(ds) == 2
-        assert ds.class_vocab == ["yes", "no"]
+        assert ds.class_vocab == ("yes", "no")
         assert ds.instances[0] == ((0, 0), 0)
         assert ds.instances[1] == ((1, 1), 1)
 
@@ -65,8 +66,8 @@ class TestLoadDataset:
         text = "cls,a\nyes,x\nno,y\n"
         by_name = load_dataset(write(tmp_path, text), class_column="cls")
         by_index = load_dataset(write(tmp_path, text), class_column=0)
-        assert by_name.attributes == by_index.attributes == ["a"]
-        assert by_name.class_vocab == ["yes", "no"]
+        assert by_name.attributes == by_index.attributes == ("a",)
+        assert by_name.class_vocab == ("yes", "no")
 
     def test_unknown_class_column(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
@@ -74,7 +75,7 @@ class TestLoadDataset:
 
     def test_headerless(self, tmp_path):
         ds = load_dataset(write(tmp_path, "x,yes\ny,no\n"), header=False)
-        assert ds.attributes == ["col_0"]
+        assert ds.attributes == ("col_0",)
         assert len(ds) == 2
 
 
@@ -105,7 +106,7 @@ class TestFetchUci:
         assert capsys.readouterr().out == f"wrote {tmp_path / 'vote.csv'}\n"
         assert (tmp_path / "vote.data").read_text() == VOTES
         ds = load_dataset(tmp_path / "vote.csv")
-        assert ds.attributes == [f"a{i}" for i in range(16)] and ds.class_vocab == ["republican", "democrat"]
+        assert ds.attributes == tuple(f"a{i}" for i in range(16)) and ds.class_vocab == ("republican", "democrat")
         assert ["".join(vocab) for vocab in ds.attribute_vocabs] == [
             "n", "y", "ny", "yn", "yn", "y", "n", "n", "n", "yn", "y", "yn", "y", "yn", "n", "yn"
         ]
@@ -200,12 +201,33 @@ class TestDataset:
         vocabs[0].pop(), class_vocab.pop()
         assert ds.values.tolist() == [[3], [-1]] and ds.classes.tolist() == [1, -1]
         assert ds.vocab_sizes == [4] and ds.class_count == 2
-        assert prepare(ds, "keep_missing").attribute_vocabs[0] is not ds.attribute_vocabs[0]
+        assert ds.attribute_vocabs == (("0", "1", "2", "3"),) and ds.class_vocab == ("c0", "c1")
+        with pytest.raises(TypeError):
+            prepare(ds, "keep_missing").attribute_vocabs[0][:] = ["0"]
         assert ds.values.dtype == ds.classes.dtype == np.int64
         with pytest.raises(ValueError, match="read-only"):
             ds.values[0, 0] = 0
         with pytest.raises(ValueError, match="read-only"):
             ds.classes[0] = 0
+
+    def test_schema_and_provenance_cannot_change_under_the_checked_indices(self):
+        # a vocabulary shrunk below a checked index would send run_incremental to numpy's
+        # IndexError and make decide_attributes count the cell into the next attribute's table
+        values, classes = np.array([[3, 0], [0, 1], [1, 0]]), np.array([0, 1, 0])
+        source = {"path": "x.csv"}
+        ds = Dataset(["a", "b"], [["0", "1", "2", "3"], ["0", "1"]], ["c0", "c1"], values, classes, source)
+        with pytest.raises(TypeError):
+            ds.attribute_vocabs[0][:] = ["0", "1"]
+        for name in ("attributes", "attribute_vocabs", "class_vocab"):
+            with pytest.raises(TypeError):
+                getattr(ds, name)[:] = []
+        assert decide_attributes(ds, CFG)[1].mean == decide(ContingencyTable([[2, 0], [0, 1]]), CFG).mean
+        source["path"] = "y.csv"
+        prepared = prepare(ds, seed=4)
+        report = run_incremental(prepared, CFG)
+        report.config["prepared"]["seed"] = 99
+        assert ds.provenance == {"path": "x.csv"}
+        assert run_incremental(prepared, CFG).config["prepared"] == {"mode": "drop_missing", "seed": 4}
 
     def test_instances_round_trip_to_the_arrays(self, tmp_path):
         values, classes = np.array([[0, -1, 3], [-1, -1, 0], [1, 0, 2]]), np.array([1, -1, 0])
@@ -548,18 +570,36 @@ class TestBatchedDecisions:
         with pytest.raises(InputError, match=message):
             Dataset(["a"], [["0", "1", "2", "3"]], ["c0", "c1"], values, classes)
 
-    def test_fallback_warns_once_per_chunk(self):
-        # under Perks the empty and the one-count 4x2 tables of steps 0 and 1
-        # have infeasible beta pairs; both steps lie in one chunk
+    def test_fallbacks_add_up_over_chunks(self, monkeypatch):
+        # under Perks the sparse tables of the first steps have beta pairs no beta law matches;
+        # at one step per chunk they fall back in three chunks, 7, 4 and 1 tables
         cfg = FilterConfig(prior=PriorSpec("perks"))
-        values, classes = np.array([[2], [2], [0], [1], [3], [2]]), np.array([0, 0, 1, 1, 0, 1])
-        ds = Dataset(["a"], [["0", "1", "2", "3"]], ["c0", "c1"], values, classes)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_incremental(ds, cfg)
-        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == [
-            "2 beta moment pair(s) infeasible; falling back to the gamma family"
-        ]
+        ds = long_mixed_dataset()
+        monkeypatch.setattr(midist.harness, "_CHUNK_TABLES", 1)
+        report = run_incremental(ds, cfg)
+        # the reference: every step's tables in one decide_batch call, each decided as decide decides it alone
+        counts, class_counts, rows = midist.harness._zero_tally(ds)
+        prefix, class_prefix = absorb(counts, class_counts, ds.values, ds.classes)
+        missing = class_prefix[:, None, :] - prefix.sum(axis=2)
+        stack, s = prefix.reshape(-1, *prefix.shape[2:]), ds.class_count
+        batch = decide_batch(stack, cfg, missing_feature=missing.reshape(-1, s), rows=np.tile(rows, len(ds)))
+        fell_back = np.flatnonzero(batch.fit_fallback)
+        assert report.fit_fallbacks == len(fell_back) == 12
+        assert np.unique(fell_back // len(rows), return_counts=True)[1].tolist() == [7, 4, 1]
+        for step, a in (divmod(k, len(rows)) for k in fell_back):
+            table = _tally(ds.values[:step], ds.classes[:step], ds.vocab_sizes, s)[a]
+            assert decide(table, cfg).fit_fallback == "gamma", (step, a)
+
+    def test_run_prints_one_fallback_line_with_the_total(self, monkeypatch, capsys, tmp_path):
+        raw = mixed_dataset(6, instances=len(long_mixed_dataset()))  # long_mixed_dataset before it is prepared
+        path = tmp_path / "mixed.csv"
+        rows = [[vocab[v] if v >= 0 else "?" for vocab, v in zip(raw.attribute_vocabs, row)] for row in raw.values]
+        lines = [",".join([*row, raw.class_vocab[c]]) for row, c in zip(rows, raw.classes)]
+        path.write_text("\n".join([",".join([*raw.attributes, "cls"]), *lines]) + "\n")
+        monkeypatch.setattr(midist.harness, "_CHUNK_TABLES", 1)
+        argv = ["run", "--data", str(path), "--missing", "keep", "--seed", "6", "--prior", "perks"]
+        assert main([*argv, "--out", str(tmp_path / "report.csv")]) == 0
+        assert capsys.readouterr().err == "warning: 12 beta moment pair(s) infeasible; falling back to the gamma family\n"
 
     def test_decide_attributes_equals_decide_on_own_tally(self):
         # vocabularies 1 to 6 padded into one stack, "?" cells, and an unlabelled row that no table counts
@@ -581,19 +621,18 @@ class TestBatchedDecisions:
         # mean 0 with a positive variance, which neither beta nor gamma fits
         cfg = FilterConfig(prior=PriorSpec("perks"))
         table = ContingencyTable(np.zeros((2, 3), dtype=np.int64), missing_feature=[1, 0, 0])
-        with pytest.warns(RuntimeWarning, match="gamma"), pytest.raises(InfeasibleFitError):
+        with pytest.raises(InfeasibleFitError, match="^gamma needs mean > 0; got mean 0, "):
             decide(table, cfg)
         ds = Dataset(["a"], [["0", "1"]], ["c0", "c1", "c2"], np.array([[-1], [0]]), np.array([0, 1]))
-        with pytest.warns(RuntimeWarning, match="gamma"), pytest.raises(InfeasibleFitError):
+        with pytest.raises(InfeasibleFitError, match="^gamma needs mean > 0; got mean 0, "):
             run_incremental(ds, cfg)
 
     def test_zero_mean_fit_error_names_its_attribute_and_step(self):
         cfg = FilterConfig(prior=PriorSpec("perks"))
         ds = Dataset(["a", "b"], [["0", "1"]] * 2, ["c0", "c1", "c2"], np.array([[0, -1], [1, 0]]), np.array([0, 1]))
         # at step 1, attribute b's table is empty with one class-0 instance on its partial margin
-        with pytest.warns(RuntimeWarning, match="gamma"):
-            with pytest.raises(InfeasibleFitError, match=r"\(attribute 'b', step 1\)$"):
-                run_incremental(ds, cfg)
+        with pytest.raises(InfeasibleFitError, match=r"^gamma needs mean > 0; .*\(attribute 'b', step 1\)$"):
+            run_incremental(ds, cfg)
 
 
 @pytest.mark.parametrize(
@@ -643,6 +682,16 @@ class TestReports:
         write_report(report, path, format="json")
         assert report_from_dict(json.loads(path.read_text())) == report
 
+    def test_fallback_count_stays_out_of_the_payload(self):
+        # the pinned digests hash this payload; run diagnostics are not part of it
+        ds = prepare(synthetic_dataset(8, informative=1, noise=1), seed=1)
+        report = run_incremental(ds, FilterConfig(prior=PriorSpec("perks")))
+        payload = report_to_dict(report)
+        assert report.fit_fallbacks > 0
+        assert list(payload) == ["config", "filters", "instance_count", "order_hash", "runs", "pair_tests"]
+        back = report_from_dict(json.loads(json.dumps(payload)))
+        assert back.fit_fallbacks == 0 and replace(back, fit_fallbacks=report.fit_fallbacks) == report
+
     def test_dict_round_trip_via_json_text(self):
         report = self.make_report()
         payload = json.loads(json.dumps(report_to_dict(report)))
@@ -676,20 +725,14 @@ class TestDiscretize:
         labels = discretize_equal_frequency([0.0, 1.0, 1.0, 2.0], 2)
         assert labels == ["bin_0", "bin_0", "bin_0", "bin_1"]
 
-    def test_constant_column_falls_back_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="distinct"):
-            labels = discretize_equal_frequency([3.0, 3.0, 3.0], 4)
-        assert labels == ["bin_0"] * 3
+    def test_constant_column_falls_back_to_one_bin_per_value(self):
+        assert discretize_equal_frequency([3.0, 3.0, 3.0], 4) == ["bin_0"] * 3
 
     def test_two_distinct_values_give_two_bins(self):
-        with pytest.warns(RuntimeWarning):
-            labels = discretize_equal_frequency([1.0, 5.0, 1.0], 4)
-        assert labels == ["bin_0", "bin_1", "bin_0"]
+        assert discretize_equal_frequency([1.0, 5.0, 1.0], 4) == ["bin_0", "bin_1", "bin_0"]
 
     def test_unsorted_values_and_signed_zeros_label_by_rank(self):
-        with pytest.warns(RuntimeWarning):
-            labels = discretize_equal_frequency([0.0, 2.0, -0.0, -1.0], 5)
-        assert labels == ["bin_1", "bin_2", "bin_1", "bin_0"]
+        assert discretize_equal_frequency([0.0, 2.0, -0.0, -1.0], 5) == ["bin_1", "bin_2", "bin_1", "bin_0"]
 
     def test_validation(self):
         with pytest.raises(InputError):
