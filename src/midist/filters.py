@@ -86,66 +86,64 @@ class FilterDecision:
     prior_extrapolation: bool
 
 
-def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=None, rows=None) -> FilterDecision:
-    """Evaluate every keep rule for a (B, R, s) stack of attribute-against-class tables.
+def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=None, sizes=None) -> FilterDecision:
+    """Evaluate every keep rule for each attribute of a (B, V, s) stack of attribute-against-class tallies.
 
-    Table b owns rows ``[0, rows[b])`` (all R by default); padded rows, and
-    their ``missing_class`` entries, must be zero, as in the harness's padded
-    tally.  Each table takes one of ``ROUTES``: complete tables the exact
-    moments, one kernel call per row count on the unpadded rows; tables with
-    mass on one partial margin (``missing_class`` (B, R) or ``missing_feature``
-    (B, s)) the incomplete-sample moments, one call per margin whose padded
-    cells count as empty; and all the same tail.
+    A tally has one row per (attribute, value) pair: value v of attribute a is row ``offsets[a] + v``,
+    with ``offsets`` the exclusive cumsum of ``sizes``, the (A) vocabulary sizes (by default one
+    table of all V rows).  Each table takes one of ``ROUTES``: complete tables the exact moments, one
+    kernel call per vocabulary size; tables with mass on one partial margin (``missing_class`` (B, V)
+    or ``missing_feature`` (B, A, s)) the incomplete-sample moments, one call per margin on tables
+    padded with empty rows to the largest vocabulary; and all the same tail.
     Single-valued attributes (information range 0) are degenerate: every rule discards them.
     A non-finite mean or variance raises ``NumericalError`` before the tail.
-    A ``NumericalError`` about one table carries its stack index as ``table``.
+    Returns (B, A) fields; a ``NumericalError`` about table (b, a) carries b * A + a as ``table``.
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.dtype.kind not in "iu" or (counts.size and counts.min() < 0):
-        raise InputError("counts must be a (B, R, s) stack of non-negative integer tables")
+        raise InputError("counts must be a (B, V, s) stack of non-negative integer tallies")
     size, height, s = counts.shape
-    rows = np.full(size, height) if rows is None else np.asarray(rows)
-    if rows.shape != (size,) or (size and not (1 <= rows.min() and rows.max() <= height)):
-        raise InputError(f"rows must hold one row count in [1, {height}] per table")
-    missing_class = np.zeros((size, height)) if missing_class is None else np.asarray(missing_class)
-    missing_feature = np.zeros((size, s)) if missing_feature is None else np.asarray(missing_feature)
-    padding = np.arange(height) >= rows[:, None] if size and rows.min() < height else None
-    if padding is not None and (counts[padding].any() or missing_class[padding].any()):
-        raise InputError("padded rows must stay zero")
-    upper = np.array([mi_upper_bound(r, s) for r in range(1, height + 1)])[rows - 1]
+    sizes = np.array([height]) if sizes is None else np.asarray(sizes)
+    if sizes.ndim != 1 or sizes.dtype.kind not in "iu" or (sizes.size and sizes.min() < 1) or sizes.sum() != height:
+        raise InputError(f"sizes must be positive integer vocabulary sizes summing to the tally's {height} rows")
+    offsets = np.cumsum(sizes) - sizes
+    missing_class = None if missing_class is None else np.asarray(missing_class)
+    missing_feature = np.zeros((size, len(sizes), s)) if missing_feature is None else np.asarray(missing_feature)
+    upper = np.array([mi_upper_bound(r, s) for r in range(1, sizes.max(initial=0) + 1)])[sizes - 1]
+    class_gap = missing_class is not None and np.logical_or.reduceat(missing_class > 0, offsets, axis=1)
     # a bool einsum sums by logical or: any() over the short axis, without its overhead
-    class_gap, feature_gap = np.einsum("br->b", missing_class > 0), np.einsum("bs->b", missing_feature > 0)
-    live = upper > 0.0
-    if (live & class_gap & feature_gap).any():
+    feature_gap = np.einsum("bas->ba", missing_feature > 0)
+    if (class_gap & feature_gap & (upper > 0.0)).any():
         raise InputError(BOTH_MARGINS)
-    route = np.where(live, class_gap + 2 * feature_gap, 3)  # index into ROUTES
-    grid = counts + np.reshape(cfg.prior.cell_weight(rows, s), (-1, 1, 1))
-    if padding is not None:
-        grid[padding] = 0.0
-    j, mean, variance, clamped = np.zeros(size), np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool)
-    complete = route == 0
-    whole = size > 0 and padding is None and complete.all()  # one kernel call on the grid itself, as on binary stacks
+    route = np.where(upper > 0.0, class_gap + 2 * feature_gap, 3)  # (B, A) indices into ROUTES
+    grid = (counts + np.reshape(cfg.prior.cell_weight(np.repeat(sizes, sizes), s), (-1, 1))).reshape(-1, s)
+    first = np.arange(size)[:, None] * height + offsets  # (B, A): each table's first row in the (B V, s) grid
+    j, mean, variance, clamped = (np.zeros(route.shape, dtype=dtype) for dtype in (float, float, float, bool))
     with np.errstate(all="ignore"):  # non-finite moments raise below, so the kernels' float warnings add nothing
-        for r in [height] if whole else np.unique(rows[complete]):
-            sel = complete & (rows == r)
-            at = slice(None) if whole else sel  # a slice neither gathers nor scatters
-            mom = on_tables(sel, moments_batch, grid[at, :r])
+        for r in sorted(set(sizes[(route == 0).any(axis=0)].tolist())):
+            sel = (route == 0) & (sizes == r)
+            mom = on_tables(sel, moments_batch, np.take(grid, first[sel][:, None] + np.arange(r), axis=0))
             # j_term is the plug-in value itself; clamp mirrors empirical_mi
-            j[at], mean[at] = np.maximum(mom.j_term, 0.0), mom.mean
-            variance[at], clamped[at] = mom.variance, mom.variance_clamped
-        # a feature-margin gap is a class-margin gap of the transposed table
-        for gap, stack, unlabeled, name in (
-            (route == 1, grid, missing_class, "feature value"),
-            (route == 2, grid.swapaxes(1, 2), missing_feature, "class"),
-        ):
-            if gap.any():
-                mm = on_tables(gap, missing_batch, stack[gap], unlabeled[gap], name)
-                j[gap], mean[gap], variance[gap], clamped[gap] = mm.mean, mm.mean, mm.variance, mm.variance_clamped
-    for b in np.flatnonzero(~np.isfinite(mean) | ~np.isfinite(variance))[:1]:  # the first such table
+            j[sel], mean[sel] = np.maximum(mom.j_term, 0.0), mom.mean
+            variance[sel], clamped[sel] = mom.variance, mom.variance_clamped
+        tallest = np.arange(sizes.max(initial=0))
+        for k, name in ((1, "feature value"), (2, "class")):
+            sel = route == k
+            if sel.any():
+                # each table's rows, then empty rows up to the largest vocabulary
+                real = tallest < np.broadcast_to(sizes, sel.shape)[sel][:, None]
+                rows = np.where(real, first[sel][:, None] + tallest, 0)
+                stack = np.where(real[..., None], np.take(grid, rows, axis=0), 0.0)
+                unlabeled = np.where(real, missing_class.reshape(-1)[rows], 0) if k == 1 else missing_feature[sel]
+                # a feature-margin gap is a class-margin gap of the transposed table
+                mm = on_tables(sel, missing_batch, stack if k == 1 else stack.swapaxes(1, 2), unlabeled, name)
+                j[sel], mean[sel], variance[sel], clamped[sel] = mm.mean, mm.mean, mm.variance, mm.variance_clamped
+    for k in np.flatnonzero(~np.isfinite(mean) | ~np.isfinite(variance))[:1]:  # the first such table
         raise NumericalError(
-            f"non-finite moments: mean {mean[b]:.6g}, variance {variance[b]:.6g}; counts under- or overflow", table=int(b)
+            f"non-finite moments: mean {mean.flat[k]:.6g}, variance {variance.flat[k]:.6g}; counts under- or overflow",
+            table=int(k),
         )
-    prob, fallback = prob_exceeds_batch(cfg.family, mean, variance, upper, cfg.epsilon)
+    prob, fallback = prob_exceeds_batch(cfg.family, mean, variance, np.broadcast_to(upper, route.shape), cfg.epsilon)
     return FilterDecision(
         attribute=None,
         j=j,
@@ -163,12 +161,12 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
 
 
 def records(batch: FilterDecision, attributes) -> list[FilterDecision]:
-    """One ``FilterDecision`` per row of a ``decide_batch`` result, named by ``attributes`` in order."""
-    columns = [getattr(batch, f.name).tolist() for f in fields(FilterDecision)[1:]]
+    """One ``FilterDecision`` per table of a ``decide_batch`` result, row by row, named by ``attributes`` in order."""
+    columns = [getattr(batch, f.name).ravel().tolist() for f in fields(FilterDecision)[1:]]
     return [FilterDecision(attribute, *row) for attribute, row in zip(attributes, zip(*columns))]
 
 
 def decide(table: ContingencyTable, cfg: FilterConfig, attribute=None) -> FilterDecision:
     """Evaluate every keep rule for one table: ``decide_batch`` on a stack of one."""
-    batch = decide_batch(table.counts[None], cfg, table.missing_class[None], table.missing_feature[None])
+    batch = decide_batch(table.counts[None], cfg, table.missing_class[None], table.missing_feature[None, None])
     return records(batch, [attribute])[0]

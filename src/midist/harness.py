@@ -211,15 +211,15 @@ def decide_attributes(dataset: Dataset, cfg: FilterConfig) -> list[FilterDecisio
     Rows without a class label are skipped; a missing attribute value in a
     labelled row counts into that attribute's partial margin.
     """
-    counts, class_counts, rows = _zero_tally(dataset)  # the counts are the tables
+    sizes, offsets = _layout(dataset)
+    s = dataset.class_count
     labelled = dataset.classes >= 0
     values, classes = dataset.values[labelled], dataset.classes[labelled]
     t, a = np.nonzero(values >= 0)
-    cells = (a * counts.shape[1] + values[t, a]) * counts.shape[2] + classes[t]  # flat (attribute, value, class)
-    counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
-    class_counts += np.bincount(classes, minlength=len(class_counts))
-    missing = class_counts - np.einsum("avs->as", counts)  # per attribute: labelled, value unobserved
-    batch = _decide(dataset.attributes, None, counts, cfg, missing_feature=missing, rows=rows)
+    counts = np.bincount((offsets[a] + values[t, a]) * s + classes[t], minlength=sizes.sum() * s).reshape(-1, s)
+    class_counts = np.bincount(classes, minlength=s)
+    missing = class_counts - np.add.reduceat(counts, offsets, axis=0)  # per attribute: labelled, value unobserved
+    batch = _decide(dataset.attributes, None, counts[None], cfg, missing_feature=missing[None], sizes=sizes)
     return records(batch, dataset.attributes)
 
 
@@ -235,11 +235,10 @@ def _decide(attributes, first_step: int | None, *args, **kwargs) -> FilterDecisi
         raise type(exc)(f"{exc} ({where})", exc.table) from None
 
 
-def _zero_tally(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero (A, R, s) counts padded to the largest vocabulary R, zero (s) class counts, and each attribute's rows."""
-    rows = np.array(dataset.vocab_sizes, dtype=np.int64)
-    shape = (len(rows), max(rows, default=1), dataset.class_count)
-    return np.zeros(shape, dtype=np.int64), np.zeros(shape[-1], dtype=np.int64), rows
+def _layout(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Each attribute's vocabulary size and its first row in the (V, s) tally, the exclusive cumsum of the sizes."""
+    sizes = np.array(dataset.vocab_sizes, dtype=np.int64)
+    return sizes, np.cumsum(sizes) - sizes
 
 
 def _chunks(steps: int, attributes: int) -> list[slice]:
@@ -274,7 +273,13 @@ class RunReport:
 
 
 def _order_hash(dataset: Dataset) -> str:
-    return hashlib.sha256(repr(dataset.instances).encode()).hexdigest()
+    """SHA-256 of ``repr(dataset.instances)``, its text written straight from the arrays."""
+    top = max(dataset.values.max(initial=0), dataset.classes.max(initial=0))
+    names = np.array([str(v) for v in range(top + 1)] + ["None"], dtype=object)  # index -1 reads "None"
+    comma = "," if dataset.values.shape[1] == 1 else ""  # a one-tuple's repr
+    rows = ("(" + ", ".join(row) + comma + ")" for row in names[dataset.values].tolist())
+    text = ", ".join(f"({row}, {c})" for row, c in zip(rows, names[dataset.classes].tolist()))
+    return hashlib.sha256(f"[{text}]".encode()).hexdigest()
 
 
 def _t_critical(n: int) -> np.ndarray:
@@ -356,20 +361,20 @@ def run_incremental(
     if np.any(classes < 0):
         raise InputError("run needs prepared data: instances without a class label remain")
 
-    counts, class_counts, rows = _zero_tally(dataset)
+    vocab_sizes, offsets = _layout(dataset)
+    counts = np.zeros((vocab_sizes.sum(), dataset.class_count), dtype=np.int64)
+    class_counts = np.zeros(dataset.class_count, dtype=np.int64)
     flags = [f"keep_{f}" for f in filters]
     keep, predicted, fallbacks = [], [], 0  # per chunk: (T, F, A) keep masks and (T, F) predictions
-    for chunk in _chunks(len(classes), len(rows)):
-        prefix, class_prefix = absorb(counts, class_counts, values[chunk], classes[chunk])
-        steps, attributes, height, s = prefix.shape
-        # einsum, as numpy's sum over the short value axis is slow; both are exact in int64
-        missing = (class_prefix[:, None, :] - np.einsum("tavs->tas", prefix)).reshape(-1, s)
-        stack = prefix.reshape(-1, height, s)
-        batch = _decide(dataset.attributes, chunk.start, stack, cfg, missing_feature=missing, rows=np.tile(rows, steps))
+    for chunk in _chunks(len(classes), len(vocab_sizes)):
+        observed = values[chunk] >= 0
+        prefix, class_prefix = absorb(counts, class_counts, np.where(observed, values[chunk] + offsets, -1), classes[chunk])
+        missing = class_prefix[:, None, :] - np.add.reduceat(prefix, offsets, axis=1)  # exact in int64
+        batch = _decide(dataset.attributes, chunk.start, prefix, cfg, missing_feature=missing, sizes=vocab_sizes)
         fallbacks += int(np.count_nonzero(batch.fit_fallback))
-        keep.append(np.stack([getattr(batch, flag).reshape(steps, attributes) for flag in flags], axis=1))
-        value_counts = prefix[np.arange(steps)[:, None], np.arange(attributes), np.maximum(values[chunk], 0)]
-        predicted.append(score_subsets(value_counts, class_prefix, rows, keep[-1] & (values[chunk] >= 0)[:, None])[0])
+        keep.append(np.stack([getattr(batch, flag) for flag in flags], axis=1))
+        value_counts = prefix[np.arange(len(prefix))[:, None], np.maximum(values[chunk], 0) + offsets]
+        predicted.append(score_subsets(value_counts, class_prefix, vocab_sizes, keep[-1] & observed[:, None])[0])
     keep = np.concatenate(keep)
     hits = (np.concatenate(predicted).T == classes).astype(np.int64)  # (F, T)
     sizes = keep.sum(axis=2).T

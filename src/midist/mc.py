@@ -88,8 +88,9 @@ def _chunk_blocks(shapes: np.ndarray, count: int, rng: np.random.Generator):
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
-    """x ln x, 0 at x = 0 (chances of tiny shape can underflow to 0)."""
-    out = np.log(x, out=np.zeros_like(x), where=x > 0)
+    """x ln x, 0 at x = 0 (chances of tiny shape can underflow to 0): the log reads at least the smallest subnormal."""
+    out = np.maximum(x, np.finfo(float).smallest_subnormal)
+    np.log(out, out=out)
     return np.multiply(out, x, out=out)
 
 

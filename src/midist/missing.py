@@ -86,25 +86,26 @@ def missing_batch(grid, unlabeled, name: str = "row") -> MissingMoments:
         raise UndefinedFillError(
             f"{name} {i} has partially observed instances but no observed mass to spread them over", table=int(b)
         )
+    # an empty row divides by 1, and an empty cell takes the log of 1: each then adds exactly 0
     pos = rows > 0
-    share = ((rows + unlabeled) / total)[:, None, :] * grid
-    pi = np.divide(share, rows[:, None, :], out=np.zeros_like(grid), where=pos[:, None, :])
+    safe = np.where(pos, rows, 1.0)
+    pi = ((rows + unlabeled) / total)[:, None, :] * grid / safe[:, None, :]
     pi_rows = ordered_sum(pi, axis=1)
     pi_cols = ordered_sum(pi)
 
     mask = pi > 0
-    log_pi = np.log(pi, out=np.zeros_like(pi), where=mask)
-    log_ratio = log_pi - np.log(pi_rows[:, None, :] * pi_cols, out=np.zeros_like(pi), where=mask)
+    log_pi = np.log(np.where(mask, pi, 1.0))
+    log_ratio = log_pi - np.log(np.where(mask, pi_rows[:, None, :] * pi_cols, 1.0))
 
-    q_bar_i = np.divide(rows, rows + unlabeled, out=np.ones_like(rows), where=pos)
+    q_bar_i = safe / np.where(pos, rows + unlabeled, 1.0)
     k_bar = ordered_sum(pi * log_ratio**2 / q_bar_i[:, None, :], axis=(0, 1))
     j_rows = ordered_sum(pi * log_ratio, axis=1)
     j_bar = ordered_sum(j_rows)
-    p_bar = ordered_sum(np.divide(total * (1 - q_bar_i) * j_rows**2, rows, out=np.zeros_like(rows), where=pos))
+    p_bar = ordered_sum(total * (1 - q_bar_i) * j_rows**2 / safe)
 
     # split logs, so extreme magnitudes cannot underflow inside a product (log_ratio keeps its product form)
-    split = log_pi - np.log(pi_rows, out=np.zeros_like(pi_rows), where=pi_rows > 0)[:, None, :]
-    split -= np.log(pi_cols, out=np.zeros_like(pi_cols), where=pi_cols > 0)
+    split = log_pi - np.log(np.where(pi_rows > 0, pi_rows, 1.0))[:, None, :]
+    split -= np.log(np.where(pi_cols > 0, pi_cols, 1.0))
     mean = np.maximum(0.0, ordered_sum(np.where(mask, pi * split, 0.0), axis=(0, 1)))
     raw = (k_bar - j_bar**2 - p_bar) / total
     variance, clamped = np.maximum(raw, 0.0), raw < 0.0

@@ -1,8 +1,9 @@
 """Incremental naive Bayes with add-one smoothing, tallied in two int64 arrays.
 
-(A, R, s) ``counts[a, v, j]`` counts class j with value v of attribute a, padded
-to the largest vocabulary R (rows past a's vocabulary stay zero), and (s)
-``class_counts[j]`` counts class j.  ``absorb`` advances both in place.
+(V, s) ``counts[offsets[a] + v, j]`` counts class j with value v of attribute a,
+one row per (attribute, value) pair, where ``offsets`` is the exclusive cumsum
+of the vocabulary sizes, and (s) ``class_counts[j]`` counts class j.  ``absorb``
+advances both in place.
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ def score_subsets(value_counts, class_counts, vocab_sizes, selected) -> tuple[np
     return np.argmax(tied, axis=-1), log_scores - best
 
 
-def absorb(counts, class_counts, values, classes) -> tuple[np.ndarray, np.ndarray]:
-    """Add (T, A) value indices, -1 where unobserved, of (T) labelled instances to the two tallies in place.
+def absorb(counts, class_counts, cells, classes) -> tuple[np.ndarray, np.ndarray]:
+    """Add (T, A) tally rows, -1 where unobserved, of (T) labelled instances to the two tallies in place.
 
-    Returns the tallies before each instance, (T, A, R, s) and (T, s): those on entry plus an exclusive cumsum.
+    Returns the tallies before each instance, (T, V, s) and (T, s): those on entry plus an exclusive cumsum.
     """
-    t, a = np.nonzero(values >= 0)
+    t, a = np.nonzero(cells >= 0)
     onehot = np.zeros((len(classes), *counts.shape), dtype=np.int64)
-    onehot[t, a, values[t, a], classes[t]] = 1
+    onehot[t, cells[t, a], classes[t]] = 1
     class_onehot = np.eye(len(class_counts), dtype=np.int64)[classes]
     before = np.cumsum(onehot, axis=0) - onehot + counts
     class_before = np.cumsum(class_onehot, axis=0) - class_onehot + class_counts

@@ -340,16 +340,16 @@ class TestSelect:
             assert (records["a"]["prior_extrapolation"], records["b"]["prior_extrapolation"]) == (flag, False)
 
     def test_one_decision_call_prints_every_record(self, capsys, csv_file, monkeypatch):
-        sizes = []
+        tables = []
 
         def counting(*args, **kwargs):
-            sizes.append(len(args[0]))
+            tables.append(len(args[0]) * len(kwargs["sizes"]))  # tallies times attributes
             return decide_batch(*args, **kwargs)
 
         monkeypatch.setattr(midist.harness, "decide_batch", counting)
         code, out, _ = run_cli(capsys, "select", "--data", csv_file, "--filter", "ff", "--family", "gamma")
         assert code == 0
-        assert sizes == [2]
+        assert tables == [2]
         dataset = midist.load_dataset(csv_file)
         cfg = FilterConfig(family="gamma")
         expected = []

@@ -171,42 +171,54 @@ PRIORS = (
 )
 
 
+def tally_of(tables, s):
+    """The (1, V, s) tally of (counts, missing_class, missing_feature) tables, its (1, V) and (1, A, s) margins, its sizes."""
+    counts, missing_class, missing_feature = zip(*tables)
+    return (
+        np.concatenate([np.reshape(c, (-1, s)) for c in counts])[None],
+        np.concatenate(missing_class)[None],
+        np.reshape(missing_feature, (1, -1, s)),
+        np.array([len(c) for c in counts]),
+    )
+
+
 @st.composite
 def table_stacks(draw):
-    """A padded stack of tables with 1 to 4 rows, some with mass on one partial margin."""
+    """A tally of tables with 1 to 4 rows, some with mass on one partial margin."""
     size = draw(st.integers(1, 6))
     s = draw(st.integers(2, 3))
-    rows = np.array(draw(st.lists(st.integers(1, 4), min_size=size, max_size=size)))
-    counts = np.zeros((size, rows.max(), s), dtype=np.int64)
-    missing_class = np.zeros((size, rows.max()), dtype=np.int64)
-    missing_feature = np.zeros((size, s), dtype=np.int64)
-    for k, r in enumerate(rows.tolist()):
+    tables = []
+    for r in draw(st.lists(st.integers(1, 4), min_size=size, max_size=size)):
         cells = draw(st.lists(st.integers(0, 12), min_size=r * s, max_size=r * s))
-        counts[k, :r] = np.reshape(cells, (r, s))
+        missing_class, missing_feature = np.zeros(r, dtype=np.int64), np.zeros(s, dtype=np.int64)
         gap = draw(st.sampled_from(("none", "none", "class", "feature")))
         if gap == "class":
-            missing_class[k, :r] = draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+            missing_class[:] = draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
         elif gap == "feature":
-            missing_feature[k] = draw(st.lists(st.integers(0, 3), min_size=s, max_size=s))
+            missing_feature[:] = draw(st.lists(st.integers(0, 3), min_size=s, max_size=s))
+        tables.append((np.reshape(cells, (r, s)), missing_class, missing_feature))
     cfg = FilterConfig(family=draw(st.sampled_from(FIT_FAMILIES)), prior=draw(st.sampled_from(PRIORS)))
-    return counts, missing_class, missing_feature, rows, cfg
+    return (*tally_of(tables, s), cfg)
 
 
-def single_tables(counts, missing_class, missing_feature, rows):
+def single_tables(counts, missing_class, missing_feature, sizes):
+    """Each table of a stack of tallies, in the row-major order of the batch's (B, A) fields."""
+    edges = np.cumsum(sizes)[:-1]
     return [
-        ContingencyTable(c[:r], missing_class=mc[:r], missing_feature=mf)
-        for c, mc, mf, r in zip(counts, missing_class, missing_feature, rows)
+        ContingencyTable(c, missing_class=mc, missing_feature=mf)
+        for tally, unlabelled, partial in zip(counts, missing_class, missing_feature)
+        for c, mc, mf in zip(np.split(tally, edges), np.split(unlabelled, edges), partial)
     ]
 
 
-def assert_batch_matches_single_tables(counts, missing_class, missing_feature, rows, cfg):
-    """Every table of the padded stack decides as it does alone; the tail also matches the scalar fit."""
+def assert_batch_matches_single_tables(counts, missing_class, missing_feature, sizes, cfg):
+    """Every table of the tallies decides as it does alone; the tail also matches the scalar fit."""
     try:
-        batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
+        batch = decide_batch(counts, cfg, missing_class, missing_feature, sizes)
     except NumericalError as exc:
         batch = exc
     singles = []
-    for table in single_tables(counts, missing_class, missing_feature, rows):
+    for table in single_tables(counts, missing_class, missing_feature, sizes):
         try:
             singles.append(decide(table, cfg))
         except NumericalError as exc:
@@ -214,19 +226,21 @@ def assert_batch_matches_single_tables(counts, missing_class, missing_feature, r
     if isinstance(batch, Exception):
         assert type(batch) in {type(d) for d in singles if isinstance(d, Exception)}
         return
+    field = {name: np.ravel(getattr(batch, name)) for name in ("j", "mean", "variance", "prob_exceeds_eps", "keep_f",
+             "keep_ff", "keep_bf", "route", "fit_fallback", "variance_clamped")}
     for k, d in enumerate(singles):
-        assert (bool(batch.keep_f[k]), bool(batch.keep_ff[k]), bool(batch.keep_bf[k])) == (
+        assert (bool(field["keep_f"][k]), bool(field["keep_ff"][k]), bool(field["keep_bf"][k])) == (
             d.keep_f,
             d.keep_ff,
             d.keep_bf,
         )
         for name in ("j", "mean", "variance", "prob_exceeds_eps"):
-            assert abs(getattr(batch, name)[k] - getattr(d, name)) <= 1e-12, name
-        assert batch.route[k] == d.route and batch.fit_fallback[k] == d.fit_fallback
-        assert bool(batch.variance_clamped[k]) == d.variance_clamped
+            assert abs(field[name][k] - getattr(d, name)) <= 1e-12, name
+        assert field["route"][k] == d.route and field["fit_fallback"][k] == d.fit_fallback
+        assert bool(field["variance_clamped"][k]) == d.variance_clamped
         if d.route != "degenerate":
             # the fallback rule, applied independently: beta that fit rejects becomes gamma
-            i_max = mi_upper_bound(rows[k], counts.shape[2])
+            i_max = mi_upper_bound(np.tile(sizes, len(counts))[k], counts.shape[2])
             try:
                 approx, fallback = fit(cfg.family, d.mean, d.variance, i_max), None
             except InfeasibleFitError:
@@ -242,52 +256,57 @@ def assert_batch_matches_single_tables(counts, missing_class, missing_feature, r
 @given(table_stacks())
 @settings(max_examples=300, deadline=None)
 def test_batch_matches_decide_on_each_table_alone(payload):
-    counts, missing_class, missing_feature, rows, cfg = payload
-    complete = (missing_class.sum(axis=1) == 0) & (missing_feature.sum(axis=1) == 0)
-    empty_real_cell = [(c[:r] == 0).any() for c, r in zip(counts, rows)]
-    if cfg.prior.kind == "haldane" and np.any(complete & empty_real_cell & (rows > 1)):
-        # an empty real cell raises; padding alone never does (checked below)
+    counts, missing_class, missing_feature, sizes, cfg = payload
+    tables = single_tables(counts, missing_class, missing_feature, sizes)
+    zero_cell = [
+        t.r > 1 and not (t.missing_class.any() or t.missing_feature.any()) and (t.counts == 0).any() for t in tables
+    ]
+    if cfg.prior.kind == "haldane" and any(zero_cell):
+        # a complete table with an empty cell raises, in the tally as alone
         with pytest.raises(ZeroCellError):
-            decide_batch(counts, cfg, missing_class, missing_feature, rows)
-        k = int(np.argmax(complete & empty_real_cell & (rows > 1)))
+            decide_batch(counts, cfg, missing_class, missing_feature, sizes)
         with pytest.raises(ZeroCellError):
-            decide(ContingencyTable(counts[k, : rows[k]]), cfg)
-    assert_batch_matches_single_tables(counts, missing_class, missing_feature, rows, cfg)
+            decide(ContingencyTable(tables[zero_cell.index(True)].counts), cfg)
+    assert_batch_matches_single_tables(counts, missing_class, missing_feature, sizes, cfg)
 
 
 @st.composite
-def padded_stacks(draw):
-    """Tables of 1 to 12 rows padded to one height; each complete or with mass on one partial margin."""
+def mixed_tallies(draw):
+    """One or two tallies of 2 to 8 tables of 1 to 12 rows; each table complete or with mass on one partial margin."""
     size = draw(st.integers(2, 8))
     s = draw(st.integers(2, 3))
-    rows = np.array(draw(st.lists(st.integers(1, 12), min_size=size, max_size=size)))
-    counts = np.zeros((size, rows.max(), s), dtype=np.int64)
-    missing_class = np.zeros((size, rows.max()), dtype=np.int64)
-    missing_feature = np.zeros((size, s), dtype=np.int64)
-    for k, r in enumerate(rows.tolist()):
-        counts[k, :r] = np.reshape(draw(st.lists(st.integers(0, 9), min_size=r * s, max_size=r * s)), (r, s))
-        route = draw(st.sampled_from(("complete", "missing_class", "missing_feature")))
-        if route == "missing_class":
-            missing_class[k, :r] = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
-        elif route == "missing_feature":
-            missing_feature[k] = draw(st.lists(st.integers(1, 3), min_size=s, max_size=s))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
+    tallies = []
+    for _ in range(draw(st.integers(1, 2))):
+        tables = []
+        for r in sizes:
+            counts = np.reshape(draw(st.lists(st.integers(0, 9), min_size=r * s, max_size=r * s)), (r, s))
+            missing_class, missing_feature = np.zeros(r, dtype=np.int64), np.zeros(s, dtype=np.int64)
+            route = draw(st.sampled_from(("complete", "missing_class", "missing_feature")))
+            if route == "missing_class":
+                missing_class[:] = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+            elif route == "missing_feature":
+                missing_feature[:] = draw(st.lists(st.integers(1, 3), min_size=s, max_size=s))
+            tables.append((counts, missing_class, missing_feature))
+        tallies.append(tally_of(tables, s))
     cfg = FilterConfig(family=draw(st.sampled_from(FIT_FAMILIES)), prior=draw(st.sampled_from(PRIORS[:4])))
-    return counts, missing_class, missing_feature, rows, cfg
+    counts, missing_class, missing_feature, _ = zip(*tallies)
+    return np.concatenate(counts), np.concatenate(missing_class), np.concatenate(missing_feature), np.array(sizes), cfg
 
 
-@given(padded_stacks())
+@given(mixed_tallies())
 @settings(max_examples=200, deadline=None)
 def test_a_tables_decision_does_not_depend_on_its_batch(payload):
-    # bit for bit: every per-table sum groups the same alone as inside any padded stack
-    counts, missing_class, missing_feature, rows, cfg = payload
+    # bit for bit: every per-table sum groups the same alone as inside any stack of tallies
+    counts, missing_class, missing_feature, sizes, cfg = payload
     try:
-        batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
+        batch = decide_batch(counts, cfg, missing_class, missing_feature, sizes)
     except NumericalError:  # a zero-mean partial table no family fits; covered elsewhere
         return
-    for k, table in enumerate(single_tables(counts, missing_class, missing_feature, rows)):
+    for k, table in enumerate(single_tables(counts, missing_class, missing_feature, sizes)):
         alone = decide(table, cfg)
         for name in ("j", "mean", "variance", "prob_exceeds_eps"):
-            assert getattr(batch, name)[k] == getattr(alone, name), (name, k)
+            assert getattr(batch, name).ravel()[k] == getattr(alone, name), (name, k)
 
 
 @pytest.mark.parametrize("family", FIT_FAMILIES)
@@ -303,14 +322,14 @@ def test_batch_covers_point_mass_and_fallback(family):
         ]
     )
     cfg = FilterConfig(family=family, prior=PriorSpec("perks"))
-    batch = decide_batch(counts, cfg)
-    assert batch.variance[1] == 0.0
-    assert list(batch.fit_fallback) == [None, None, "gamma" if family == "beta" else None]
-    assert_batch_matches_single_tables(counts, np.zeros((3, 4)), np.zeros((3, 2)), np.full(3, 4), cfg)
+    batch = decide_batch(counts, cfg)  # three tallies of one table each
+    assert batch.variance[1, 0] == 0.0
+    assert batch.fit_fallback.ravel().tolist() == [None, None, "gamma" if family == "beta" else None]
+    assert_batch_matches_single_tables(counts, np.zeros((3, 4)), np.zeros((3, 1, 2)), [4], cfg)
 
 
 def test_one_moments_call_per_complete_height_and_one_call_per_partial_route(monkeypatch):
-    # the complete route runs unpadded, one kernel call per row count; grouping the partial
+    # the complete route runs unpadded, one kernel call per vocabulary size; grouping the partial
     # routes by height too was slower, since their cost is mostly fixed per call
     shapes = {"moments_batch": [], "missing_batch": []}
 
@@ -323,16 +342,15 @@ def test_one_moments_call_per_complete_height_and_one_call_per_partial_route(mon
 
     for name in shapes:
         monkeypatch.setattr(midist.filters, name, counting(name, getattr(midist.filters, name)))
-    rows = np.array([2, 3, 4, 2, 3, 4, 2, 4, 3, 4])
-    counts = np.zeros((10, 4, 3), dtype=np.int64)
-    for k, r in enumerate(rows):
-        counts[k, :r] = np.random.default_rng(k).integers(1, 9, size=(r, 3))
-    missing_class, missing_feature = np.zeros((10, 4)), np.zeros((10, 3))
-    missing_class[6, :2], missing_class[7] = 1, 2
-    missing_feature[8], missing_feature[9] = [1, 0, 2], [0, 3, 1]
+    sizes = [2, 3, 4, 2, 3, 4, 2, 4, 3, 4]
+    rng = [np.random.default_rng(k) for k in range(len(sizes))]
+    tables = [(rng[k].integers(1, 9, size=(r, 3)), np.zeros(r), np.zeros(3)) for k, r in enumerate(sizes)]
+    tables[6][1][:], tables[7][1][:] = 1, 2
+    tables[8][2][:], tables[9][2][:] = [1, 0, 2], [0, 3, 1]
     cfg = FilterConfig(family="normal", prior=PriorSpec("perks"))
-    batch = decide_batch(counts, cfg, missing_class, missing_feature, rows)
-    assert list(batch.route) == ["complete"] * 6 + ["missing_class"] * 2 + ["missing_feature"] * 2
+    counts, missing_class, missing_feature, sizes = tally_of(tables, 3)
+    batch = decide_batch(counts, cfg, missing_class, missing_feature, sizes)
+    assert batch.route.ravel().tolist() == ["complete"] * 6 + ["missing_class"] * 2 + ["missing_feature"] * 2
     assert sorted(shapes["moments_batch"]) == [(2, 2, 3), (2, 3, 3), (2, 4, 3)]
     assert sorted(shapes["missing_batch"]) == [(2, 3, 4), (2, 4, 3)]
 
@@ -343,29 +361,22 @@ def test_one_moments_call_per_complete_height_and_one_call_per_partial_route(mon
     ids=["float", "2-D", "negative"],
 )
 def test_counts_must_be_a_stack_of_non_negative_integer_tables(counts):
-    with pytest.raises(InputError, match=r"counts must be a \(B, R, s\) stack"):
+    with pytest.raises(InputError, match=r"counts must be a \(B, V, s\) stack"):
         decide_batch(counts, CFG)
 
 
-def test_padding_and_row_counts_validated():
-    counts = np.zeros((2, 3, 2), dtype=np.int64)
-    counts[0, 2, 1] = 1  # row 2 of a two-row table
-    with pytest.raises(InputError, match="padded"):
-        decide_batch(counts, CFG, rows=[2, 3])
-    missing_class = np.zeros((2, 3))
-    missing_class[0, 2] = 1  # an unlabelled count in the padded row
-    with pytest.raises(InputError, match="padded"):
-        decide_batch(np.zeros((2, 3, 2), dtype=np.int64), CFG, missing_class=missing_class, rows=[2, 3])
-    mixed = np.ones((3, 3, 2), dtype=np.int64)  # an unpadded table either side of the padded one
-    mixed[1, 1:] = 0
-    mixed[1, 2, 0] = 1
-    with pytest.raises(InputError, match="padded"):
-        decide_batch(mixed, CFG, rows=[3, 1, 3])
-    mixed[1, 2, 0] = 0
-    assert decide_batch(mixed, CFG, rows=[3, 1, 3]).route.tolist() == ["complete", "degenerate", "complete"]
-    for rows in ([0, 3], [2, 4], [2]):
-        with pytest.raises(InputError, match="rows"):
-            decide_batch(np.zeros((2, 3, 2), dtype=np.int64), CFG, rows=rows)
+def test_sizes_validated():
+    # one row per attribute value: the sizes are positive integers that sum to the tally's 7 rows
+    counts = np.ones((2, 7, 2), dtype=np.int64)
+    message = "^sizes must be positive integer vocabulary sizes summing to the tally's 7 rows$"
+    for sizes in ([3, 3], [4, 4], [7, 0], [0, 7], [6, -1], [3.5, 3.5], [3.0, 4.0], [[3, 4]], [True] * 7, 7):
+        with pytest.raises(InputError, match=message):
+            decide_batch(counts, CFG, sizes=sizes)
+    # a one-row table between two three-row ones reads its own row alone, in each of two tallies
+    batch = decide_batch(counts, CFG, sizes=[3, 1, 3])
+    assert batch.route.tolist() == [["complete", "degenerate", "complete"]] * 2
+    alone = decide(ContingencyTable(np.ones((3, 2), dtype=np.int64)), CFG)
+    assert batch.mean[:, [0, 2]].tolist() == [[alone.mean] * 2] * 2
 
 
 @pytest.mark.parametrize("weight", [1e-300, 1e-200, 1e200, 1e300])
@@ -394,8 +405,8 @@ GOOD = [[3, 1, 2], [2, 5, 7]]
 def test_a_failed_table_carries_its_stack_index(prior, failing, missing, error):
     # table 0 takes the missing-feature route and tables 1 and 3 the complete one, so table 2
     # is a later member of whichever group it joins: its error maps it back to the whole stack
-    counts = np.array([GOOD, GOOD, failing, GOOD])
-    missing_feature = np.array([[1, 0, 0], [0, 0, 0], missing, [0, 0, 0]])
+    counts = np.array([GOOD, GOOD, failing, GOOD])  # four tallies of one table each
+    missing_feature = np.array([[[1, 0, 0]], [[0, 0, 0]], [missing], [[0, 0, 0]]])
     with pytest.raises(error) as caught:
         decide_batch(counts, FilterConfig(prior=prior), missing_feature=missing_feature)
     assert caught.value.table == 2
@@ -410,9 +421,9 @@ def test_clamped_variance_is_reported():
 
 @pytest.mark.parametrize("prior", PRIORS[:4])
 def test_prior_extrapolation_marks_the_partial_routes_under_a_non_uniform_prior(prior):
-    counts = np.array([GOOD, GOOD, GOOD, [[1, 1, 1], [0, 0, 0]]])
-    missing_class = np.array([[0, 0], [2, 1], [0, 0], [0, 0]])
-    missing_feature = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 2], [0, 0, 0]])
-    batch = decide_batch(counts, FilterConfig(prior=prior), missing_class, missing_feature, rows=[2, 2, 2, 1])
-    assert list(batch.route) == ["complete", "missing_class", "missing_feature", "degenerate"]
-    assert batch.prior_extrapolation.tolist() == [False, *[prior.kind != "uniform"] * 2, False]
+    tables = [(GOOD, [0, 0], [0, 0, 0]), (GOOD, [2, 1], [0, 0, 0]), (GOOD, [0, 0], [1, 0, 2])]
+    tables.append(([[1, 1, 1]], [0], [0, 0, 0]))  # a one-row table
+    counts, missing_class, missing_feature, sizes = tally_of(tables, 3)
+    batch = decide_batch(counts, FilterConfig(prior=prior), missing_class, missing_feature, sizes)
+    assert batch.route.ravel().tolist() == ["complete", "missing_class", "missing_feature", "degenerate"]
+    assert batch.prior_extrapolation.ravel().tolist() == [False, *[prior.kind != "uniform"] * 2, False]

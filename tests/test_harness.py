@@ -241,6 +241,16 @@ class TestDataset:
         loaded = load_dataset(write(tmp_path, "a,b,c\nx,?,yes\n?,u,?\ny,u,no\n"))
         assert repr(loaded.instances) == "[((0, None), 0), ((None, 0), None), ((1, 0), 1)]"
 
+    @pytest.mark.parametrize("width", [0, 1, 12])
+    def test_order_hash_is_the_sha256_of_the_instances_repr(self, width):
+        # written from the arrays, the text is repr's: None for -1, "(v,)" for one attribute, "()" for none
+        rng = np.random.default_rng(width)
+        values, classes = rng.integers(-1, 13, size=(40, width)), rng.integers(-1, 11, size=40)
+        assert {-1, 10, 12} <= set(values.ravel().tolist()) or width == 0
+        assert {-1, 10} <= set(classes.tolist())
+        ds = Dataset([f"a{a}" for a in range(width)], [list("abcdefghijklm")] * width, list("ABCDEFGHIJK"), values, classes)
+        assert midist.harness._order_hash(ds) == hashlib.sha256(repr(ds.instances).encode()).hexdigest()
+
 
 class TestPairedT:
     def test_identical_sequences(self):
@@ -455,6 +465,22 @@ def _tally(values, classes, vocab_sizes, class_count) -> list[ContingencyTable]:
     return [ContingencyTable(j, missing_feature=p) for j, p in zip(joint, partial)]
 
 
+def per_step_loop(ds: Dataset, cfg: FilterConfig) -> tuple[dict, dict]:
+    """Each filter's correct flags and kept attributes per step, from ``decide`` on that step's own tables."""
+    correct, sets = {f: [] for f in FILTERS}, {f: [] for f in FILTERS}
+    for step, (values, cls) in enumerate(zip(ds.values, ds.classes)):
+        tables = _tally(ds.values[:step], ds.classes[:step], ds.vocab_sizes, ds.class_count)
+        decisions = [decide(t, cfg) for t in tables]
+        value_counts = np.array([t.counts[max(v, 0)] for t, v in zip(tables, values.tolist())]).reshape(-1, ds.class_count)
+        class_counts = np.bincount(ds.classes[:step], minlength=ds.class_count)
+        for f in FILTERS:
+            keep = np.array([getattr(d, f"keep_{f}") for d in decisions], dtype=bool)
+            predicted, _ = score_subsets(value_counts, class_counts, ds.vocab_sizes, (keep & (values >= 0))[None])
+            correct[f].append(int(predicted[0] == cls))
+            sets[f].append(np.flatnonzero(keep).tolist())
+    return correct, sets
+
+
 def long_mixed_dataset() -> Dataset:
     """A keep_missing run of ``mixed_dataset`` long enough for three decision chunks."""
     steps = midist.harness._CHUNK_TABLES // 8 + 1  # mixed_dataset has 8 attributes
@@ -475,6 +501,41 @@ class TestBatchedDecisions:
                 assert report.runs[f].selected_sets[step] == expected, (f, step)
         assert any(d.route == "missing_feature" for d in decisions)
 
+    @pytest.mark.parametrize(
+        "vocabs, class_count, routes",
+        [
+            # a single-valued attribute, a 5-valued one with "?" cells and a 2-valued one: every route in one chunk
+            ([["x"], list("abcde"), ["0", "1"]], 3, {"degenerate", "missing_feature", "complete"}),
+            ([], 2, set()),
+            ([["0", "1", "2"], ["0", "1"]], 1, {"degenerate"}),
+        ],
+        ids=["three-routes", "no-attributes", "one-class"],
+    )
+    def test_run_equals_the_per_step_loop_on_any_layout(self, monkeypatch, vocabs, class_count, routes):
+        rng = np.random.default_rng(11)
+        classes = rng.integers(0, class_count, size=30)
+        values = np.zeros((30, len(vocabs)), dtype=np.int64)
+        for a, vocab in enumerate(vocabs):
+            leaning = (classes + rng.integers(0, 2, size=30)) % len(vocab)
+            values[:, a] = np.where((len(vocab) == 5) & (rng.random(30) < 0.2), -1, leaning)  # "?" cells in the 5-valued one
+        raw = Dataset([f"a{a}" for a in range(len(vocabs))], vocabs, [f"c{j}" for j in range(class_count)], values, classes)
+        ds = prepare(raw, mode="keep_missing", seed=2)
+        batches = []
+
+        def recording(*args, **kwargs):
+            batches.append(decide_batch(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(midist.harness, "decide_batch", recording)
+        cfg = FilterConfig(prior=PriorSpec("perks"), family="normal")
+        report = run_incremental(ds, cfg, record_selected=True)
+        (batch,) = batches
+        assert set(batch.route.ravel()) == routes
+        correct, sets = per_step_loop(ds, cfg)
+        for f in FILTERS:
+            assert report.runs[f].correct == correct[f]
+            assert report.runs[f].selected_sets == sets[f]
+
     def test_in_run_decisions_equal_decide_on_own_tallies_bit_for_bit(self, monkeypatch):
         batches = []
 
@@ -493,7 +554,7 @@ class TestBatchedDecisions:
             for a, table in enumerate(tables):
                 alone = decide(table, cfg)
                 for name in ("j", "mean", "variance", "prob_exceeds_eps"):
-                    assert getattr(batch, name)[step * width + a] == getattr(alone, name), (step, a, name)
+                    assert getattr(batch, name)[step, a] == getattr(alone, name), (step, a, name)
 
     def test_one_decision_call_per_chunk(self, monkeypatch):
         calls = []
@@ -505,11 +566,11 @@ class TestBatchedDecisions:
         monkeypatch.setattr(midist.harness, "decide_batch", counting)
         ds = long_mixed_dataset()
         run_incremental(ds, FilterConfig(prior=PriorSpec("perks"), family="normal"))
-        # vocabulary sizes 1 to 6 share one padded stack; each call holds whole steps
+        # vocabulary sizes 1 to 6 share one tally of a row per attribute value; each call holds whole steps
         steps = midist.harness._CHUNK_TABLES // len(ds.attributes)
         sizes = [min(steps, len(ds) - start) for start in range(0, len(ds), steps)]
         assert len(sizes) >= 2
-        assert calls == [(n * len(ds.attributes), 6, 3) for n in sizes]
+        assert calls == [(n, sum(ds.vocab_sizes), 3) for n in sizes]
 
     def test_error_names_the_attribute_and_step_of_its_table(self, monkeypatch):
         ds = long_mixed_dataset()
@@ -532,19 +593,20 @@ class TestBatchedDecisions:
         cfg = FilterConfig(prior=PriorSpec("jeffreys"), family="normal")
         ds = long_mixed_dataset()
         report = run_incremental(ds, cfg, record_selected=True)
-        counts, class_counts, rows = midist.harness._zero_tally(ds)
+        sizes, offsets = midist.harness._layout(ds)
+        counts, class_counts = np.zeros((sum(sizes), ds.class_count), dtype=np.int64), np.zeros(ds.class_count, dtype=np.int64)
         correct = {f: [] for f in FILTERS}
         sets = {f: [] for f in FILTERS}
         for values, cls in zip(ds.values, ds.classes):
-            unobserved = class_counts - counts.sum(axis=1)
-            batch = decide_batch(counts, cfg, missing_feature=unobserved, rows=rows)
-            keep = np.stack([getattr(batch, f"keep_{f}") for f in FILTERS])
-            value_counts = counts[np.arange(len(rows)), np.maximum(values, 0)]
+            unobserved = class_counts - np.array([counts[o : o + n].sum(axis=0) for o, n in zip(offsets, sizes)])
+            batch = decide_batch(counts[None], cfg, missing_feature=unobserved[None], sizes=sizes)
+            keep = np.stack([getattr(batch, f"keep_{f}")[0] for f in FILTERS])
+            value_counts = counts[np.maximum(values, 0) + offsets]
             predicted, _ = score_subsets(value_counts, class_counts, ds.vocab_sizes, keep & (values >= 0))
             for f, row, guess in zip(FILTERS, keep, predicted):
                 correct[f].append(int(guess == cls))
                 sets[f].append(np.flatnonzero(row).tolist())
-            absorb(counts, class_counts, values[None], np.array([cls]))
+            absorb(counts, class_counts, np.where(values >= 0, values + offsets, -1)[None], np.array([cls]))
         for f in FILTERS:
             assert report.runs[f].correct == correct[f]
             assert report.runs[f].selected_counts == [len(chosen) for chosen in sets[f]]
@@ -578,15 +640,16 @@ class TestBatchedDecisions:
         monkeypatch.setattr(midist.harness, "_CHUNK_TABLES", 1)
         report = run_incremental(ds, cfg)
         # the reference: every step's tables in one decide_batch call, each decided as decide decides it alone
-        counts, class_counts, rows = midist.harness._zero_tally(ds)
-        prefix, class_prefix = absorb(counts, class_counts, ds.values, ds.classes)
-        missing = class_prefix[:, None, :] - prefix.sum(axis=2)
-        stack, s = prefix.reshape(-1, *prefix.shape[2:]), ds.class_count
-        batch = decide_batch(stack, cfg, missing_feature=missing.reshape(-1, s), rows=np.tile(rows, len(ds)))
+        sizes, offsets = midist.harness._layout(ds)
+        s = ds.class_count
+        counts, class_counts = np.zeros((sum(sizes), s), dtype=np.int64), np.zeros(s, dtype=np.int64)
+        prefix, class_prefix = absorb(counts, class_counts, np.where(ds.values >= 0, ds.values + offsets, -1), ds.classes)
+        missing = class_prefix[:, None, :] - np.stack([prefix[:, o : o + n].sum(axis=1) for o, n in zip(offsets, sizes)], axis=1)
+        batch = decide_batch(prefix, cfg, missing_feature=missing, sizes=sizes)
         fell_back = np.flatnonzero(batch.fit_fallback)
         assert report.fit_fallbacks == len(fell_back) == 12
-        assert np.unique(fell_back // len(rows), return_counts=True)[1].tolist() == [7, 4, 1]
-        for step, a in (divmod(k, len(rows)) for k in fell_back):
+        assert np.unique(fell_back // len(sizes), return_counts=True)[1].tolist() == [7, 4, 1]
+        for step, a in (divmod(k, len(sizes)) for k in fell_back):
             table = _tally(ds.values[:step], ds.classes[:step], ds.vocab_sizes, s)[a]
             assert decide(table, cfg).fit_fallback == "gamma", (step, a)
 
@@ -602,7 +665,7 @@ class TestBatchedDecisions:
         assert capsys.readouterr().err == "warning: 12 beta moment pair(s) infeasible; falling back to the gamma family\n"
 
     def test_decide_attributes_equals_decide_on_own_tally(self):
-        # vocabularies 1 to 6 padded into one stack, "?" cells, and an unlabelled row that no table counts
+        # vocabularies 1 to 6 in one tally, "?" cells, and an unlabelled row that no table counts
         mixed = mixed_dataset(4)
         values = np.vstack([mixed.values, [0, 1, 2, 3, 5, 1, 2, 5]])
         ds = Dataset(mixed.attributes, mixed.attribute_vocabs, mixed.class_vocab, values, np.append(mixed.classes, -1))

@@ -15,12 +15,21 @@ class Tally(NamedTuple):
     """A classifier's vocabulary sizes and its two count arrays."""
 
     vocab_sizes: list[int]
-    counts: np.ndarray  # (A, R, s), padded to the largest vocabulary R
+    counts: np.ndarray  # (V, s), one row per (attribute, value) pair
     class_counts: np.ndarray  # (s)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Each attribute's first row in ``counts``."""
+        return np.cumsum(self.vocab_sizes) - self.vocab_sizes
+
+    def table(self, a: int) -> np.ndarray:
+        """Attribute a's value-by-class table: its rows of ``counts``."""
+        return self.counts[self.offsets[a] : self.offsets[a] + self.vocab_sizes[a]]
 
 
 def empty(vocab_sizes, class_count) -> Tally:
-    shape = (len(vocab_sizes), max(vocab_sizes), class_count)
+    shape = (sum(vocab_sizes), class_count)
     return Tally(list(vocab_sizes), np.zeros(shape, dtype=np.int64), np.zeros(class_count, dtype=np.int64))
 
 
@@ -31,7 +40,8 @@ def indices(instance) -> np.ndarray:
 
 def learn(model, instance, class_index):
     """Absorb one labelled instance."""
-    absorb(model.counts, model.class_counts, indices(instance), np.array([class_index]))
+    values = indices(instance)
+    absorb(model.counts, model.class_counts, np.where(values >= 0, values + model.offsets, -1), np.array([class_index]))
 
 
 def classify(model, instance, selected):
@@ -44,7 +54,7 @@ def classify(model, instance, selected):
 def classify_subsets(model, instance, masks):
     """Most probable class and posterior under each row of an (F, attributes) mask."""
     values = indices(instance)[0]
-    value_counts = model.counts[np.arange(len(model.vocab_sizes)), np.maximum(values, 0)]
+    value_counts = model.counts[np.maximum(values, 0) + model.offsets]
     selected = np.asarray(masks, dtype=bool) & (values >= 0)
     predicted, log_scores = score_subsets(value_counts, model.class_counts, model.vocab_sizes, selected)
     weights = np.exp(log_scores)
@@ -85,7 +95,7 @@ def test_update_counts_conserved():
     assert model.class_counts.sum() == 100
     assert model.counts.sum() == 200  # two attributes, every cell observed
     for a in range(2):
-        assert np.array_equal(model.counts[a].sum(axis=0), model.class_counts)
+        assert np.array_equal(model.table(a).sum(axis=0), model.class_counts)
 
 
 def test_posterior_positive_and_normalised():
@@ -113,7 +123,7 @@ def test_missing_cells_skipped():
     learn(model, [0, None], 0)
     learn(model, [None, 1], 1)
     assert model.class_counts.tolist() == [1, 1]
-    assert model.counts[0].sum() == 1 and model.counts[1].sum() == 1
+    assert model.table(0).sum() == 1 and model.table(1).sum() == 1
     predicted, _ = classify(model, [None, None], [0, 1])
     assert predicted == 0  # falls back to the class prior, tie to low index
 
@@ -169,7 +179,7 @@ def _exact_rational_argmax(model, instance, selected):
         for a in selected:
             v = instance[a]
             score *= Fraction(
-                int(model.counts[a][v, j]) + 1,
+                int(model.table(a)[v, j]) + 1,
                 int(model.class_counts[j]) + model.vocab_sizes[a],
             )
         scores.append(score)
