@@ -37,6 +37,21 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    Mutant(  # x ln x reads the log of 0 at an empty cell or an underflowed chance: 0 * -inf is NaN
+        "core.py",
+        "out = np.maximum(x, np.finfo(float).smallest_subnormal)",
+        "out = np.array(x, dtype=float)",
+        (
+            "tests/test_core.py::TestEmpiricalMi::test_empty_cells_rows_and_columns_add_nothing",
+            "tests/test_mc.py::TestSampleMi::test_all_tiny_shapes_give_no_nan_draw",
+        ),
+    ),
+    Mutant(  # the plug-in information without its column entropy
+        "core.py",
+        "xlogx(p).sum() - xlogx(p.sum(axis=1)).sum() - xlogx(p.sum(axis=0)).sum()",
+        "xlogx(p).sum() - xlogx(p.sum(axis=1)).sum()",
+        ("tests/test_core.py::TestEmpiricalMi::test_agrees_with_a_50_digit_reference",),
+    ),
     Mutant(  # a point mass's KS gap loses the draws above its atom
         "mc.py",
         "return float(max(0.0, below / n, 1.0 - upto / n))",

@@ -50,18 +50,22 @@ def ordered_sum(x, axis=0):
     return pair.sum(axis=axis)[..., : x.shape[-1]]
 
 
+def xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x, 0 at x = 0 (empty cells, underflowed chances): the log reads at least the smallest subnormal."""
+    out = np.maximum(x, np.finfo(float).smallest_subnormal)
+    np.log(out, out=out)
+    return np.multiply(out, x, out=out)
+
+
 def empirical_mi(pc: PosteriorCounts) -> float:
     """Plug-in mutual information of the grid's relative frequencies, in nats.
 
-    Zero cells follow the 0*log 0 convention; the result is clamped at the
-    exact lower bound 0 to absorb rounding on rank-1 grids.
+    The entropy form Σ p ln p - Σ row ln row - Σ col ln col, as the sampler
+    computes it; zero cells follow the 0*log 0 convention, and the result is
+    clamped at the exact lower bound 0 to absorb rounding on rank-1 grids.
     """
-    if pc.total <= 0:
+    total = pc.n.sum()
+    if total <= 0:
         raise InputError("empirical mutual information needs a positive total count")
-    n, rows, cols = pc.n, pc.row_marginals, pc.col_marginals
-    mask = n > 0
-    # the logs are split so that extreme cell magnitudes cannot underflow inside a product
-    ratio = np.log(n, out=np.zeros_like(n), where=mask) + math.log(pc.total)
-    ratio -= np.log(rows, out=np.zeros_like(rows), where=rows > 0)[:, None]
-    ratio -= np.log(cols, out=np.zeros_like(cols), where=cols > 0)
-    return max(0.0, float(np.where(mask, n / pc.total * ratio, 0.0).sum()))
+    p = pc.n / total
+    return max(0.0, float(xlogx(p).sum() - xlogx(p.sum(axis=1)).sum() - xlogx(p.sum(axis=0)).sum()))

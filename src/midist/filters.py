@@ -104,6 +104,7 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
         raise InputError("counts must be a (B, V, s) stack of non-negative integer tallies")
     size, height, s = counts.shape
     sizes = np.array([height]) if sizes is None else np.asarray(sizes)
+    sizes = sizes if sizes.size else sizes.astype(np.int64)  # numpy reads an empty list as float64
     if sizes.ndim != 1 or sizes.dtype.kind not in "iu" or (sizes.size and sizes.min() < 1) or sizes.sum() != height:
         raise InputError(f"sizes must be positive integer vocabulary sizes summing to the tally's {height} rows")
     offsets = np.cumsum(sizes) - sizes
@@ -143,7 +144,8 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
             f"non-finite moments: mean {mean.flat[k]:.6g}, variance {variance.flat[k]:.6g}; counts under- or overflow",
             table=int(k),
         )
-    prob, fallback = prob_exceeds_batch(cfg.family, mean, variance, np.broadcast_to(upper, route.shape), cfg.epsilon)
+    tail = prob_exceeds_batch(cfg.family, mean.ravel(), variance.ravel(), np.tile(upper, size), cfg.epsilon)
+    prob, fallback = (a.reshape(route.shape) for a in tail)  # flat (B A) pairs: the tail's masks index one axis
     return FilterDecision(
         attribute=None,
         j=j,

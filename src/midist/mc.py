@@ -35,7 +35,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import check_integer, mi_upper_bound
+from .core import check_integer, mi_upper_bound, xlogx
 from .dist import DistApprox
 from .errors import ConfigurationError, InputError, InsufficientDataError, ZeroCellError
 from .tables import PosteriorCounts
@@ -87,13 +87,6 @@ def _chunk_blocks(shapes: np.ndarray, count: int, rng: np.random.Generator):
         yield first, _chance_draws(shapes, min(rows, count - first), rng)
 
 
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    """x ln x, 0 at x = 0 (chances of tiny shape can underflow to 0): the log reads at least the smallest subnormal."""
-    out = np.maximum(x, np.finfo(float).smallest_subnormal)
-    np.log(out, out=out)
-    return np.multiply(out, x, out=out)
-
-
 @lru_cache(maxsize=16)
 def _margin_indicator(r: int, s: int) -> np.ndarray:
     """The 0/1 (r s, r + s) matrix that maps cell (i, j) to row margin i and column margin r + j."""
@@ -102,7 +95,7 @@ def _margin_indicator(r: int, s: int) -> np.ndarray:
 
 def _information_of(pi: np.ndarray, r: int, s: int) -> np.ndarray:
     """Σ p ln p - Σ row ln row - Σ col ln col per draw, all r + s margins from one product."""
-    return _xlogx(pi) @ np.ones(r * s) - _xlogx(pi @ _margin_indicator(r, s)) @ np.ones(r + s)
+    return xlogx(pi) @ np.ones(r * s) - xlogx(pi @ _margin_indicator(r, s)) @ np.ones(r + s)
 
 
 def _chunk_information(pc: PosteriorCounts, seed: int, index: int, count: int, upper: float) -> np.ndarray:

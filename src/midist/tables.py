@@ -2,13 +2,13 @@
 
 Observed counts stay integral.  Prior pseudo-counts are real valued
 (Jeffreys and Perks add fractions), so the prior-augmented grid is stored
-as floats with derived marginals.  All values are immutable after
-construction and safe to share between threads.
+as floats.  All values are immutable after construction and safe to
+share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,26 +118,19 @@ class PriorSpec:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorCounts:
-    """Prior-augmented counts with read-only marginals derived from the grid.
+    """Prior-augmented counts as a read-only float grid.
 
     This grid is the sufficient statistic for every posterior quantity in
     the package.
     """
 
     n: np.ndarray
-    row_marginals: np.ndarray = field(init=False)
-    col_marginals: np.ndarray = field(init=False)
-    total: float = field(init=False)
 
     def __post_init__(self) -> None:
         n = _numbers(self.n, "posterior grid")
         if n.ndim != 2 or n.shape[0] < 1 or n.shape[1] < 1:
             raise InputError("posterior grid must be an r x s array")
-        rows = n.sum(axis=1)
         object.__setattr__(self, "n", _readonly(n))
-        object.__setattr__(self, "row_marginals", _readonly(rows))
-        object.__setattr__(self, "col_marginals", _readonly(n.sum(axis=0)))
-        object.__setattr__(self, "total", float(rows.sum()))
 
     @property
     def r(self) -> int:
@@ -149,7 +142,7 @@ class PosteriorCounts:
 
 
 def apply_prior(table: ContingencyTable, prior: PriorSpec) -> PosteriorCounts:
-    """Add the prior pseudo-count to every cell and recompute marginals.
+    """Add the prior pseudo-count to every cell.
 
     A weight of zero is rejected whenever the table has empty cells, since
     the downstream moment formulas divide by every cell.

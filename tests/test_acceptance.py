@@ -163,7 +163,7 @@ def test_05_missing_data_complete_case_consistency():
         moments = mi_moments(pc)
         incomplete = missing_batch(counts[None], np.zeros((1, r)))
         mean_gap = abs(incomplete.mean[0] - empirical_mi(pc))
-        var_gap = abs(incomplete.variance[0] - (moments.k_term - moments.j_term**2) / pc.total)
+        var_gap = abs(incomplete.variance[0] - (moments.k_term - moments.j_term**2) / pc.n.sum())
         worst_mean = max(worst_mean, mean_gap)
         worst_var = max(worst_var, var_gap)
     elapsed = time.perf_counter() - start

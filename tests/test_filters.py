@@ -372,6 +372,13 @@ def test_sizes_validated():
     for sizes in ([3, 3], [4, 4], [7, 0], [0, 7], [6, -1], [3.5, 3.5], [3.0, 4.0], [[3, 4]], [True] * 7, 7):
         with pytest.raises(InputError, match=message):
             decide_batch(counts, CFG, sizes=sizes)
+    # a size list that sums to the tally's height is still refused unless its sizes are positive integers
+    for sizes, height in (([1.5], 1), ([2.0], 2), ([0], 0), ([True], 1)):
+        with pytest.raises(InputError, match=f"summing to the tally's {height} rows$"):
+            decide_batch(np.ones((2, height, 2), dtype=np.int64), CFG, sizes=sizes)
+    # an empty list, which numpy reads as float64, is zero attributes
+    empty = decide_batch(np.ones((3, 0, 2), dtype=np.int64), CFG, sizes=[])
+    assert empty.mean.shape == empty.route.shape == (3, 0)
     # a one-row table between two three-row ones reads its own row alone, in each of two tallies
     batch = decide_batch(counts, CFG, sizes=[3, 1, 3])
     assert batch.route.tolist() == [["complete", "degenerate", "complete"]] * 2

@@ -245,7 +245,7 @@ def filled_stack(payload, weight):
 @given(*STACKS)
 @settings(max_examples=100)
 def test_batch_mean_is_the_plug_in_value_of_each_filled_grid(payload, weight):
-    # missing_batch and empirical_mi each hold a copy of the split-log plug-in formula
+    # missing_batch's split-log mean against empirical_mi's entropy form of the same plug-in value
     mm = kernel(*filled_stack(payload, weight))
     for b, mean in enumerate(mm.mean):
         assert abs(mean - empirical_mi(PosteriorCounts(mm.pi_hat[b]))) <= 1e-14

@@ -134,12 +134,12 @@ def test_leading_term_dominates_for_dependent_tables():
         r, s = rng.integers(2, 4, size=2)
         base = rng.integers(1, 30, size=(r, s)).astype(float)
         pc = PosteriorCounts(base * rng.integers(5, 20) + 1.0)
-        if r * s / pc.total >= 0.05:
+        if r * s / pc.n.sum() >= 0.05:
             continue
         mom = mi_moments(pc)
         if mom.j_term < 0.05:
             continue
-        leading = (mom.k_term - mom.j_term**2) / (pc.total + 1)
+        leading = (mom.k_term - mom.j_term**2) / (pc.n.sum() + 1)
         assert abs(mom.variance - leading) / mom.variance < 0.2
         checked += 1
 

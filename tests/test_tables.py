@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from midist.errors import InputError, ZeroCellError
 from midist.tables import (
@@ -13,28 +11,16 @@ from midist.tables import (
 )
 
 
-def grids(max_dim=4, max_count=50):
-    return st.integers(1, max_dim).flatmap(
-        lambda r: st.integers(1, max_dim).flatmap(
-            lambda s: st.lists(
-                st.lists(st.integers(0, max_count), min_size=s, max_size=s),
-                min_size=r,
-                max_size=r,
-            )
-        )
-    )
-
-
 class TestApplyPrior:
     def test_uniform_adds_one(self):
         pc = apply_prior(ContingencyTable([[1, 0], [0, 1]]), PriorSpec("uniform"))
         assert np.array_equal(pc.n, [[2, 1], [1, 2]])
-        assert pc.total == 6
+        assert pc.n.sum() == 6
 
     def test_perks_adds_reciprocal_cells(self):
         pc = apply_prior(ContingencyTable([[40, 10], [20, 80]]), PriorSpec("perks"))
         assert np.allclose(pc.n, np.array([[40, 10], [20, 80]]) + 0.25)
-        assert pc.total == pytest.approx(151.0)
+        assert pc.n.sum() == pytest.approx(151.0)
 
     def test_haldane_rejects_zero_cells(self):
         with pytest.raises(ZeroCellError, match="zero-cell posterior"):
@@ -54,24 +40,6 @@ class TestApplyPrior:
             PriorSpec("custom", -1.0)
         with pytest.raises(InputError):
             PriorSpec("uniform", 2.0)
-
-
-class TestMarginals:
-    def test_square(self):
-        pc = PosteriorCounts([[2, 1], [1, 2]])
-        rows, cols, total = pc.row_marginals, pc.col_marginals, pc.total
-        assert np.array_equal(rows, [3, 3]) and np.array_equal(cols, [3, 3]) and total == 6
-
-    def test_figure_vector(self):
-        pc = PosteriorCounts([[41, 11], [21, 81]])
-        rows, cols, total = pc.row_marginals, pc.col_marginals, pc.total
-        assert np.array_equal(rows, [52, 102]) and np.array_equal(cols, [62, 92])
-        assert total == 154
-
-    def test_degenerate_1x1(self):
-        pc = PosteriorCounts([[7.0]])
-        rows, cols, total = pc.row_marginals, pc.col_marginals, pc.total
-        assert rows[0] == 7 and cols[0] == 7 and total == 7
 
 
 class TestPosteriorCountsValidation:
@@ -123,29 +91,6 @@ class TestTableValidation:
         t = ContingencyTable([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
             t.counts[0, 0] = 5
-
-
-@given(grids())
-@settings(max_examples=60)
-def test_transposition_swaps_marginals(grid):
-    pc = PosteriorCounts(grid)
-    pt = PosteriorCounts(pc.n.T)
-    assert np.array_equal(pt.row_marginals, pc.col_marginals)
-    assert np.array_equal(pt.col_marginals, pc.row_marginals)
-    assert pt.total == pc.total
-
-
-@given(grids(), st.randoms(use_true_random=False))
-@settings(max_examples=60)
-def test_row_permutation_permutes_marginals(grid, rnd):
-    g = np.asarray(grid, dtype=float)
-    perm = list(range(g.shape[0]))
-    rnd.shuffle(perm)
-    pc = PosteriorCounts(g)
-    pp = PosteriorCounts(g[perm])
-    assert np.array_equal(pp.row_marginals, pc.row_marginals[perm])
-    assert np.array_equal(pp.col_marginals, pc.col_marginals)
-    assert pp.total == pc.total
 
 
 class TestJsonLiteral:
