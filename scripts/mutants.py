@@ -52,6 +52,38 @@ MUTANTS = (
         "xlogx(p).sum() - xlogx(p.sum(axis=1)).sum()",
         ("tests/test_core.py::TestEmpiricalMi::test_agrees_with_a_50_digit_reference",),
     ),
+    Mutant(  # beta admits the variance on its bound, where alpha is 0
+        "dist.py",
+        "(v < m * (top - m))",
+        "(v <= m * (top - m))",
+        ("tests/test_dist.py::test_beta_bound_is_strict_at_its_edge",),
+    ),
+    Mutant(  # gamma admits a zero mean, and divides by it
+        "dist.py",
+        'lambda m, v, top: m > 0.0, "mean > 0"',
+        'lambda m, v, top: m >= 0.0, "mean > 0"',
+        (
+            "tests/test_dist.py::TestFit::test_gamma_needs_positive_mean",
+            "tests/test_cli.py::TestMi::test_zero_mean_partial_table_exits_two_on_one_line",
+        ),
+    ),
+    Mutant(  # a zero range with a positive variance is fitted as if it had room
+        "dist.py",
+        "(v == 0.0) | (top == 0.0)",
+        "(v == 0.0)",
+        (
+            "tests/test_dist.py::TestFit::test_zero_range_is_a_point_mass_at_origin_whatever_the_variance",
+        ),
+    ),
+    Mutant(  # the strict fit falls back to gamma as the batch does
+        "dist.py",
+        "_fit((family,), ",
+        "_fit((family, *FALLBACK.get(family, ())), ",
+        (
+            "tests/test_dist.py::TestFit::test_infeasible_beta_names_bound",
+            "tests/test_dist.py::test_beta_bound_is_strict_at_its_edge",
+        ),
+    ),
     Mutant(  # a point mass's KS gap loses the draws above its atom
         "mc.py",
         "return float(max(0.0, below / n, 1.0 - upto / n))",

@@ -88,7 +88,7 @@ def cmd_mi(args) -> int:
     table = table_from_json(_read_json(args.table))
     d = decide(table, FilterConfig(epsilon=args.epsilon, family=args.dist or "normal", prior=_prior(args)))
     _warn_fallbacks(int(d.fit_fallback is not None))
-    out = {"mode": d.route, "j": d.j, "mean": d.mean, "variance": d.variance}
+    out = {"mode": d.route, "j": d.j, "mean": d.mean, "variance": d.variance, "variance_clamped": d.variance_clamped}
     if d.route.startswith("missing_"):
         out["prior_extrapolation"] = d.prior_extrapolation
     if args.dist:

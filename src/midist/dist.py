@@ -1,27 +1,73 @@
-"""Moment-matched approximations of the information posterior.
+"""Moment-matched approximations of the information posterior, one record per law in ``FAMILIES``.
 
-A fitted object reproduces the requested mean and variance exactly and is
-queryable for probabilities and quantiles.  The beta family lives on the
-rescaled variable I / i_max so its support matches the information range;
-the normal keeps its unbounded support (it is only asymptotically
-concentrated inside the range).  An infeasible moment pair raises from the
-strict ``fit``; ``prob_exceeds_batch`` alone decides when an infeasible beta
-pair degrades to the gamma family, and returns that mask rather than warning:
-callers fit the family it reports and decide how to tell the user.
+A record holds the mask of the (mean, variance, i_max) pairs it can match, the
+bound that mask tests, the moment match, and the CDF and inverse CDF from
+``scipy.special``; a fit reproduces the requested mean and variance exactly.
+The beta lives on I / i_max, so its support is the information range.  One
+route, ``_fit``, fits every pair: the point mass takes zero variances and zero
+ranges, the requested family the rest.  ``fit`` runs it on a stack of one and
+raises on an infeasible pair; ``prob_exceeds_batch`` sends the pairs beta
+cannot match to gamma (``FALLBACK``) and returns that mask rather than warning.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
 
-from .core import on_tables
 from .errors import InfeasibleFitError, InputError
 
-FIT_FAMILIES = ("normal", "gamma", "beta")
+
+class Family(NamedTuple):
+    """One law: the mask of the pairs it matches and its bound, the match, and P(I <= x) and its inverse."""
+
+    feasible: Callable  # (mean, variance, i_max) -> mask
+    bound: str
+    match: Callable  # (mean, variance, i_max) -> params
+    cdf: Callable  # (params, x) -> P(I <= x)
+    ppf: Callable  # (params, q) -> x
+
+
+def _beta(mean, variance, i_max):
+    """Beta parameters on the rescaled variable I / i_max."""
+    mt = mean / i_max
+    vt = variance / i_max**2
+    alpha = mt * (mt * (1.0 - mt) / vt - 1.0)
+    return {"alpha": alpha, "beta": alpha * (1.0 - mt) / mt, "scale": i_max}
+
+
+FAMILIES = {
+    "point_mass": Family(  # the atom of a zero range is 0
+        lambda m, v, top: (v == 0.0) | (top == 0.0), "variance == 0 or i_max == 0",
+        lambda m, v, top: {"location": np.where(top > 0.0, m, 0.0)},
+        lambda p, x: (x >= p["location"]).astype(float),
+        lambda p, q: p["location"],
+    ),
+    "normal": Family(
+        lambda m, v, top: np.ones(np.shape(m), dtype=bool), "",
+        lambda m, v, top: {"mean": m, "variance": v},
+        lambda p, x: special.ndtr((x - p["mean"]) / np.sqrt(p["variance"])),
+        lambda p, q: p["mean"] + np.sqrt(p["variance"]) * special.ndtri(q),
+    ),
+    "gamma": Family(
+        lambda m, v, top: m > 0.0, "mean > 0",
+        lambda m, v, top: {"shape": m**2 / v, "scale": v / m},
+        lambda p, x: special.gammainc(p["shape"], np.maximum(x, 0.0) / p["scale"]),
+        lambda p, q: p["scale"] * special.gammaincinv(p["shape"], q),
+    ),
+    "beta": Family(
+        lambda m, v, top: (0.0 < m) & (m < top) & (v < m * (top - m)),
+        "0 < mean < i_max and variance < mean * (i_max - mean)",
+        _beta,
+        lambda p, x: special.betainc(p["alpha"], p["beta"], np.clip(x / p["scale"], 0.0, 1.0)),
+        lambda p, q: p["scale"] * special.betaincinv(p["alpha"], p["beta"], q),
+    ),
+}
+FIT_FAMILIES = tuple(FAMILIES)[1:]  # every fit tries the point mass first; a caller asks for one of the rest
+FALLBACK = {"beta": ("gamma",)}  # prob_exceeds_batch's next try for a pair the family cannot match
 
 
 @dataclass(frozen=True)
@@ -55,7 +101,7 @@ class DistApprox:
 
     def cdf(self, x):
         """P(I <= x); scalar in, scalar out (arrays pass through)."""
-        v = _cdf(self.family, self.params, np.asarray(x, dtype=float))
+        v = FAMILIES[self.family].cdf(self.params, np.asarray(x, dtype=float))
         return float(v) if np.ndim(x) == 0 else v
 
     def prob_exceeds(self, epsilon: float) -> float:
@@ -70,101 +116,54 @@ class DistApprox:
         """
         if not 0.0 <= q <= 1.0:
             raise InputError(f"quantile level must lie in [0, 1], got {q}")
-        if self.family == "point_mass":
-            return self.params["location"]
-        p = self.params
-        if self.family == "normal":
-            return float(p["mean"] + math.sqrt(p["variance"]) * special.ndtri(q))
-        if self.family == "gamma":
-            return float(p["scale"] * special.gammaincinv(p["shape"], q))
-        return float(p["scale"] * special.betaincinv(p["alpha"], p["beta"], q))
+        return float(FAMILIES[self.family].ppf(self.params, q))
 
 
-def _point_mass(mean, variance, i_max):
-    """Which pairs are point masses (zero variance or range) and their atoms (0 on a zero range)."""
-    return (variance == 0.0) | (i_max == 0.0), np.where(i_max > 0.0, mean, 0.0)
+def _fit(chain, mean, variance, i_max):
+    """(record name, flat indices, parameters) for each record of ("point_mass", *chain) that takes a pair.
 
-
-def _feasible(family: str, mean, variance, i_max):
-    """Mask of the pairs ``family`` can match, and the bound it states; scalars or arrays alike."""
-    if family == "gamma":
-        return np.greater(mean, 0.0), "mean > 0"
-    if family == "beta":
-        ok = (0.0 < mean) & (mean < i_max) & (variance < mean * (i_max - mean))
-        return ok, "0 < mean < i_max and variance < mean * (i_max - mean)"
-    return True, ""
-
-
-def _match(family: str, mean, variance, i_max):
-    """Moment-matched parameters of one family, scalars or arrays alike; raises at the first infeasible pair."""
-    ok, bound = _feasible(family, mean, variance, i_max)
-    if not np.all(ok):
-        k = int(np.argmin(ok))
-        m, v, top = (np.broadcast_to(x, np.shape(ok)).flat[k] for x in (mean, variance, i_max))
-        raise InfeasibleFitError(f"{family} needs {bound}; got mean {m:.6g}, variance {v:.6g}, i_max {top:.6g}", table=k)
-    if family == "normal":
-        return {"mean": mean, "variance": variance}
-    if family == "gamma":
-        return {"shape": mean**2 / variance, "scale": variance / mean}
-    # beta on the rescaled variable I / i_max
-    mt = mean / i_max
-    vt = variance / i_max**2
-    alpha = mt * (mt * (1.0 - mt) / vt - 1.0)
-    return {"alpha": alpha, "beta": alpha * (1.0 - mt) / mt, "scale": i_max}
-
-
-def _cdf(family: str, params: dict, x):
-    """P(I <= x) under the family with the given parameters; arrays broadcast."""
-    if family == "normal":
-        return special.ndtr((x - params["mean"]) / np.sqrt(params["variance"]))
-    if family == "gamma":
-        return special.gammainc(params["shape"], np.maximum(x, 0.0) / params["scale"])
-    if family == "beta":
-        return special.betainc(params["alpha"], params["beta"], np.clip(x / params["scale"], 0.0, 1.0))
-    return (x >= params["location"]).astype(float)
-
-
-def _check_moments(family: str, mean, variance, i_max) -> None:
-    if family not in FIT_FAMILIES:
-        raise InputError(f"unknown family {family!r}; expected one of {FIT_FAMILIES}")
+    Each pair of the flat float arrays goes to the first record whose mask, evaluated only on the pairs left
+    by the records before it, admits it.  ``InfeasibleFitError`` names the first pair the last one refuses.
+    """
+    if chain[0] not in FIT_FAMILIES:
+        raise InputError(f"unknown family {chain[0]!r}; expected one of {FIT_FAMILIES}")
     if not (np.isfinite(mean).all() and np.isfinite(variance).all() and np.isfinite(i_max).all()):
         raise InputError("mean, variance and i_max must be finite")
     if np.less(variance, 0).any() or np.less(i_max, 0).any():
         raise InputError("variance and i_max must be non-negative")
+    rows, groups = np.arange(mean.size), []
+    for name in ("point_mass", *chain):
+        law = FAMILIES[name]
+        ok = law.feasible(mean, variance, i_max)
+        if ok.all():
+            return [*groups, (name, rows, law.match(mean, variance, i_max))]
+        if ok.any():  # index arrays gather faster than boolean masks
+            take, keep = np.flatnonzero(ok), np.flatnonzero(~ok)
+            groups.append((name, rows[take], law.match(mean[take], variance[take], i_max[take])))
+            rows, mean, variance, i_max = rows[keep], mean[keep], variance[keep], i_max[keep]
+    got = f"got mean {mean[0]:.6g}, variance {variance[0]:.6g}, i_max {i_max[0]:.6g}"
+    raise InfeasibleFitError(f"{name} needs {law.bound}; {got}", table=int(rows[0]))
 
 
 def fit(family: str, mean: float, variance: float, i_max: float) -> DistApprox:
-    """Moment-match one family to (mean, variance) on the range [0, i_max].
+    """Moment-match one family to (mean, variance) on the range [0, i_max]: ``_fit`` on a stack of one.
 
-    Zero variance (and a zero-length range) degenerate to a point mass.
-    Infeasible pairs raise InfeasibleFitError naming the violated bound.
+    Zero variance (and a zero-length range) degenerate to a point mass; an infeasible pair raises.
     """
-    _check_moments(family, mean, variance, i_max)
-    point, location = _point_mass(mean, variance, i_max)
-    if point:
-        return DistApprox("point_mass", {"location": float(location)})
-    return DistApprox(family, {name: float(v) for name, v in _match(family, mean, variance, i_max).items()})
+    [(name, _, params)] = _fit((family,), *(np.array([x], dtype=float) for x in (mean, variance, i_max)))
+    return DistApprox(name, {key: value.item() for key, value in params.items()})
 
 
 def prob_exceeds_batch(family: str, mean, variance, i_max, epsilon: float):
-    """P(I > epsilon) under ``fit(family, mean[k], variance[k], i_max[k])`` for every k.
+    """P(I > epsilon) under ``fit(family, mean[k], variance[k], i_max[k])`` for every k of the flat arrays.
 
-    A beta pair that ``fit`` rejects (and no point mass) falls back to gamma.
-    Returns the probabilities and the mask of pairs that fell back.
+    A pair the family cannot match goes to ``FALLBACK[family]`` if any; returns P and the mask of those pairs.
     """
-    mean = np.asarray(mean, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    i_max = np.asarray(i_max, dtype=float)
-    _check_moments(family, mean, variance, i_max)
-    point, location = _point_mass(mean, variance, i_max)
-    # _feasible gives the bool True for normal and gamma, so not `~`
-    fallback = np.logical_not(point | _feasible(family, mean, variance, i_max)[0]) & (family == "beta")
-    prob = np.empty(mean.shape)
-    if point.any():
-        prob[point] = 1.0 - _cdf("point_mass", {"location": location[point]}, epsilon)
-    for fam, mask in ((family, ~point & ~fallback), ("gamma", fallback)):
-        if not mask.any():
-            continue
-        params = on_tables(mask, _match, fam, mean[mask], variance[mask], i_max[mask])
-        prob[mask] = 1.0 - _cdf(fam, params, epsilon)
+    mean, variance, i_max = (np.asarray(a, dtype=float).ravel() for a in (mean, variance, i_max))
+    prob, fallback = np.empty(mean.shape), np.zeros(mean.shape, dtype=bool)
+    chain = (family, *FALLBACK.get(family, ()))
+    for name, rows, params in _fit(chain, mean, variance, i_max):
+        prob[rows] = 1.0 - FAMILIES[name].cdf(params, epsilon)
+        if name in chain[1:]:
+            fallback[rows] = True
     return prob, fallback

@@ -97,6 +97,16 @@ class TestMi:
         code, out, _ = run_cli(capsys, "mi", "--table", table_file, "--prior", "jeffreys")
         assert code == 0 and "prior_extrapolation" not in json.loads(out)
 
+    def test_clamped_variance_is_flagged(self, capsys, tmp_path, table_file):
+        # README's clamped Perks table: its variance 0.0 is a clamp, not a true zero
+        path = tmp_path / "clamped.json"
+        path.write_text(json.dumps({"r": 4, "s": 2, "counts": [[0, 0], [0, 1], [2, 0], [1, 0]]}))
+        code, out, _ = run_cli(capsys, "mi", "--table", str(path), "--prior", "perks")
+        payload = json.loads(out)
+        assert code == 0 and (payload["variance"], payload["variance_clamped"]) == (0.0, True)
+        code, out, _ = run_cli(capsys, "mi", "--table", table_file, "--prior", "perks")
+        assert code == 0 and json.loads(out)["variance_clamped"] is False
+
     @pytest.mark.parametrize("epsilon", ["nan", "-1"])
     def test_invalid_epsilon_rejected_as_select_rejects_it(self, capsys, table_file, csv_file, epsilon):
         code, out, err = run_cli(capsys, "mi", "--table", table_file, "--dist", "beta", "--epsilon", epsilon)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -45,6 +47,11 @@ class TestFit:
     def test_zero_range_degenerates_to_point_mass_at_origin(self):
         d = fit("gamma", 0.0, 0.0, 0.0)
         assert d.family == "point_mass" and d.params["location"] == 0.0
+
+    @pytest.mark.parametrize("family", ["normal", "gamma", "beta"])
+    def test_zero_range_is_a_point_mass_at_origin_whatever_the_variance(self, family):
+        assert fit(family, 0.1, 0.01, 0.0) == DistApprox("point_mass", {"location": 0.0})
+        assert prob_exceeds_batch(family, [0.1], [0.01], [0.0], 0.003)[0].tolist() == [0.0]
 
     def test_infeasible_beta_names_bound(self):
         with pytest.raises(InfeasibleFitError, match=r"mean \* \(i_max - mean\)"):
@@ -114,6 +121,33 @@ def test_strict_beta_raises_exactly_where_the_batch_falls_back(i_max):
             raised.append(True)
     assert raised == fallback.tolist()
     assert any(raised) == (i_max > 0.0) and not all(raised)
+
+
+def test_beta_bound_is_strict_at_its_edge():
+    # variance = mean * (i_max - mean) = 0.25: beta's alpha would be 0, so no beta law matches
+    with pytest.raises(InfeasibleFitError, match=r"^beta needs .* variance < mean \* \(i_max - mean\); got mean 0.5,"):
+        fit("beta", 0.5, 0.25, 1.0)
+    prob, fallback = prob_exceeds_batch("beta", [0.5], [0.25], [1.0], 0.003)
+    assert fallback.tolist() == [True] and prob[0] == fit("gamma", 0.5, 0.25, 1.0).prob_exceeds(0.003)
+
+
+@pytest.mark.parametrize("family", ["normal", "gamma", "beta"])
+def test_fit_equals_the_batch_bit_for_bit(family):
+    # point masses, beta's fallback pairs and gamma's infeasible ones included; at
+    # (0.6376608842023661, 0.010577757938926978, ln 3) Python's float ** and numpy's
+    # square round the gamma shape one ulp apart
+    means = [0.0, 1e-4, 0.01, 0.16, 0.5, 0.6376608842023661]
+    variances = [0.0, 1e-6, 0.0017, 0.010577757938926978, 0.1, 0.3]
+    ranges = [0.0, 0.5, math.log(2), math.log(3), 1.0]
+    for m, v, top, eps in itertools.product(means, variances, ranges, [0.003, 0.5]):
+        try:
+            prob, fallback = prob_exceeds_batch(family, [m], [v], [top], eps)
+        except InfeasibleFitError as exc:  # the strict fit of the family it names raises the same
+            with pytest.raises(InfeasibleFitError, match=f"^{re.escape(str(exc))}$"):
+                fit(str(exc).split()[0], m, v, top)
+            continue
+        d = fit("gamma" if fallback[0] else family, m, v, top)
+        assert d.prob_exceeds(eps) == prob[0], (m, v, top, eps)
 
 
 class TestCdf:
