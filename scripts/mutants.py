@@ -84,6 +84,15 @@ MUTANTS = (
             "tests/test_dist.py::test_beta_bound_is_strict_at_its_edge",
         ),
     ),
+    Mutant(  # the batch records the requested family, not the fallback law that fitted the pair
+        "dist.py",
+        "fallback[rows] = name if",
+        "fallback[rows] = family if",
+        (
+            "tests/test_dist.py::TestFit::test_fallback_degrades_beta_to_gamma",
+            "tests/test_cli.py::TestMi::test_fallback_law_is_read_from_dist_alone",
+        ),
+    ),
     Mutant(  # a point mass's KS gap loses the draws above its atom
         "mc.py",
         "return float(max(0.0, below / n, 1.0 - upto / n))",
@@ -129,11 +138,26 @@ MUTANTS = (
         "_paired_t_curve(hits[a], hits[b[:1]], ",
         ("tests/test_harness.py::TestRunIncremental::test_stacked_t_curves_equal_the_scalar_test_at_every_k",),
     ),
+    Mutant(  # each attribute's missing-feature margin adds its column sums to the class totals
+        "harness.py",
+        "missing = class_counts[:, None, :] - np.add",
+        "missing = class_counts[:, None, :] + np.add",
+        (
+            "tests/test_harness.py::TestBatchedDecisions::test_in_run_decisions_equal_decide_on_own_tallies_bit_for_bit",
+            "tests/test_harness.py::TestBatchedDecisions::test_decide_attributes_equals_decide_on_own_tally",
+        ),
+    ),
     Mutant(  # JSON booleans read as the numbers 0 and 1
         "tables.py",
         "        if _holds_bool(obj.get(key)):",
         "        if False:",
         ("tests/test_cli.py::TestMi::test_malformed_literal_is_an_input_error",),
+    ),
+    Mutant(  # a negative partial margin passes the checks and reads as no gap
+        "tables.py",
+        "if not np.isfinite(out).all() or (out < 0).any():",
+        "if not np.isfinite(out).all():",
+        ("tests/test_filters.py::test_margins_are_checked_against_the_counts[negative]",),
     ),
     Mutant(  # each complete table gathered one row early: a lone table only rotates its rows
         "filters.py",

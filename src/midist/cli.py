@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 from . import harness
 from .core import mi_upper_bound
-from .dist import FIT_FAMILIES, fit
+from .dist import FALLBACK, FIT_FAMILIES, fit
 from .errors import ConfigurationError, InputError, NumericalError
 from .filters import FILTERS, FilterConfig, decide
 from .mc import ks_distance, sample_mi
@@ -33,10 +33,11 @@ def _prior(args) -> PriorSpec:
     return PriorSpec(args.prior, args.prior_weight)  # a named prior rejects a weight
 
 
-def _warn_fallbacks(count: int) -> None:
-    """The one ``warning:`` line for ``count`` tables whose beta fit fell back to gamma, if any did."""
+def _warn_fallbacks(family: str, count: int) -> None:
+    """The one ``warning:`` line, naming ``dist.FALLBACK[family]``, for ``count`` tables whose fit fell back, if any did."""
     if count:
-        print(f"warning: {count} beta moment pair(s) infeasible; falling back to the gamma family", file=sys.stderr)
+        laws = " or ".join(FALLBACK[family])
+        print(f"warning: {count} {family} moment pair(s) infeasible; falling back to the {laws} family", file=sys.stderr)
 
 
 def _config(args) -> FilterConfig:
@@ -86,8 +87,9 @@ def _add_filter_options(parser) -> None:
 
 def cmd_mi(args) -> int:
     table = table_from_json(_read_json(args.table))
-    d = decide(table, FilterConfig(epsilon=args.epsilon, family=args.dist or "normal", prior=_prior(args)))
-    _warn_fallbacks(int(d.fit_fallback is not None))
+    cfg = FilterConfig(epsilon=args.epsilon, family=args.dist or "normal", prior=_prior(args))
+    d = decide(table, cfg)
+    _warn_fallbacks(cfg.family, int(d.fit_fallback is not None))
     out = {"mode": d.route, "j": d.j, "mean": d.mean, "variance": d.variance, "variance_clamped": d.variance_clamped}
     if d.route.startswith("missing_"):
         out["prior_extrapolation"] = d.prior_extrapolation
@@ -123,7 +125,7 @@ def cmd_mc(args) -> int:
     }
     if args.fit:
         d = decide(table, FilterConfig(family=args.fit, prior=prior))
-        _warn_fallbacks(int(d.fit_fallback is not None))
+        _warn_fallbacks(args.fit, int(d.fit_fallback is not None))
         approx = fit(d.fit_fallback or args.fit, d.mean, d.variance, summary.i_max)
         out["fit"] = {"family": approx.family, "params": approx.params, "fallback": d.fit_fallback}
         out["ks_distance"] = ks_distance(summary, approx)
@@ -142,7 +144,7 @@ def cmd_select(args) -> int:
     cfg = _config(args)
     cfg.check_filters([args.filter])
     decisions = harness.decide_attributes(dataset, cfg)
-    _warn_fallbacks(sum(d.fit_fallback is not None for d in decisions))
+    _warn_fallbacks(cfg.family, sum(d.fit_fallback is not None for d in decisions))
     for decision in decisions:
         print(json.dumps(asdict(decision)))
     kept = [d.attribute for d in decisions if getattr(d, f"keep_{args.filter}")]
@@ -156,7 +158,7 @@ def cmd_run(args) -> int:
     cfg = _config(args)
     prepared = harness.prepare(dataset, mode=f"{args.missing}_missing", seed=args.seed)
     report = harness.run_incremental(prepared, cfg, filters)
-    _warn_fallbacks(report.fit_fallbacks)
+    _warn_fallbacks(cfg.family, report.fit_fallbacks)
     harness.write_report(report, args.out, format=args.format)
     print(
         json.dumps(

@@ -6,8 +6,8 @@ bound that mask tests, the moment match, and the CDF and inverse CDF from
 The beta lives on I / i_max, so its support is the information range.  One
 route, ``_fit``, fits every pair: the point mass takes zero variances and zero
 ranges, the requested family the rest.  ``fit`` runs it on a stack of one and
-raises on an infeasible pair; ``prob_exceeds_batch`` sends the pairs beta
-cannot match to gamma (``FALLBACK``) and returns that mask rather than warning.
+raises on an infeasible pair; ``prob_exceeds_batch`` sends the pairs a family cannot
+match to its ``FALLBACK`` laws and returns the name of the law that took each, or None.
 """
 
 from __future__ import annotations
@@ -157,13 +157,12 @@ def fit(family: str, mean: float, variance: float, i_max: float) -> DistApprox:
 def prob_exceeds_batch(family: str, mean, variance, i_max, epsilon: float):
     """P(I > epsilon) under ``fit(family, mean[k], variance[k], i_max[k])`` for every k of the flat arrays.
 
-    A pair the family cannot match goes to ``FALLBACK[family]`` if any; returns P and the mask of those pairs.
+    A pair the family cannot match goes to ``FALLBACK[family]`` if any; returns P and the name of that law, or None.
     """
     mean, variance, i_max = (np.asarray(a, dtype=float).ravel() for a in (mean, variance, i_max))
-    prob, fallback = np.empty(mean.shape), np.zeros(mean.shape, dtype=bool)
+    prob, fallback = np.empty(mean.shape), np.empty(mean.shape, dtype=object)  # every row is set below
     chain = (family, *FALLBACK.get(family, ()))
     for name, rows, params in _fit(chain, mean, variance, i_max):
         prob[rows] = 1.0 - FAMILIES[name].cdf(params, epsilon)
-        if name in chain[1:]:
-            fallback[rows] = True
+        fallback[rows] = name if name in chain[1:] else None
     return prob, fallback

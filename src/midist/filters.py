@@ -21,7 +21,7 @@ from .dist import FIT_FAMILIES, prob_exceeds_batch
 from .errors import ConfigurationError, InputError, NumericalError
 from .missing import BOTH_MARGINS, missing_batch
 from .moments import moments_batch
-from .tables import ContingencyTable, PriorSpec
+from .tables import ContingencyTable, PriorSpec, _as_margin
 
 FILTERS = ("f", "ff", "bf")
 ROUTES = ("complete", "missing_class", "missing_feature", "degenerate")
@@ -66,10 +66,10 @@ class FilterConfig:
 class FilterDecision:
     """Per-attribute outcome of all three keep rules.
 
-    ``route`` is one of ``ROUTES``, ``fit_fallback`` the family a beta fit fell back to or None.
+    ``route`` is one of ``ROUTES``, ``fit_fallback`` the ``dist.FALLBACK`` law the fit fell back to or None.
     ``prior_extrapolation`` marks a ``missing_*`` route under a prior other than
     uniform: the incomplete-sample moments are derived under the uniform prior alone.
-    ``decide_batch`` returns the same fields as length-B arrays, with no attribute.
+    ``decide_batch`` returns the same fields as (B, A) arrays, with no attribute.
     """
 
     attribute: object
@@ -93,8 +93,9 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     with ``offsets`` the exclusive cumsum of ``sizes``, the (A) vocabulary sizes (by default one
     table of all V rows).  Each table takes one of ``ROUTES``: complete tables the exact moments, one
     kernel call per vocabulary size; tables with mass on one partial margin (``missing_class`` (B, V)
-    or ``missing_feature`` (B, A, s)) the incomplete-sample moments, one call per margin on tables
-    padded with empty rows to the largest vocabulary; and all the same tail.
+    or ``missing_feature`` (B, A, s), finite, non-negative and zero by default) the incomplete-sample
+    moments, one call per margin on tables padded with empty rows to the largest vocabulary; and all
+    the same tail.
     Single-valued attributes (information range 0) are degenerate: every rule discards them.
     A non-finite mean or variance raises ``NumericalError`` before the tail.
     Returns (B, A) fields; a ``NumericalError`` about table (b, a) carries b * A + a as ``table``.
@@ -108,10 +109,10 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
     if sizes.ndim != 1 or sizes.dtype.kind not in "iu" or (sizes.size and sizes.min() < 1) or sizes.sum() != height:
         raise InputError(f"sizes must be positive integer vocabulary sizes summing to the tally's {height} rows")
     offsets = np.cumsum(sizes) - sizes
-    missing_class = None if missing_class is None else np.asarray(missing_class)
-    missing_feature = np.zeros((size, len(sizes), s)) if missing_feature is None else np.asarray(missing_feature)
+    missing_class = _as_margin(missing_class, (size, height), "missing_class")
+    missing_feature = _as_margin(missing_feature, (size, len(sizes), s), "missing_feature")
     upper = np.array([mi_upper_bound(r, s) for r in range(1, sizes.max(initial=0) + 1)])[sizes - 1]
-    class_gap = missing_class is not None and np.logical_or.reduceat(missing_class > 0, offsets, axis=1)
+    class_gap = np.logical_or.reduceat(missing_class > 0, offsets, axis=1)
     # a bool einsum sums by logical or: any() over the short axis, without its overhead
     feature_gap = np.einsum("bas->ba", missing_feature > 0)
     if (class_gap & feature_gap & (upper > 0.0)).any():
@@ -145,7 +146,7 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
             table=int(k),
         )
     tail = prob_exceeds_batch(cfg.family, mean.ravel(), variance.ravel(), np.tile(upper, size), cfg.epsilon)
-    prob, fallback = (a.reshape(route.shape) for a in tail)  # flat (B A) pairs: the tail's masks index one axis
+    prob, fallback = (a.reshape(route.shape) for a in tail)  # flat (B A) pairs: the tail indexes one axis
     return FilterDecision(
         attribute=None,
         j=j,
@@ -156,7 +157,7 @@ def decide_batch(counts, cfg: FilterConfig, missing_class=None, missing_feature=
         keep_ff=prob > cfg.p_level,
         keep_bf=prob > 1.0 - cfg.p_level,
         route=np.array(ROUTES, dtype=object)[route],
-        fit_fallback=np.where(fallback, "gamma", None),
+        fit_fallback=fallback,
         variance_clamped=clamped,
         prior_extrapolation=((route == 1) | (route == 2)) & (cfg.prior.kind != "uniform"),
     )

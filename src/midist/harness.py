@@ -217,21 +217,21 @@ def decide_attributes(dataset: Dataset, cfg: FilterConfig) -> list[FilterDecisio
     values, classes = dataset.values[labelled], dataset.classes[labelled]
     t, a = np.nonzero(values >= 0)
     counts = np.bincount((offsets[a] + values[t, a]) * s + classes[t], minlength=sizes.sum() * s).reshape(-1, s)
-    class_counts = np.bincount(classes, minlength=s)
-    missing = class_counts - np.add.reduceat(counts, offsets, axis=0)  # per attribute: labelled, value unobserved
-    batch = _decide(dataset.attributes, None, counts[None], cfg, missing_feature=missing[None], sizes=sizes)
-    return records(batch, dataset.attributes)
+    return records(_decide(dataset, None, counts[None], np.bincount(classes, minlength=s)[None], cfg), dataset.attributes)
 
 
-def _decide(attributes, first_step: int | None, *args, **kwargs) -> FilterDecision:
-    """``decide_batch`` on a stack of steps by ``attributes``; its error names the failed table's attribute and step."""
+def _decide(dataset: Dataset, first_step: int | None, counts, class_counts, cfg: FilterConfig) -> FilterDecision:
+    """``decide_batch`` on (T, V, s) tallies of ``dataset``, each attribute's missing-feature margin the (T, s) class
+    totals less its column sums; an error names the failed table's attribute and, from ``first_step``, its step."""
+    sizes, offsets = _layout(dataset)
+    missing = class_counts[:, None, :] - np.add.reduceat(counts, offsets, axis=1)  # exact in int64
     try:
-        return decide_batch(*args, **kwargs)
+        return decide_batch(counts, cfg, missing_feature=missing, sizes=sizes)
     except NumericalError as exc:
         if exc.table is None:
             raise
-        step, index = divmod(exc.table, len(attributes))
-        where = f"attribute {attributes[index]!r}" + ("" if first_step is None else f", step {first_step + step}")
+        step, index = divmod(exc.table, len(dataset.attributes))
+        where = f"attribute {dataset.attributes[index]!r}" + ("" if first_step is None else f", step {first_step + step}")
         raise type(exc)(f"{exc} ({where})", exc.table) from None
 
 
@@ -269,7 +269,7 @@ class RunReport:
     order_hash: str
     runs: dict[str, FilterRun]
     pair_tests: dict[str, dict]
-    fit_fallbacks: int = 0  # tables whose beta fit fell back to gamma; a run diagnostic, not serialised
+    fit_fallbacks: int = 0  # tables whose fit fell back to a dist.FALLBACK law; a run diagnostic, not serialised
 
 
 def _order_hash(dataset: Dataset) -> str:
@@ -369,8 +369,7 @@ def run_incremental(
     for chunk in _chunks(len(classes), len(vocab_sizes)):
         observed = values[chunk] >= 0
         prefix, class_prefix = absorb(counts, class_counts, np.where(observed, values[chunk] + offsets, -1), classes[chunk])
-        missing = class_prefix[:, None, :] - np.add.reduceat(prefix, offsets, axis=1)  # exact in int64
-        batch = _decide(dataset.attributes, chunk.start, prefix, cfg, missing_feature=missing, sizes=vocab_sizes)
+        batch = _decide(dataset, chunk.start, prefix, class_prefix, cfg)
         fallbacks += int(np.count_nonzero(batch.fit_fallback))
         keep.append(np.stack([getattr(batch, flag) for flag in flags], axis=1))
         value_counts = prefix[np.arange(len(prefix))[:, None], np.maximum(values[chunk], 0) + offsets]

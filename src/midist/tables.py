@@ -33,17 +33,18 @@ def _numbers(values, name: str) -> np.ndarray:
         out = out.astype(float)
     except (TypeError, ValueError):
         raise InputError(f"{name} must be a regular array of numbers") from None
-    if not np.all(np.isfinite(out)) or np.any(out < 0):
+    if not np.isfinite(out).all() or (out < 0).any():  # array methods: np.all and np.any dispatch slower
         raise InputError(f"{name} entries must be finite and non-negative")
     return out
 
 
-def _as_margin(vec, length: int, name: str) -> np.ndarray:
+def _as_margin(vec, shape: tuple, name: str) -> np.ndarray:
+    """``vec`` as a margin of ``shape``, zeros if None; what ``_numbers`` refuses, or another shape, is an ``InputError``."""
     if vec is None:
-        return np.zeros(length)
+        return np.zeros(shape)
     out = _numbers(vec, name)
-    if out.shape != (length,):
-        raise InputError(f"{name} must have length {length}, got shape {out.shape}")
+    if out.shape != shape:
+        raise InputError(f"{name} must have shape {shape}, got {out.shape}")
     return out
 
 
@@ -69,8 +70,8 @@ class ContingencyTable:
         if np.any(as_float >= 2.0**63):
             raise InputError("observed counts must be below 2**63, the int64 limit")
         r, s = as_float.shape
-        mc = _as_margin(self.missing_class, r, "missing_class")
-        mf = _as_margin(self.missing_feature, s, "missing_feature")
+        mc = _as_margin(self.missing_class, (r,), "missing_class")
+        mf = _as_margin(self.missing_feature, (s,), "missing_feature")
         object.__setattr__(self, "counts", _readonly(as_float.astype(np.int64)))
         object.__setattr__(self, "missing_class", _readonly(mc))
         object.__setattr__(self, "missing_feature", _readonly(mf))

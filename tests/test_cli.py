@@ -202,6 +202,18 @@ class TestMi:
         assert child.returncode == 0 and json.loads(child.stdout)["dist"]["fallback"] == "gamma"
         assert child.stderr.decode() == f"warning: {FALLBACK_WARNING}\n"
 
+    def test_fallback_law_is_read_from_dist_alone(self, capsys, tmp_path, monkeypatch):
+        # with beta's fallback law changed in dist, the decision, the printed fit and the warning line all follow
+        monkeypatch.setitem(midist.dist.FALLBACK, "beta", ("normal",))
+        cfg = FilterConfig(family="beta", prior=midist.PriorSpec("perks"))
+        assert decide(midist.table_from_json(FALLBACK_TABLE), cfg).fit_fallback == "normal"
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(FALLBACK_TABLE))
+        code, out, err = run_cli(capsys, "mi", "--table", str(path), "--prior", "perks", "--dist", "beta")
+        dist = json.loads(out)["dist"]
+        assert code == 0 and dist["family"] == "normal" and dist["fallback"] == "normal"
+        assert err == f"warning: {FALLBACK_WARNING.replace('gamma', 'normal')}\n"
+
     def test_zero_mean_partial_table_exits_two_on_one_line(self, capsys, tmp_path):
         # the fit fails before the decision returns, so no fallback line; the moments print at 6 digits
         path = tmp_path / "zero_mean.json"

@@ -77,7 +77,7 @@ class TestFit:
 
     def test_fallback_degrades_beta_to_gamma(self):
         prob, fallback = prob_exceeds_batch("beta", [0.5], [0.3], [1.0], 0.1)
-        assert fallback.tolist() == [True]
+        assert fallback.tolist() == ["gamma"]
         d = fit("gamma", 0.5, 0.3, 1.0)
         assert prob[0] == pytest.approx(d.prob_exceeds(0.1), abs=1e-12)
         assert (law(d).mean(), law(d).var()) == (pytest.approx(0.5), pytest.approx(0.3))
@@ -86,7 +86,7 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             prob, fallback = prob_exceeds_batch("beta", [0.25], [0.01], [1.0], 0.1)
-        assert fallback.tolist() == [False]
+        assert fallback.tolist() == [None]
         assert prob[0] == pytest.approx(fit("beta", 0.25, 0.01, 1.0).prob_exceeds(0.1), abs=1e-12)
 
 
@@ -119,7 +119,7 @@ def test_strict_beta_raises_exactly_where_the_batch_falls_back(i_max):
             raised.append(False)
         except InfeasibleFitError:
             raised.append(True)
-    assert raised == fallback.tolist()
+    assert ["gamma" if r else None for r in raised] == fallback.tolist()
     assert any(raised) == (i_max > 0.0) and not all(raised)
 
 
@@ -128,7 +128,7 @@ def test_beta_bound_is_strict_at_its_edge():
     with pytest.raises(InfeasibleFitError, match=r"^beta needs .* variance < mean \* \(i_max - mean\); got mean 0.5,"):
         fit("beta", 0.5, 0.25, 1.0)
     prob, fallback = prob_exceeds_batch("beta", [0.5], [0.25], [1.0], 0.003)
-    assert fallback.tolist() == [True] and prob[0] == fit("gamma", 0.5, 0.25, 1.0).prob_exceeds(0.003)
+    assert fallback.tolist() == ["gamma"] and prob[0] == fit("gamma", 0.5, 0.25, 1.0).prob_exceeds(0.003)
 
 
 @pytest.mark.parametrize("family", ["normal", "gamma", "beta"])
@@ -146,7 +146,7 @@ def test_fit_equals_the_batch_bit_for_bit(family):
             with pytest.raises(InfeasibleFitError, match=f"^{re.escape(str(exc))}$"):
                 fit(str(exc).split()[0], m, v, top)
             continue
-        d = fit("gamma" if fallback[0] else family, m, v, top)
+        d = fit(fallback[0] or family, m, v, top)
         assert d.prob_exceeds(eps) == prob[0], (m, v, top, eps)
 
 

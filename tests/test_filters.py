@@ -386,6 +386,25 @@ def test_sizes_validated():
     assert batch.mean[:, [0, 2]].tolist() == [[alone.mean] * 2] * 2
 
 
+@pytest.mark.parametrize(
+    "margin, value, message",
+    [
+        ("missing_feature", [[[-1, 0]]], "entries must be finite and non-negative"),
+        ("missing_feature", [[[np.nan, 0]]], "entries must be finite and non-negative"),
+        ("missing_feature", [[0, 0, 0]], r"must have shape \(1, 1, 2\), got \(1, 3\)$"),
+        ("missing_class", [[0]], r"must have shape \(1, 2\), got \(1, 1\)$"),
+        ("missing_feature", [[[0, 0]], [[0, 0]]], r"must have shape \(1, 1, 2\), got \(2, 1, 2\)$"),
+        ("missing_class", [[np.inf, 0]], "entries must be finite and non-negative"),
+    ],
+    ids=["negative", "nan", "(1, 3)", "short", "two-tables", "inf"],
+)
+def test_margins_are_checked_against_the_counts(margin, value, message):
+    # a negative or NaN margin and a short class margin once passed as a complete table, the other
+    # misshapen ones met a raw numpy ValueError or IndexError, and an infinite one ended as "non-finite moments"
+    with pytest.raises(InputError, match=f"^{margin} {message}"):
+        decide_batch(np.array([[[3, 1], [1, 3]]]), CFG, **{margin: value})
+
+
 @pytest.mark.parametrize("weight", [1e-300, 1e-200, 1e200, 1e300])
 def test_non_finite_moments_are_a_numerical_error(weight):
     # the cell products of an empty table under this weight under- or overflow, so the moments are NaN
